@@ -19,6 +19,7 @@ paper's Figure 2 experiment:
 from __future__ import annotations
 
 import importlib.resources
+import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -87,6 +88,7 @@ class CompiledRoutine:
     source: str
     language: str
     passes: list[PassRecord] = field(default_factory=list)
+    compile_micros: int = 0  # wall clock of the whole compilation
     _callable: Callable | None = field(default=None, repr=False)
 
     @property
@@ -133,6 +135,17 @@ class CompiledRoutine:
             f"; scratch {self.scratch_bytes_before} -> "
             f"{self.scratch_bytes} bytes, "
             f"{self.temps_eliminated} temp arrays eliminated"
+        )
+        in_passes = sum(record.micros for record in self.passes)
+        total = max(self.compile_micros, in_passes, 1)
+        shares = [(record.name, record.micros) for record in self.passes]
+        shares.append(("outside", total - in_passes))
+        lines.append(
+            f"; total {total} us = {in_passes} us in passes + "
+            f"{total - in_passes} us outside them (template expansion, "
+            f"emission, pass validation): "
+            + ", ".join(f"{name} {100.0 * micros / total:.1f}%"
+                        for name, micros in shares)
         )
         return "\n".join(lines)
 
@@ -340,6 +353,7 @@ class SplCompiler:
     def _compile_unit(self, unit: FormulaUnit, *, strided: bool = False,
                       resolved: bool = False,
                       limits: CompileLimits | None = None) -> CompiledRoutine:
+        started = time.perf_counter()
         opts = self.options
         limits = limits or self.limits
         # One budget covers the unit's whole pipeline: the deadline
@@ -442,6 +456,7 @@ class SplCompiler:
             source=source,
             language=language,
             passes=pipeline.records,
+            compile_micros=int((time.perf_counter() - started) * 1e6),
         )
 
 

@@ -34,6 +34,7 @@ pipeline re-derives the program's denoted matrix after each pass when
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Mapping
@@ -50,6 +51,7 @@ from repro.core.icode import (
     Program,
     VEC_TEMP,
     VecRef,
+    ZERO,
     iter_ops,
 )
 from repro.core.limits import CompileBudget
@@ -112,13 +114,33 @@ def _loop_vars(body: list[Instr]) -> set[str]:
     return names
 
 
-def _write_positions(program: Program) -> dict[str, set[int]]:
-    """Vector name -> set of top-level instruction indexes writing it."""
-    positions: dict[str, set[int]] = {}
-    for idx, inst in enumerate(program.body):
-        for name in _vec_writes([inst]):
-            positions.setdefault(name, set()).add(idx)
-    return positions
+@dataclass
+class _Census:
+    """Per-vector reference counts over one instruction list, taken in
+    one walk so that a stage's legality checks are dictionary lookups."""
+
+    refs: Counter  # ops mentioning the vector
+    writes: Counter  # ops storing to it
+    write_at: dict[str, set[int]]  # positions of instructions storing to it
+    first_read: dict[str, int]  # first position reading it
+
+
+def _census(body: list[Instr]) -> _Census:
+    census = _Census(Counter(), Counter(), {}, {})
+    for pos, inst in enumerate(body):
+        for op in iter_ops([inst]):
+            vecs = set()
+            if isinstance(op.dest, VecRef):
+                vec = op.dest.vec
+                census.writes[vec] += 1
+                census.write_at.setdefault(vec, set()).add(pos)
+                vecs.add(vec)
+            for operand in op.operands():
+                if isinstance(operand, VecRef):
+                    census.first_read.setdefault(operand.vec, pos)
+                    vecs.add(operand.vec)
+            census.refs.update(vecs)
+    return census
 
 
 def _domain_points(
@@ -153,20 +175,33 @@ def forward_copy_stages(program: Program,
     Works region by region: the top-level body first, then every loop
     body (so permutation stages nested inside tensor loops fuse too —
     there, the outer loop indices simply stay symbolic in the
-    forwarded subscripts).
+    forwarded subscripts).  Sweeps repeat until one forwards nothing;
+    a stage that was refused is not tried again until some other stage
+    has changed the program.
     """
     stats = FusionStats()
+    settled: set[str] = set()  # temps refused since the last change
     changed = True
     while changed:
         changed = False
+        whole = _census(program.body)
         for region, top_idx in _regions(program):
-            for start, end, temp in _copy_stages(region, program):
+            local = None  # this region's census, taken when first needed
+            stages = _copy_stages(region, program)
+            while stages:
+                start, end, temp = stages.pop(0)
+                if temp in settled:
+                    continue
+                local = local or (whole if top_idx is None
+                                  else _census(region))
                 if _forward_one_stage(program, region, top_idx, start, end,
-                                      temp, budget, stats):
+                                      temp, whole, local, budget, stats):
                     changed = True
-                    break  # indexes shifted; re-analyze
-            if changed:
-                break
+                    settled.clear()
+                    whole, local = _census(program.body), None
+                    stages = _copy_stages(region, program)  # indexes moved
+                else:
+                    settled.add(temp)
     return stats
 
 
@@ -230,16 +265,9 @@ def _copy_target(inst: Instr) -> str | None:
     return target
 
 
-def _count_vec_ops(body: list[Instr], vec: str) -> tuple[int, int]:
-    """``(ops referencing vec, ops writing vec)`` within ``body``."""
-    refs = writes = 0
-    for op in iter_ops(body):
-        items = (op.dest, *op.operands())
-        if any(isinstance(i, VecRef) and i.vec == vec for i in items):
-            refs += 1
-        if isinstance(op.dest, VecRef) and op.dest.vec == vec:
-            writes += 1
-    return refs, writes
+def _count_writes(body: list[Instr], vec: str) -> int:
+    return sum(1 for op in iter_ops(body)
+               if isinstance(op.dest, VecRef) and op.dest.vec == vec)
 
 
 def _source_stable(program: Program, region: list[Instr],
@@ -261,38 +289,38 @@ def _source_stable(program: Program, region: list[Instr],
         # we cannot tell; stay conservative.
         return False
     if top_idx in positions:
-        _, inside_top = _count_vec_ops([program.body[top_idx]], vec)
-        _, before_stage = _count_vec_ops(region[:start], vec)
-        return inside_top == before_stage
+        return _count_writes([program.body[top_idx]], vec) \
+            == _count_writes(region[:start], vec)
     return True
 
 
 def _forward_one_stage(program: Program, region: list[Instr],
                        top_idx: int | None, start: int, end: int, temp: str,
+                       whole: _Census, local: _Census,
                        budget: CompileBudget, stats: FusionStats) -> bool:
     stage = region[start:end]
     # The temp must live entirely in this region (same reference count
-    # as the whole program) and be written only by this stage.
-    refs_region, writes_region = _count_vec_ops(region, temp)
-    refs_global, _ = _count_vec_ops(program.body, temp)
-    if refs_global != refs_region:
+    # as the whole program) and be written only by this stage, every
+    # op of which stores to it.
+    if whole.refs[temp] != local.refs[temp]:
         return False
-    _, writes_stage = _count_vec_ops(stage, temp)
-    if writes_region != writes_stage:
+    if local.writes[temp] != sum(1 for _ in iter_ops(stage)):
         return False
     # Reads of the temp before its defining stage would observe zeros
     # (or, nested in a loop, the previous iteration's values); bail.
-    if temp in _vec_reads(region[:start]):
+    if local.first_read.get(temp, end) < start:
         return False
     try:
         table = _enumerate_copies(stage, temp, budget)
     except _Bail:
         return False
-    top_writes = _write_positions(program)
+    stability: dict[str, bool] = {}  # rewriting reads moves no write
 
     def stable(vec: str) -> bool:
-        return _source_stable(program, region, top_idx, start, vec,
-                              top_writes)
+        if vec not in stability:
+            stability[vec] = _source_stable(program, region, top_idx, start,
+                                            vec, whole.write_at)
+        return stability[vec]
 
     forwarded = 0
     for idx in range(end, len(region)):
@@ -308,10 +336,17 @@ def _forward_one_stage(program: Program, region: list[Instr],
     return True
 
 
+#: What a copy stage stored in one temp element: a constant, or
+#: ``(vector, subscript)`` with the subscript a plain ``int`` unless an
+#: outer loop index or stride parameter keeps it symbolic.
+_Source = FConst | tuple[str, "int | IExpr"]
+
+
 def _enumerate_copies(instrs: list[Instr], temp: str,
-                      budget: CompileBudget) -> dict[int, Operand]:
-    """Concrete dest index -> source operand (with loop vars bound)."""
-    table: dict[int, Operand] = {}
+                      budget: CompileBudget) -> dict[int, _Source]:
+    """Concrete dest index -> what was copied there (loop vars bound)."""
+    table: dict[int, _Source] = {}
+    construct = f"copy stage for ${temp}"
 
     def walk(body: list[Instr], bindings: dict[str, int]) -> None:
         for inst in body:
@@ -323,13 +358,13 @@ def _enumerate_copies(instrs: list[Instr], temp: str,
                     walk(inst.body, bindings)
                 del bindings[inst.var]
                 continue
-            budget.charge_fusion(1, f"copy stage for ${temp}")
-            dest_index = inst.dest.index.subst(bindings).as_const()
-            if dest_index is None:
+            budget.charge_fusion(1, construct)
+            dest_index = inst.dest.index.at(bindings)
+            if not isinstance(dest_index, int):
                 raise _Bail
             source = inst.a
             if isinstance(source, VecRef):
-                source = VecRef(source.vec, source.index.subst(bindings))
+                source = (source.vec, source.index.at(bindings))
             # Later stores win, matching execution order.
             table[dest_index] = source
 
@@ -337,7 +372,7 @@ def _enumerate_copies(instrs: list[Instr], temp: str,
     return table
 
 
-def _rewrite_reads(inst: Instr, temp: str, table: dict[int, Operand],
+def _rewrite_reads(inst: Instr, temp: str, table: dict[int, _Source],
                    stable, budget: CompileBudget) -> int:
     """Rewrite reads of ``temp`` within one instruction (recursively)."""
     forwarded = 0
@@ -373,7 +408,7 @@ def _rewrite_reads(inst: Instr, temp: str, table: dict[int, Operand],
     return forwarded
 
 
-def _fit_source(index: IExpr, table: dict[int, Operand],
+def _fit_source(index: IExpr, table: dict[int, _Source],
                 counts: dict[str, int], stable, temp: str,
                 budget: CompileBudget) -> Operand | None:
     """The forwarded operand for a read ``temp(index)``, or None.
@@ -388,37 +423,32 @@ def _fit_source(index: IExpr, table: dict[int, Operand],
         return None  # subscript depends on something besides loop indices
     points = list(_domain_points(variables, counts))
     budget.charge_fusion(len(points), f"forwarding reads of ${temp}")
-    sources: list[Operand] = []
+    sources: list[_Source] = []
     for point in points:
-        element = index.subst(point).as_const()
-        if element is None or element not in table:
+        source = table.get(index.at(point))
+        if source is None:
             return None
-        sources.append(table[element])
-    if all(isinstance(s, FConst) for s in sources):
-        first = sources[0]
-        if all(s == first for s in sources):
-            return first
-        return None
-    if not all(isinstance(s, VecRef) for s in sources):
-        return None
-    vec = sources[0].vec
-    if any(s.vec != vec for s in sources):
+        sources.append(source)
+    first = sources[0]
+    if isinstance(first, FConst):
+        return first if all(s == first for s in sources) else None
+    vec, origin = first  # points[0] is the all-zeros assignment
+    if any(isinstance(s, FConst) or s[0] != vec for s in sources):
         return None
     # The source vector must be unchanged between the copy stage and
     # this read: every write of it provably precedes the stage.
     if not stable(vec):
         return None
-    origin = sources[0].index  # points[0] is the all-zeros assignment
-    fitted = origin
+    # Points come in row-major order, so the point that is 1 in one
+    # variable and 0 elsewhere sits at that variable's stride.
+    fitted = ZERO + origin  # an IExpr, whether origin is an int or one
+    stride = len(points)
     for name in variables:
-        if counts[name] < 2:
-            continue
-        unit = {v: (1 if v == name else 0) for v in variables}
-        position = points.index(unit)
-        delta = sources[position].index - origin
-        fitted = fitted + delta * IExpr.var(name)
-    for point, source in zip(points, sources):
-        if fitted.subst(point) != source.index:
+        stride //= counts[name]
+        if counts[name] >= 2:
+            fitted = fitted + IExpr.var(name) * (sources[stride][1] - origin)
+    for point, (_, subscript) in zip(points, sources):
+        if fitted.at(point) != subscript:
             return None
     return VecRef(vec, fitted)
 
@@ -497,10 +527,8 @@ def _try_fuse(program: Program, producer: Loop, consumer: Loop,
     if temp in _vec_reads(body_p):
         return None
     # ... and only there, in the whole program.
-    writers = _write_positions(program)
-    producer_idx = next(i for i, inst in enumerate(program.body)
-                        if inst is producer)
-    if writers.get(temp, set()) != {producer_idx}:
+    if any(temp in _vec_writes([inst]) for inst in program.body
+           if inst is not producer):
         return None
     # Rename the consumer's loop indices onto the producer's.
     if set(vars_p) & (_loop_vars([consumer]) | _loop_vars(body_c)
@@ -536,8 +564,8 @@ def _try_fuse(program: Program, producer: Loop, consumer: Loop,
     for point in _domain_points(vars_p, counts):
         for expr in store_exprs:
             budget.charge_fusion(1, f"fusing stages through ${temp}")
-            element = expr.subst(point).as_const()
-            if element is None or element in seen:
+            element = expr.at(point)
+            if not isinstance(element, int) or element in seen:
                 return None
             seen.add(element)
     # Legal: build the fused innermost body.

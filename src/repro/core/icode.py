@@ -36,11 +36,41 @@ Monomial = tuple[str, ...]  # sorted tuple of variable names (with repetition)
 Terms = tuple[tuple[Monomial, int], ...]
 
 
-@dataclass(frozen=True)
 class IExpr:
-    """An integer-valued polynomial over named integer variables."""
+    """An integer-valued polynomial over named integer variables.
 
-    terms: Terms = ()
+    Immutable.  ``terms`` is canonical — monomials sorted (so the
+    constant term, the empty monomial, comes first), no zero
+    coefficients — which makes equality tuple equality, lets the hash
+    be computed once, and gives the integer and affine cases the
+    optimizer lives on (a constant, constant ± constant, the value at
+    an integer point, the difference of two subscripts) direct answers
+    that never build an intermediate polynomial.
+    """
+
+    __slots__ = ("terms", "_hash")
+
+    def __init__(self, terms: Terms = ()):
+        self.terms = terms
+        self._hash: int | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, IExpr):
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(self.terms)
+        return value
+
+    def __reduce__(self):
+        # String hashes differ between processes: never ship the cache.
+        return IExpr, (self.terms,)
+
+    def __repr__(self) -> str:
+        return f"IExpr(terms={self.terms!r})"
 
     # -- construction ------------------------------------------------------
 
@@ -56,58 +86,101 @@ class IExpr:
 
     @staticmethod
     def _from_dict(terms: Mapping[Monomial, int]) -> "IExpr":
-        cleaned = tuple(
-            sorted((mono, coeff) for mono, coeff in terms.items() if coeff)
-        )
-        return IExpr(cleaned)
+        cleaned = [item for item in terms.items() if item[1]]
+        if len(cleaned) > 1:
+            cleaned.sort()
+        return IExpr(tuple(cleaned))
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "IExpr | int") -> "IExpr":
-        other = _coerce(other)
-        combined: dict[Monomial, int] = dict(self.terms)
-        for mono, coeff in other.terms:
-            combined[mono] = combined.get(mono, 0) + coeff
-        return IExpr._from_dict(combined)
+        if isinstance(other, IExpr):
+            constant = other.as_const()
+            if constant is None:
+                combined: dict[Monomial, int] = dict(self.terms)
+                for mono, coeff in other.terms:
+                    combined[mono] = combined.get(mono, 0) + coeff
+                return IExpr._from_dict(combined)
+            other = constant
+        else:
+            other = int(other)
+        # Adding a constant only touches the leading term.
+        if not other:
+            return self
+        terms = self.terms
+        if not terms or terms[0][0] != ():
+            return IExpr((((), other),) + terms)
+        total = terms[0][1] + other
+        return IExpr(((((), total),) if total else ()) + terms[1:])
 
     def __sub__(self, other: "IExpr | int") -> "IExpr":
-        return self + (-_coerce(other))
+        return self + (-other)
 
     def __neg__(self) -> "IExpr":
         return IExpr(tuple((mono, -coeff) for mono, coeff in self.terms))
 
     def __mul__(self, other: "IExpr | int") -> "IExpr":
-        other = _coerce(other)
-        product: dict[Monomial, int] = {}
-        for mono_a, coeff_a in self.terms:
-            for mono_b, coeff_b in other.terms:
-                mono = tuple(sorted(mono_a + mono_b))
-                product[mono] = product.get(mono, 0) + coeff_a * coeff_b
-        return IExpr._from_dict(product)
+        if isinstance(other, IExpr):
+            factor = other.as_const()
+            if factor is None:
+                product: dict[Monomial, int] = {}
+                for mono_a, coeff_a in self.terms:
+                    for mono_b, coeff_b in other.terms:
+                        mono = tuple(sorted(mono_a + mono_b))
+                        product[mono] = (product.get(mono, 0)
+                                         + coeff_a * coeff_b)
+                return IExpr._from_dict(product)
+            other = factor
+        else:
+            other = int(other)
+        # Scaling by a constant keeps the term order.
+        if other == 1:
+            return self
+        if not other:
+            return ZERO
+        return IExpr(tuple((mono, coeff * other)
+                           for mono, coeff in self.terms))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __rsub__(self, other: "IExpr | int") -> "IExpr":
-        return _coerce(other) - self
+        return -self + other
 
     # -- queries -------------------------------------------------------------
 
     def is_const(self) -> bool:
-        return all(mono == () for mono, _ in self.terms)
+        return self.as_const() is not None
 
     def as_const(self) -> int | None:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return 0
-        if self.is_const():
-            return self.terms[0][1]
+        if len(terms) == 1 and terms[0][0] == ():
+            return terms[0][1]
         return None
 
     def const_part(self) -> int:
-        for mono, coeff in self.terms:
-            if mono == ():
-                return coeff
-        return 0
+        return self.split_const()[1]
+
+    def split_const(self) -> tuple[Terms, int]:
+        """``(non-constant terms, constant term)``.
+
+        Two subscripts can denote the same element only if their
+        non-constant terms differ or their constants are equal, so the
+        first component is the key under which may-alias sets are
+        bucketed.
+        """
+        terms = self.terms
+        if terms and terms[0][0] == ():
+            return terms[1:], terms[0][1]
+        return terms, 0
+
+    def const_difference(self, other: "IExpr") -> int | None:
+        """``(self - other).as_const()`` without building the difference."""
+        shape_a, const_a = self.split_const()
+        shape_b, const_b = other.split_const()
+        return const_a - const_b if shape_a == shape_b else None
 
     def free_vars(self) -> frozenset[str]:
         names: set[str] = set()
@@ -128,17 +201,49 @@ class IExpr:
                 return None
         return coeffs, const
 
+    def at(self, point: Mapping[str, int]) -> "int | IExpr":
+        """Partially evaluate at an integer point.
+
+        Returns a plain ``int`` exactly when ``subst(point)`` is
+        constant, otherwise the residual polynomial in the variables
+        ``point`` leaves unbound.  An affine subscript at a point that
+        binds all its variables costs one multiplication per term.
+        """
+        total = 0
+        residual: dict[Monomial, int] | None = None
+        for mono, coeff in self.terms:
+            rest: Monomial = ()
+            for name in mono:
+                value = point.get(name)
+                if value is None:
+                    rest += (name,)
+                else:
+                    coeff *= value
+            if not rest:
+                total += coeff
+            elif coeff:
+                if residual is None:
+                    residual = {}
+                residual[rest] = residual.get(rest, 0) + coeff
+        if residual is None:
+            return total
+        residual[()] = total
+        expr = IExpr._from_dict(residual)
+        constant = expr.as_const()  # residual terms may have cancelled
+        return expr if constant is None else constant
+
     def subst(self, bindings: Mapping[str, "IExpr | int"]) -> "IExpr":
         """Substitute variables (missing names are left untouched)."""
-        result = IExpr.const(0)
+        if not any(isinstance(v, IExpr) for v in bindings.values()):
+            value = self.at(bindings)
+            return value if isinstance(value, IExpr) else IExpr.const(value)
+        result = ZERO
         for mono, coeff in self.terms:
             term = IExpr.const(coeff)
             for name in mono:
                 replacement = bindings.get(name)
-                if replacement is None:
-                    term = term * IExpr.var(name)
-                else:
-                    term = term * _coerce(replacement)
+                term = term * (IExpr.var(name) if replacement is None
+                               else replacement)
             result = result + term
         return result
 
@@ -189,12 +294,6 @@ class IExpr:
         for part in parts[1:]:
             rendered += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
         return rendered
-
-
-def _coerce(value: "IExpr | int") -> IExpr:
-    if isinstance(value, IExpr):
-        return value
-    return IExpr.const(value)
 
 
 ZERO = IExpr.const(0)

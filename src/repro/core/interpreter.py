@@ -81,8 +81,8 @@ def _run_block(body: list[Instr], vectors: dict, scalars: dict,
 
 
 def _index(expr: IExpr, bindings: dict[str, int]) -> int:
-    value = expr.subst(bindings).as_const()
-    if value is None:
+    value = expr.at(bindings)
+    if isinstance(value, IExpr):
         missing = sorted(expr.free_vars() - bindings.keys())
         raise SplSemanticError(
             f"unbound index variables {missing} in {expr}"

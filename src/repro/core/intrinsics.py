@@ -141,15 +141,9 @@ class _TableBuilder:
         for point in itertools.product(*(range(d) for d in dims)):
             if len(values) % 4096 == 4095:
                 self.budget.check_deadline("intrinsic table construction")
-            bindings = {
-                name: IExpr.const(v) for name, v in zip(ordered, point)
-            }
-            args = []
-            for arg in operand.args:
-                value = arg.subst(bindings).as_const()
-                assert value is not None
-                args.append(value)
-            values.append(simplify_number(fn(*args)))
+            bindings = dict(zip(ordered, point))
+            values.append(simplify_number(
+                fn(*(arg.at(bindings) for arg in operand.args))))
         index = IExpr.const(0)
         stride = 1
         for name, dim in zip(reversed(ordered), reversed(dims)):

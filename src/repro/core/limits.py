@@ -192,8 +192,10 @@ class CompileBudget:
         pathological fusion candidate fails typed (``SPL-E203``)
         instead of hanging the compiler mid-pass.
         """
+        before = self.statements
         self.charge_statements(count, construct, path)
-        if self.statements % 4096 == 0:
+        # Bulk charges step over multiples: check on crossing one.
+        if self.statements // 4096 != before // 4096:
             self.check_deadline("loop fusion", path)
 
     def check_unroll(self, expanded: int, construct: str,

@@ -59,16 +59,6 @@ def _loc_key(loc: FVar | VecRef) -> LocKey:
     return ("v", loc.vec, loc.index)
 
 
-def _may_alias(key_a: LocKey, key_b: LocKey) -> bool:
-    """Whether two distinct array-element keys may denote the same cell."""
-    if key_a[0] != "v" or key_b[0] != "v":
-        return False
-    if key_a[1] != key_b[1]:
-        return False
-    difference = (key_a[2] - key_b[2]).as_const()
-    return difference is None or difference == 0
-
-
 @dataclass
 class _State:
     """Value-numbering state for one straight-line region."""
@@ -77,19 +67,21 @@ class _State:
     vn2const: dict[int, Number] = field(default_factory=dict)
     expr2vn: dict[tuple, int] = field(default_factory=dict)
     vn2holders: dict[int, list[LocKey]] = field(default_factory=dict)
-    # Index: vec name -> the array-element keys currently tracked, so a
-    # write only inspects keys of the same vector.
-    vec_keys: dict[str, set[LocKey]] = field(default_factory=dict)
+    # Index for may-alias kills: vec name -> the non-constant terms of
+    # a subscript -> the tracked element keys with those terms.  Keys
+    # in one bucket differ by a non-zero constant and never alias; keys
+    # in different buckets differ by a non-constant and may.
+    vec_keys: dict[str, dict[tuple, set[LocKey]]] = field(
+        default_factory=dict)
 
     def track(self, key: LocKey) -> None:
         if key[0] == "v":
-            self.vec_keys.setdefault(key[1], set()).add(key)
+            self.vec_keys.setdefault(key[1], {}).setdefault(
+                key[2].split_const()[0], set()).add(key)
 
     def untrack(self, key: LocKey) -> None:
         if key[0] == "v":
-            keys = self.vec_keys.get(key[1])
-            if keys is not None:
-                keys.discard(key)
+            self.vec_keys[key[1]][key[2].split_const()[0]].discard(key)
 
     def purge(self, killed_scalars: set[str], killed_vecs: set[str]) -> "_State":
         """A copy with everything the given names may touch removed."""
@@ -112,12 +104,10 @@ class _State:
             and all(operand in surviving_vns
                     for operand in expr[1:] if isinstance(operand, int))
         }
-        vec_keys: dict[str, set[LocKey]] = {}
+        purged = _State(loc2vn, dict(self.vn2const), expr2vn, vn2holders)
         for key in loc2vn:
-            if key[0] == "v":
-                vec_keys.setdefault(key[1], set()).add(key)
-        return _State(loc2vn, dict(self.vn2const), expr2vn, vn2holders,
-                      vec_keys)
+            purged.track(key)
+        return purged
 
 
 class _ValueNumbering:
@@ -172,20 +162,23 @@ class _ValueNumbering:
     # -- writes --------------------------------------------------------------
 
     def _kill_dest(self, state: _State, dest_key: LocKey) -> None:
-        old_vn = state.loc2vn.pop(dest_key, None)
-        state.untrack(dest_key)
-        if old_vn is not None:
-            holders = state.vn2holders.get(old_vn)
-            if holders and dest_key in holders:
-                holders.remove(dest_key)
+        self._forget(state, dest_key)
         if dest_key[0] == "v":
-            for key in list(state.vec_keys.get(dest_key[1], ())):
-                if key != dest_key and _may_alias(key, dest_key):
-                    vn = state.loc2vn.pop(key)
-                    state.untrack(key)
-                    holders = state.vn2holders.get(vn)
-                    if holders and key in holders:
-                        holders.remove(key)
+            # Every tracked element of the vector whose subscript is
+            # not "this one plus a constant" may be the written cell.
+            shape = dest_key[2].split_const()[0]
+            for other, keys in state.vec_keys.get(dest_key[1], {}).items():
+                if other != shape:
+                    for key in list(keys):
+                        self._forget(state, key)
+
+    def _forget(self, state: _State, key: LocKey) -> None:
+        vn = state.loc2vn.pop(key, None)
+        if vn is not None:
+            state.untrack(key)
+            holders = state.vn2holders.get(vn)
+            if holders and key in holders:
+                holders.remove(key)
 
     def _record_dest(self, state: _State, dest_key: LocKey, vn: int) -> None:
         state.loc2vn[dest_key] = vn
@@ -393,9 +386,8 @@ def _fs_block(body: list[Instr], uses: dict[str, int]) -> list[Instr]:
             if name not in defs:
                 continue
             for index in indices:
-                difference = (index - written.index).as_const()
-                if difference is None or difference == 0:
-                    drop(name)
+                if not index.const_difference(written.index):
+                    drop(name)  # may be the same cell: None or 0
                     break
 
     for inst in body:
@@ -661,11 +653,19 @@ class PassPipeline:
             * max(1, count_dynamic_statements(program.body))
         self.validate = validate and cost <= VALIDATE_COST_CAP
         self.records: list[PassRecord] = []
+        # Statement / temp-array / scratch-byte counts after the last
+        # pass: the next pass's "in" columns, counted once.
+        self._sizes = self._measure()
         self._signature = None
         if self.validate:
             from repro.core import validate as _validate
 
             self._signature = _validate.program_signature(program)
+
+    def _measure(self) -> tuple[int, int, int]:
+        program = self.program
+        return (count_statements(program.body), len(program.temp_vectors()),
+                program.scratch_bytes())
 
     def run(self, name: str, pass_fn, *, detail=None) -> None:
         """Execute ``pass_fn(program)``, recording sizes and timing.
@@ -677,9 +677,7 @@ class PassPipeline:
         import time as _time
 
         program = self.program
-        icode_in = count_statements(program.body)
-        temps_in = len(program.temp_vectors())
-        scratch_in = program.scratch_bytes()
+        icode_in, temps_in, scratch_in = self._sizes
         started = _time.perf_counter()
         result = pass_fn(program)
         micros = int((_time.perf_counter() - started) * 1e6)
@@ -697,14 +695,15 @@ class PassPipeline:
         elif isinstance(result, (int, str)) and not isinstance(result, bool):
             if result != 0 and result != "":
                 text = str(result)
+        icode_out, temps_out, scratch_out = self._sizes = self._measure()
         self.records.append(PassRecord(
             name=name,
             icode_in=icode_in,
-            icode_out=count_statements(program.body),
+            icode_out=icode_out,
             temps_in=temps_in,
-            temps_out=len(program.temp_vectors()),
+            temps_out=temps_out,
             scratch_in=scratch_in,
-            scratch_out=program.scratch_bytes(),
+            scratch_out=scratch_out,
             micros=micros,
             validated=validated,
             detail=text,

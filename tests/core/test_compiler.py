@@ -1,5 +1,7 @@
 """Integration tests for the compiler driver and its options."""
 
+import re
+
 import pytest
 
 from repro.core.compiler import (
@@ -137,6 +139,36 @@ class TestCompiledRoutine:
         compiler = SplCompiler()
         routine = compiler.compile_formula("(I 2)", "t", language="python")
         assert routine.callable() is routine.callable()
+
+
+class TestPassReport:
+    def routine(self):
+        compiler = SplCompiler(CompilerOptions(codetype="real",
+                                               unroll_threshold=4))
+        return compiler.compile_formula(
+            "(compose (tensor (F 4) (I 4)) (T 16 4) (tensor (I 4) (F 4)) "
+            "(L 16 4))", "t", language="c")
+
+    def test_each_pass_starts_from_the_previous_pass_output(self):
+        passes = self.routine().pass_summary()
+        assert len(passes) >= 8
+        for before, after in zip(passes, passes[1:]):
+            for column in ("icode", "temps", "scratch"):
+                assert after[f"{column}_in"] == before[f"{column}_out"]
+
+    def test_report_ends_with_a_total_that_sums_to_the_compile_time(self):
+        routine = self.routine()
+        in_passes = sum(record.micros for record in routine.passes)
+        assert routine.compile_micros >= in_passes > 0
+        total_line = routine.describe_passes().splitlines()[-1]
+        assert total_line.startswith(
+            f"; total {routine.compile_micros} us = {in_passes} us in "
+            f"passes + {routine.compile_micros - in_passes} us outside")
+        shares = re.findall(r"([\w-]+) (\d+\.\d)%", total_line)
+        assert [name for name, _ in shares] \
+            == [record.name for record in routine.passes] + ["outside"]
+        assert sum(float(share) for _, share in shares) \
+            == pytest.approx(100.0, abs=0.1 * len(shares))
 
 
 class TestVectorize:

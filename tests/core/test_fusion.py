@@ -7,10 +7,12 @@ pass — mid-pipeline resource-limit failures, and execution of fused
 plans on strided views, real-datatype fallbacks, and batches.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.core import validate
+from repro.core import limits, validate
 from repro.core.compiler import CompilerOptions, SplCompiler
 from repro.core.errors import SplError, SplResourceError, SplValidationError
 from repro.core.fusion import forward_copy_stages, fuse_conformable_stages
@@ -279,6 +281,14 @@ class TestBatchedExecution:
 
 
 class TestLimitsMidPipeline:
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        """A simulated ``time.monotonic`` for the compile budget."""
+        now = [0.0]
+        monkeypatch.setattr(limits, "time",
+                            SimpleNamespace(monotonic=lambda: now[0]))
+        return now
+
     def test_fusion_charge_fails_typed(self):
         i0, i1 = IExpr.var("i0"), IExpr.var("i1")
         program = make([
@@ -295,6 +305,42 @@ class TestLimitsMidPipeline:
         with pytest.raises(SplResourceError) as excinfo:
             forward_copy_stages(program, tight)
         assert excinfo.value.code == "SPL-E203"
+
+    def test_deadline_is_enforced_under_bulk_charges(self, clock):
+        """``charge_fusion`` used to look at the clock only when the
+        running count landed exactly on a multiple of 4096, which a
+        bulk charge (a whole iteration domain at once) steps over."""
+        tiny = CompileBudget(
+            DEFAULT_LIMITS.with_overrides(compile_deadline=0.001))
+        tiny.charge_fusion(4090, "warm-up")  # below the first boundary
+        clock[0] = 1.0  # the deadline passes; nobody sleeps
+        tiny.charge_fusion(5, "still below")
+        assert tiny.statements == 4095
+        with pytest.raises(SplResourceError) as excinfo:
+            tiny.charge_fusion(7, "steps from 4095 to 4102")
+        assert excinfo.value.code == "SPL-E206"
+        assert excinfo.value.limit_name == "compile_deadline"
+
+    def test_forwarding_pass_meets_the_deadline_mid_flight(self, clock):
+        """The same through the pass: the 8-point read domain is charged
+        at once and carries the count from 4093 over 4096."""
+        i0, i1 = IExpr.var("i0"), IExpr.var("i1")
+        program = make([
+            Loop("i0", 8, [
+                Op("=", VecRef("t0", i0), VecRef("x", -i0 + 7)),
+            ]),
+            Loop("i1", 8, [
+                Op("=", VecRef("y", i1), VecRef("t0", i1)),
+            ]),
+        ], n=8, temps=(("t0", 8),))
+        tiny = CompileBudget(
+            DEFAULT_LIMITS.with_overrides(compile_deadline=0.001))
+        tiny.charge_statements(4085, "codegen")
+        clock[0] = 1.0
+        with pytest.raises(SplResourceError) as excinfo:
+            forward_copy_stages(program, tiny)
+        assert excinfo.value.code == "SPL-E206"
+        assert "loop fusion" in str(excinfo.value)
 
     def test_never_emits_half_fused_code(self):
         # Sweep the statement limit across the boundary where the
