@@ -11,7 +11,9 @@ The executor implements the decimation-in-time recursion
 with a scratch buffer per level: the r sub-transforms of size s are
 gathered (stride r) into contiguous scratch, twiddled, and the final
 radix-r codelet pass writes the strided outputs.  All arithmetic runs
-in compiled C; Python only sets up plans and buffers.
+in compiled C on the caller's ``complex128`` memory (whose rows already
+are the interleaved re/im doubles the codelets index); Python only sets
+up plans and allocates results.
 """
 
 from __future__ import annotations
@@ -97,8 +99,10 @@ class FftwLibrary:
         c_int_p = ctypes.POINTER(ctypes.c_int)
         c_long_p = ctypes.POINTER(ctypes.c_long)
         c_double_p = ctypes.POINTER(ctypes.c_double)
+        # y, x and work take ``ccompile.address`` ints.
         self._execute.argtypes = [c_int_p, c_int_p, c_long_p, c_double_p,
-                                  c_double_p, c_double_p, c_double_p]
+                                  ctypes.c_void_p, ctypes.c_void_p,
+                                  ctypes.c_void_p]
         self._execute.restype = None
 
     def _driver_source(self) -> str:
@@ -142,21 +146,18 @@ class _PlanArrays:
 
 
 class FftwTransform:
-    """A planned transform with preallocated buffers.
+    """A planned transform, run on the caller's memory.
 
-    Re-entrancy: one transform object owns a single set of input /
-    output / recursion-scratch buffers which ``apply``,
-    ``timer_closure`` and ``apply_many`` all mutate, so **concurrent
-    use of one instance is unsupported** — calls must be serialized
-    (build one transform per thread if needed; plans are shareable).
-    Sequential interleaving of ``apply`` and ``apply_many`` is safe:
-    the batch path keeps its own 2-D workspaces and leaves the
-    single-vector buffers untouched.  Bulk work goes through one
-    ``apply_many`` call, which parallelizes *internally* when asked:
-    ``apply_many(X, threads=N)`` shards the batch rows across the
-    shared worker pool with one recursion-scratch buffer per shard
-    (the executor is a pure function of its argument buffers, so
-    shards never interfere and results are bit-identical to serial).
+    ``apply`` and ``apply_many`` read their ``complex128`` input in
+    place (one conversion for anything else), write a fresh result and
+    allocate their recursion scratch per call, so calls share nothing
+    mutable: one instance may be used from several threads at once.
+    Bulk work goes through one ``apply_many`` call, which parallelizes
+    *internally* when asked: ``apply_many(X, threads=N)`` shards the
+    batch rows across the shared worker pool with one recursion-scratch
+    buffer per shard (the executor is a pure function of its argument
+    buffers, so shards never interfere and results are bit-identical
+    to serial).
     """
 
     def __init__(self, library: FftwLibrary, plan: Plan):
@@ -173,73 +174,46 @@ class FftwTransform:
         tw_ofs = np.array(plan.tw_offsets, dtype=np.int64)
         self._arrays = _PlanArrays(logn=logn, logr=logr, tw_ofs=tw_ofs)
         self._tw = np.ascontiguousarray(plan.twiddles)
-        self._work = np.zeros(max(plan.work_len, 2))
-        self._x = np.zeros(2 * plan.n)
-        self._y = np.zeros(2 * plan.n)
-        self._batch = None  # (xm, ym, xptrs, yptrs), sized on first use
-        self._shard_work = None  # (ptrs, arrays) per-shard scratch pool
+        self._work_len = max(plan.work_len, 2)
         c_int_p = ctypes.POINTER(ctypes.c_int)
         c_long_p = ctypes.POINTER(ctypes.c_long)
         c_double_p = ctypes.POINTER(ctypes.c_double)
-        self._args = (
+        self._plan_args = (
             logn.ctypes.data_as(c_int_p),
             logr.ctypes.data_as(c_int_p),
             tw_ofs.ctypes.data_as(c_long_p),
             self._tw.ctypes.data_as(c_double_p),
-            self._y.ctypes.data_as(c_double_p),
-            self._x.ctypes.data_as(c_double_p),
-            self._work.ctypes.data_as(c_double_p),
         )
+
+    def _run_rows(self, y: int, x: int, lo: int, hi: int) -> None:
+        """Execute the plan on rows ``lo..hi`` of the complex128
+        batches at addresses ``y`` / ``x``, with recursion scratch of
+        its own."""
+        work = np.empty(self._work_len)
+        work_p = ccompile.address(work)
+        execute = self.library._execute
+        plan_args = self._plan_args
+        stride = 16 * self.n  # bytes per row
+        for offset in range(lo * stride, hi * stride, stride):
+            execute(*plan_args, y + offset, x + offset, work_p)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Compute the DFT of a complex input vector."""
-        if len(x) != self.n:
-            raise ValueError(f"expected {self.n} elements, got {len(x)}")
-        self._x[0::2] = np.real(x)
-        self._x[1::2] = np.imag(x)
-        self.library._execute(*self._args)
-        return self._y[0::2] + 1j * self._y[1::2]
-
-    def _batch_buffers(self, batch: int):
-        """2-D interleaved workspaces plus per-row pointers, reused
-        across ``apply_many`` calls of the same batch size."""
-        if self._batch is None or self._batch[0].shape[0] != batch:
-            c_double_p = ctypes.POINTER(ctypes.c_double)
-            xm = np.zeros((batch, 2 * self.n))
-            ym = np.zeros((batch, 2 * self.n))
-            xptrs = [
-                ctypes.cast(xm.ctypes.data + b * xm.strides[0], c_double_p)
-                for b in range(batch)
-            ]
-            yptrs = [
-                ctypes.cast(ym.ctypes.data + b * ym.strides[0], c_double_p)
-                for b in range(batch)
-            ]
-            self._batch = (xm, ym, xptrs, yptrs)
-        return self._batch
-
-    def _shard_works(self, count: int) -> list:
-        """Per-shard recursion scratch: ``count`` independent work
-        buffers (as ctypes pointers), grown once and reused."""
-        import ctypes
-
-        c_double_p = ctypes.POINTER(ctypes.c_double)
-        if self._shard_work is None or len(self._shard_work[0]) < count:
-            arrays = [np.zeros_like(self._work) for _ in range(count)]
-            ptrs = [a.ctypes.data_as(c_double_p) for a in arrays]
-            self._shard_work = (ptrs, arrays)
-        return self._shard_work[0]
+        x = np.ascontiguousarray(x, dtype=np.complex128)
+        if x.shape != (self.n,):
+            raise ValueError(
+                f"expected {self.n} elements, got shape {x.shape}")
+        y = np.empty(self.n, dtype=np.complex128)
+        self._run_rows(ccompile.address(y), ccompile.address(x), 0, 1)
+        return y
 
     def apply_many(self, X: np.ndarray,
                    threads: int | None = None) -> np.ndarray:
         """Compute the DFT of every row of a ``(B, n)`` complex batch.
 
-        The batch is interleaved into a 2-D work buffer in one
-        vectorized pass and the executor runs once per row on
-        precomputed row pointers; the workspaces (and pointers) are
-        reused whenever the batch size repeats, so a steady-state
-        caller allocates nothing per batch.  The single-vector
-        ``apply`` buffers are not touched.
+        The executor runs once per row, on row pointers computed from
+        the batch's base address; ``X`` is read in place when it is a
+        C-contiguous ``complex128`` array and the result is fresh.
 
         ``threads=N`` (0 = one per CPU) shards the row loop across the
         shared worker pool, each shard with its own recursion scratch;
@@ -250,50 +224,35 @@ class FftwTransform:
         """
         from repro.runtime.pool import effective_threads, run_sharded
 
-        X = np.asarray(X)
+        X = np.ascontiguousarray(X, dtype=np.complex128)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(
                 f"expected a (B, {self.n}) batch, got shape {X.shape}"
             )
         batch = X.shape[0]
-        xm, ym, xptrs, yptrs = self._batch_buffers(batch)
-        xm[:, 0::2] = X.real
-        xm[:, 1::2] = X.imag
-        execute = self.library._execute
-        logn, logr, tw_ofs, tw = self._args[:4]
-        nthreads = effective_threads(threads, batch, 2 * self.n)
-        if nthreads > 1:
-            works = self._shard_works(nthreads)
-            free = list(works)  # one scratch per concurrently live shard
-
-            def shard(lo: int, hi: int) -> None:
-                work = free.pop()  # atomic (GIL); len(works) >= shards
-                try:
-                    for b in range(lo, hi):
-                        execute(logn, logr, tw_ofs, tw,
-                                yptrs[b], xptrs[b], work)
-                finally:
-                    free.append(work)
-
-            run_sharded(shard, batch, nthreads)
-        else:
-            work = self._args[6]
-            for b in range(batch):
-                execute(logn, logr, tw_ofs, tw, yptrs[b], xptrs[b], work)
-        return ym[:, 0::2] + 1j * ym[:, 1::2]
+        Y = np.empty((batch, self.n), dtype=np.complex128)
+        y, x = ccompile.address(Y), ccompile.address(X)
+        run_sharded(lambda lo, hi: self._run_rows(y, x, lo, hi), batch,
+                    effective_threads(threads, batch, 2 * self.n))
+        return Y
 
     def timer_closure(self):
-        """Zero-argument call on the preallocated buffers."""
-        execute = self.library._execute
-        args = self._args
+        """Zero-argument call on buffers allocated once, here."""
         rng = np.random.default_rng(0)
-        self._x[:] = rng.standard_normal(2 * self.n)
+        x = rng.standard_normal(2 * self.n)
+        y = np.zeros(2 * self.n)
+        work = np.empty(self._work_len)
+        execute = self.library._execute
+        args = (*self._plan_args, ccompile.address(y), ccompile.address(x),
+                ccompile.address(work))
 
         def call() -> None:
             execute(*args)
 
+        call._keepalive = (x, y, work)
         return call
 
     def memory_bytes(self) -> int:
-        """Runtime footprint: plan + buffers (excluding shared code)."""
-        return (self.plan.memory_bytes() + self._x.nbytes + self._y.nbytes)
+        """Runtime footprint: plan + one complex128 vector in and one
+        out (excluding shared code)."""
+        return self.plan.memory_bytes() + 2 * 16 * self.n

@@ -29,7 +29,6 @@ import subprocess
 import tempfile
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable
 
 _DEFAULT_CFLAGS = ("-O3", "-fPIC", "-shared", "-fno-math-errno")
 
@@ -312,18 +311,47 @@ def compile_shared_object(source: str, *, cflags: tuple[str, ...] = (),
     return so_path
 
 
-def load_function(so_path: Path, name: str, *, strided: bool = False):
-    """Load ``name`` from a shared object with the SPL C signature."""
+#: A zero-length ctypes array type: ``from_buffer`` pins it to any
+#: writable buffer, empty ones included, without copying.
+_ANCHOR = ctypes.c_char * 0
+
+
+def address(array) -> int:
+    """The data pointer of a NumPy array, as the int a ``c_void_p``
+    argument takes.
+
+    Every loader below declares its vector arguments ``c_void_p`` so
+    that callers pass this int: ``array.ctypes.data`` costs about a
+    microsecond (``data_as(POINTER(c_double))`` two) because NumPy
+    builds a helper object in Python on each access, which is a
+    visible share of a small kernel call.  The buffer protocol gives
+    the same address in a third of that, but ctypes only pins writable
+    buffers, so read-only arrays take the slow accessor.  The caller
+    keeps ``array`` alive and contiguous for as long as the pointer is
+    in use.
+    """
+    if array.flags.writeable:
+        return ctypes.addressof(_ANCHOR.from_buffer(array))
+    return array.ctypes.data
+
+
+def _load(so_path: Path, symbol: str, extra_ints: int):
+    """``symbol(void *y, const void *x, int...)`` from a shared object.
+
+    The pointers are declared ``c_void_p``, which takes a plain
+    address (see :func:`address`) as well as any ctypes pointer.
+    """
     lib = ctypes.CDLL(str(so_path))
-    fn = getattr(lib, name)
-    argtypes = [ctypes.POINTER(ctypes.c_double),
-                ctypes.POINTER(ctypes.c_double)]
-    if strided:
-        argtypes += [ctypes.c_int] * 4
-    fn.argtypes = argtypes
+    fn = getattr(lib, symbol)
+    fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int] * extra_ints
     fn.restype = None
     fn._keepalive_lib = lib  # prevent the CDLL from being collected
     return fn
+
+
+def load_function(so_path: Path, name: str, *, strided: bool = False):
+    """Load ``name`` from a shared object with the SPL C signature."""
+    return _load(so_path, name, 4 if strided else 0)
 
 
 def compile_c_program(source: str, name: str, *, strided: bool = False,
@@ -355,8 +383,9 @@ def batch_driver_source(name: str, in_len: int, out_len: int, *,
     several OpenMP threads are safe.
 
     With ``codelet=True`` (straight-line routines only) the serial
-    driver gains an aligned fast path: when both workspace bases are
-    64-byte aligned — the runner allocates them that way — the batch
+    driver gains an aligned fast path: when both bases are 64-byte
+    aligned — the runner allocates its result that way; the input is
+    the caller's memory — the batch
     loop runs with ``__builtin_assume_aligned`` pointers and a
     ``#pragma omp simd`` hint, letting the compiler vectorize across
     the fully-inlined codelet body.  The alignment is *checked at
@@ -448,15 +477,11 @@ def batch_driver_source(name: str, in_len: int, out_len: int, *,
 
 
 def load_batch_function(so_path: Path, name: str):
-    """Load the ``spl_batch_<name>`` driver emitted next to ``name``."""
-    lib = ctypes.CDLL(str(so_path))
-    fn = getattr(lib, f"spl_batch_{name}")
-    fn.argtypes = [ctypes.POINTER(ctypes.c_double),
-                   ctypes.POINTER(ctypes.c_double),
-                   ctypes.c_int]
-    fn.restype = None
-    fn._keepalive_lib = lib
-    return fn
+    """Load the ``spl_batch_<name>`` driver emitted next to ``name``.
+
+    Signature: ``(y, x, batch)``.
+    """
+    return _load(so_path, f"spl_batch_{name}", 1)
 
 
 def load_batch_omp_function(so_path: Path, name: str):
@@ -465,27 +490,4 @@ def load_batch_omp_function(so_path: Path, name: str):
     Signature: ``(y, x, batch, nthreads)``; ``nthreads <= 1`` runs the
     loop serially inside the parallel region's ``if`` clause.
     """
-    lib = ctypes.CDLL(str(so_path))
-    fn = getattr(lib, f"spl_batch_omp_{name}")
-    fn.argtypes = [ctypes.POINTER(ctypes.c_double),
-                   ctypes.POINTER(ctypes.c_double),
-                   ctypes.c_int,
-                   ctypes.c_int]
-    fn.restype = None
-    fn._keepalive_lib = lib
-    return fn
-
-
-def make_numpy_wrapper(fn, out_len: int) -> Callable:
-    """Wrap a ctypes routine as ``wrapper(x) -> y`` over float64 arrays."""
-    import numpy as np
-
-    c_double_p = ctypes.POINTER(ctypes.c_double)
-
-    def wrapper(x: "np.ndarray") -> "np.ndarray":
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        y = np.zeros(out_len, dtype=np.float64)
-        fn(y.ctypes.data_as(c_double_p), x.ctypes.data_as(c_double_p))
-        return y
-
-    return wrapper
+    return _load(so_path, f"spl_batch_omp_{name}", 2)

@@ -283,7 +283,8 @@ class JitRoutine:
 
     ``fn(y_ptr, x_ptr)`` and ``batch_fn(y_ptr, x_ptr, batch)`` have
     the exact ctypes signatures of their shared-object counterparts
-    (``POINTER(c_double)`` arguments), so the runner can use them
+    (``c_void_p`` arguments, fed :func:`repro.perfeval.ccompile.address`
+    ints or any ctypes pointer), so the runner can use them
     interchangeably.  The executable mapping and data block stay alive
     exactly as long as this object (the entry points hold references).
     """
@@ -303,10 +304,10 @@ class JitRoutine:
                               | mmap.PROT_EXEC)
         self._map.write(code)
         base = ctypes.addressof(ctypes.c_char.from_buffer(self._map))
-        double_p = ctypes.POINTER(ctypes.c_double)
-        self.fn = ctypes.CFUNCTYPE(None, double_p, double_p)(base)
+        void_p = ctypes.c_void_p
+        self.fn = ctypes.CFUNCTYPE(None, void_p, void_p)(base)
         self.batch_fn = ctypes.CFUNCTYPE(
-            None, double_p, double_p, ctypes.c_int)(base + batch_offset)
+            None, void_p, void_p, ctypes.c_int)(base + batch_offset)
         # The CFUNCTYPE pointers do not keep the mapping or the data
         # block alive on their own; anchor everything on the entries
         # the runner will hold.

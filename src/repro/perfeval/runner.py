@@ -1,18 +1,31 @@
 """Build executable FFTs from compiled routines, preferring native code.
 
 The paper times Fortran compiled by the platform's best compiler; here
-the timed path is the C backend compiled by the host compiler (loaded
-through ctypes with preallocated buffers so the measurement loop has no
-Python allocation overhead).  Next in preference is the NumPy batch
-backend (:mod:`repro.core.backend_numpy`), which vectorizes over a
-batch axis and lowers affine loops to strided slices; the pure-Python
-backend is the final fallback and the correctness reference in tests.
+the timed path is the C backend compiled by the host compiler and
+entered through ctypes on the caller's own memory.  Next in preference
+is the NumPy batch backend (:mod:`repro.core.backend_numpy`), which
+vectorizes over a batch axis and lowers affine loops to strided
+slices; the pure-Python backend is the final fallback and the
+correctness reference in tests.
 
-Batching: :meth:`ExecutableRoutine.apply` transforms one vector per
-call and pays the full per-call crossing; :meth:`ExecutableRoutine.
-apply_many` amortizes it over a ``(B, n)`` batch — through a generated
-``spl_batch_<name>`` C driver (one ctypes crossing per batch), one
-NumPy batch call, or a buffer-reusing Python loop.
+Memory: a C-contiguous ``complex128`` row *is* the interleaved re/im
+``double`` layout that ``#codetype real`` code reads and writes, so
+:meth:`ExecutableRoutine.apply` and :meth:`ExecutableRoutine.
+apply_many` copy nothing.  The input is taken through
+``np.ascontiguousarray(x, dtype=<logical dtype>)`` — the caller's
+array itself in the common case, one conversion for lists, strided
+views and other dtypes — and is only ever read (the kernels take
+``const double *restrict x``; read-only arrays are fine).  The result
+is one fresh array of the logical dtype per call (64-byte aligned for
+a batch), which the kernel writes through a ``float64`` view and the
+caller then owns; the kernel's bits are returned as they are, signed
+zeros and infinities included.  There are no workspaces.
+
+Batching: ``apply`` transforms one vector per call and pays the full
+per-call crossing; ``apply_many`` amortizes it over a ``(B, n)``
+batch — through a generated ``spl_batch_<name>`` C driver (one ctypes
+crossing per batch), one NumPy batch call, or a Python loop over the
+rows.
 
 Parallelism: ``apply_many(X, threads=N)`` splits the batch axis across
 N workers.  The C backend prefers the generated OpenMP driver
@@ -25,12 +38,12 @@ dispatch entirely (see ``_effective_threads``).  Row order and per-row
 arithmetic are identical for every thread count, so results are
 bit-identical to ``threads=1``.
 
-Thread-safety: scratch buffers are per-thread (``threading.local``),
-so one :class:`ExecutableRoutine` may be shared freely — concurrent
-``apply`` and ``apply_many`` calls from many threads are safe.  Each
-calling thread keeps its own single-vector and batch workspaces;
-shard workers write disjoint row ranges of the caller's workspace and
-allocate nothing.
+Thread-safety: a call shares no mutable state with any other — its
+input belongs to the caller, its result is allocated by the call — so
+one :class:`ExecutableRoutine` may be shared freely and concurrent
+``apply`` and ``apply_many`` calls from many threads are safe.  Shard
+workers write disjoint row ranges of the one result and allocate
+nothing.
 
 Fault tolerance: each backend has a one-strike circuit breaker.  If a
 backend call raises at runtime (a ``.so`` that no longer loads, a
@@ -56,6 +69,7 @@ never mix (say) the old backend's ``batch_fn`` with the new one's
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -87,20 +101,22 @@ _PREFERENCE = {
 }
 
 
-def _aligned_zeros(shape, dtype, align: int = 64) -> np.ndarray:
-    """A zeroed array whose data pointer is ``align``-byte aligned.
+_COMPLEX128 = np.dtype(np.complex128)
+_FLOAT64 = np.dtype(np.float64)
 
-    The codelet batch drivers check workspace alignment at runtime and
-    only take their ``__builtin_assume_aligned`` + ``#pragma omp simd``
-    fast path when it holds; allocating the runner's per-thread
-    workspaces aligned makes that the common case.  (numpy's default
-    allocator gives 16, sometimes 64 — this makes it deterministic.)
+
+def _aligned_empty(shape: tuple[int, ...], dtype: np.dtype,
+                   align: int = 64) -> np.ndarray:
+    """An uninitialized array whose data pointer is ``align``-byte
+    aligned.
+
+    The codelet batch drivers check alignment at runtime and only take
+    their ``__builtin_assume_aligned`` + ``#pragma omp simd`` fast path
+    when it holds for both pointers; this settles the result's half.
+    (numpy's default allocator gives 16, sometimes 64.)
     """
-    dtype = np.dtype(dtype)
-    count = int(np.prod(shape, dtype=np.int64))
-    buf = np.zeros(count + align // dtype.itemsize, dtype=dtype)
-    offset = (-buf.ctypes.data % align) // dtype.itemsize
-    return buf[offset:offset + count].reshape(shape)
+    raw = np.empty(math.prod(shape) * dtype.itemsize + align, np.uint8)
+    return np.ndarray(shape, dtype, raw, -ccompile.address(raw) % align)
 
 
 @dataclass
@@ -114,7 +130,7 @@ class BackendFailure:
 
 @dataclass
 class ExecutableRoutine:
-    """A runnable compiled routine with per-thread preallocated buffers.
+    """A runnable compiled routine; calls share no mutable state.
 
     ``fallback_chain`` lists the backends still available for runtime
     degradation; a backend whose call raises trips its breaker (one
@@ -134,8 +150,6 @@ class ExecutableRoutine:
     fallback_chain: tuple[str, ...] = ()  # degradation targets, in order
     backend_failures: list[BackendFailure] = field(default_factory=list)
     promotions: list[str] = field(default_factory=list)  # upgrade history
-    _tls: threading.local = field(default_factory=threading.local,
-                                  repr=False, compare=False)
     # Serializes breaker trips and callable swaps; ``_generation``
     # increments on every swap so concurrent faulters can tell whether
     # someone else already degraded the tier they just saw fail.
@@ -169,39 +183,17 @@ class ExecutableRoutine:
         dtype :class:`~repro.runtime.BatchDispatcher` and the serving
         front-end validate submitted vectors against.
         """
-        program = self.routine.program
-        if program.datatype == "complex":
-            return np.dtype(np.complex128)
-        return np.dtype(np.float64)
+        if self.routine.program.datatype == "complex":
+            return _COMPLEX128
+        return _FLOAT64
 
-    def _buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Single-vector scratch, allocated once per calling thread."""
-        pair = getattr(self._tls, "single", None)
-        if pair is None:
-            program = self.routine.program
-            width = program.element_width
-            dtype = self._dtype()
-            pair = (
-                _aligned_zeros(program.in_size * width, dtype),
-                _aligned_zeros(program.out_size * width, dtype),
-            )
-            self._tls.single = pair
-        return pair
-
-    def _batch_buffers(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-thread (B, len) physical workspaces, reallocated only
-        when the calling thread's batch size changes."""
-        pair = getattr(self._tls, "batch", None)
-        if pair is None or pair[0].shape[0] != batch:
-            program = self.routine.program
-            width = program.element_width
-            dtype = self._dtype()
-            pair = (
-                _aligned_zeros((batch, program.in_size * width), dtype),
-                _aligned_zeros((batch, program.out_size * width), dtype),
-            )
-            self._tls.batch = pair
-        return pair
+    def _physical(self, a: np.ndarray) -> np.ndarray:
+        """The array the generated code indexes: complex data lowered
+        to real arithmetic is addressed as interleaved re/im doubles,
+        which is a ``float64`` view of the same memory."""
+        if self.routine.program.element_width == 2:
+            return a.view(np.float64)
+        return a
 
     # -- circuit breaker ------------------------------------------------
 
@@ -327,20 +319,27 @@ class ExecutableRoutine:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply to a logical input vector; complex in, complex out.
 
-        Scratch buffers are reused across calls (no per-call
-        allocation) and are per-thread, so concurrent callers never
-        share them; the returned array is a fresh copy.  A backend
-        that raises mid-call trips its circuit breaker and the call
-        retries on the next backend down the chain.
+        ``x`` is read in place when it already is a contiguous array
+        of :attr:`dtype` and converted once otherwise; the result is a
+        fresh array.  A backend that raises mid-call trips its circuit
+        breaker and the call retries on the next backend down the
+        chain.
         """
         program = self.routine.program
-        width = program.element_width
-        buf, y = self._buffers()
-        if width == 2:
-            buf[0::2] = np.real(x)
-            buf[1::2] = np.imag(x)
-        else:
-            buf[:] = x
+        dtype = self.dtype
+        x = np.ascontiguousarray(x, dtype=dtype)
+        if x.shape != (program.in_size,):
+            # The kernel reads in_size elements from x's address
+            # whatever x holds: nothing else stands between a short
+            # vector and an out-of-bounds read.
+            raise SplSemanticError(
+                f"{self.name} expects a ({program.in_size},) vector, "
+                f"got shape {x.shape}"
+            )
+        # Zeroed: the per-vector routines assume it.  (Not aligned: only
+        # the batch drivers ever test for that.)
+        y = np.zeros(program.out_size, dtype)
+        xp, yp = self._physical(x), self._physical(y)
         while True:
             # Read the generation *before* the callable: if a swap
             # lands in between, the stale generation makes _degrade a
@@ -348,16 +347,13 @@ class ExecutableRoutine:
             # failure to the old one.
             generation = self._generation
             call = self.raw_call
-            y.fill(0)
             try:
-                call(y, buf)
-                break
+                call(yp, xp)
+                return y
             except Exception as exc:  # noqa: BLE001 - breaker path
                 if not self._degrade(exc, "apply", generation):
                     raise
-        if width == 2:
-            return y[0::2] + 1j * y[1::2]
-        return y.copy()
+                y.fill(0)  # the failed attempt may have written some
 
     def _effective_threads(self, threads: int | None, batch: int) -> int:
         """The worker count actually used for one ``apply_many`` call.
@@ -385,11 +381,8 @@ class ExecutableRoutine:
         swap can never hand one shard a mixed backend.
         """
         if batch_fn is not None:
-            import ctypes
-
-            c_double_p = ctypes.POINTER(ctypes.c_double)
-            batch_fn(Yp[lo:hi].ctypes.data_as(c_double_p),
-                     Xp[lo:hi].ctypes.data_as(c_double_p), hi - lo)
+            batch_fn(ccompile.address(Yp) + lo * Yp.strides[0],
+                     ccompile.address(Xp) + lo * Xp.strides[0], hi - lo)
         elif batch_call is not None:
             Yp[lo:hi].fill(0)
             batch_call(Yp[lo:hi], Xp[lo:hi])
@@ -405,7 +398,9 @@ class ExecutableRoutine:
         The whole batch crosses into the fastest available path with
         per-batch (not per-vector) overhead: a single ctypes call into
         the generated ``spl_batch_<name>`` C driver, one call of the
-        NumPy batch function, or a scratch-reusing Python loop.
+        NumPy batch function, or a Python loop over the rows.  ``X``
+        is read in place when it already is a C-contiguous array of
+        :attr:`dtype` and converted once otherwise.
 
         ``threads`` splits the batch axis across workers (``None`` =
         the instance default, 0 = one per CPU): the OpenMP C driver
@@ -414,20 +409,16 @@ class ExecutableRoutine:
         count.  Returns a fresh ``(B, out_size)`` array.
         """
         program = self.routine.program
-        X = np.asarray(X)
+        dtype = self.dtype
+        X = np.ascontiguousarray(X, dtype=dtype)
         if X.ndim != 2 or X.shape[1] != program.in_size:
             raise SplSemanticError(
                 f"{self.name} expects a (B, {program.in_size}) batch, "
                 f"got shape {X.shape}"
             )
-        width = program.element_width
         batch = X.shape[0]
-        Xp, Yp = self._batch_buffers(batch)
-        if width == 2:
-            Xp[:, 0::2] = X.real
-            Xp[:, 1::2] = X.imag
-        else:
-            Xp[:, :] = X
+        Y = _aligned_empty((batch, program.out_size), dtype)
+        Xp, Yp = self._physical(X), self._physical(Y)
         while True:
             with self._swap_lock:
                 # One consistent snapshot of the active backend: a
@@ -442,32 +433,24 @@ class ExecutableRoutine:
             try:
                 nthreads = self._effective_threads(threads, batch)
                 if nthreads > 1 and batch_omp_fn is not None:
-                    import ctypes
-
-                    c_double_p = ctypes.POINTER(ctypes.c_double)
-                    batch_omp_fn(Yp.ctypes.data_as(c_double_p),
-                                 Xp.ctypes.data_as(c_double_p),
-                                 batch, nthreads)
+                    batch_omp_fn(ccompile.address(Yp),
+                                 ccompile.address(Xp), batch, nthreads)
+                elif nthreads > 1:
+                    run_sharded(
+                        lambda lo, hi: self._run_rows(
+                            Yp, Xp, lo, hi,
+                            batch_fn, batch_call, raw_call),
+                        batch, nthreads,
+                    )
                 else:
-                    if nthreads > 1:
-                        run_sharded(
-                            lambda lo, hi: self._run_rows(
-                                Yp, Xp, lo, hi,
-                                batch_fn, batch_call, raw_call),
-                            batch, nthreads,
-                        )
-                    else:
-                        self._run_rows(Yp, Xp, 0, batch,
-                                       batch_fn, batch_call, raw_call)
-                break
+                    self._run_rows(Yp, Xp, 0, batch,
+                                   batch_fn, batch_call, raw_call)
+                return Y
             except Exception as exc:  # noqa: BLE001 - breaker path
                 # Partial rows are harmless: every retried path zeroes
                 # each output row before writing it.
                 if not self._degrade(exc, "apply_many", generation):
                     raise
-        if width == 2:
-            return Yp[:, 0::2] + 1j * Yp[:, 1::2]
-        return Yp.copy()
 
     def timer_closure(self) -> Callable[[], None]:
         """A zero-argument closure suitable for tight timing loops."""
@@ -480,18 +463,15 @@ class ExecutableRoutine:
         ).astype(self._dtype())
         y = np.zeros(program.out_size * width, dtype=self._dtype())
         if self.backend in ("c", "cjit"):
-            import ctypes
-
-            c_double_p = ctypes.POINTER(ctypes.c_double)
             fn = self.ctypes_fn
-            xp = x.ctypes.data_as(c_double_p)
-            yp = y.ctypes.data_as(c_double_p)
+            xp = ccompile.address(x)
+            yp = ccompile.address(y)
 
             def call() -> None:
                 fn(yp, xp)
 
             # ctypes raw function: bypass the wrapper's numpy handling.
-            call._buffers = (x, y)
+            call._keepalive = (x, y)
             return call
 
         fn = self.raw_call
@@ -499,27 +479,38 @@ class ExecutableRoutine:
         def call() -> None:
             fn(y, x)
 
-        call._buffers = (x, y)
+        call._keepalive = (x, y)
         return call
 
     def timer_closure_many(self, batch: int,
                            threads: int | None = None) -> Callable[[], None]:
         """A zero-argument closure timing ``apply_many`` on a fixed
-        random batch (buffer filling included — that is the honest
+        random batch (buffer handling included — that is the honest
         per-batch cost a caller pays)."""
         rng = np.random.default_rng(0)
         n = self.routine.program.in_size
-        X = rng.standard_normal((batch, n))
-        if self.routine.program.element_width == 2 or \
-                self.routine.program.datatype == "complex":
-            X = X + 1j * rng.standard_normal((batch, n))
+        if self.dtype.kind == "c":
+            X = rng.standard_normal((batch, 2 * n)).view(np.complex128)
+        else:
+            X = rng.standard_normal((batch, n))
         apply_many = self.apply_many
 
         def call() -> None:
             apply_many(X, threads=threads)
 
-        call._buffers = (X,)
+        call._keepalive = (X,)
         return call
+
+
+def _pointer_call(fn: Callable) -> Callable:
+    """``raw_call`` for a native entry: ``fn(y, x)`` on the data
+    pointers of two contiguous arrays."""
+    address = ccompile.address
+
+    def call(y: np.ndarray, x: np.ndarray, *args) -> None:
+        fn(address(y), address(x), *args)
+
+    return call
 
 
 def _build_cjit(routine: CompiledRoutine) -> ExecutableRoutine:
@@ -532,17 +523,9 @@ def _build_cjit(routine: CompiledRoutine) -> ExecutableRoutine:
     from repro.perfeval import jit
 
     jitted = jit.compile_jit(routine.program)
-    import ctypes
-
-    c_double_p = ctypes.POINTER(ctypes.c_double)
-    fn = jitted.fn
-
-    def jit_call(y: np.ndarray, x: np.ndarray) -> None:
-        fn(y.ctypes.data_as(c_double_p),
-           np.ascontiguousarray(x).ctypes.data_as(c_double_p))
-
     return ExecutableRoutine(routine=routine, backend="cjit",
-                             raw_call=jit_call, ctypes_fn=jitted.fn,
+                             raw_call=_pointer_call(jitted.fn),
+                             ctypes_fn=jitted.fn,
                              batch_fn=jitted.batch_fn)
 
 
@@ -632,17 +615,9 @@ def _build_c(routine: CompiledRoutine,
         if openmp:
             batch_omp_fn = ccompile.load_batch_omp_function(
                 so_path, routine.name)
-    import ctypes
-
-    c_double_p = ctypes.POINTER(ctypes.c_double)
-
-    def c_call(y: np.ndarray, x: np.ndarray, *args) -> None:
-        fn(y.ctypes.data_as(c_double_p),
-           np.ascontiguousarray(x).ctypes.data_as(c_double_p), *args)
-
-    return ExecutableRoutine(routine=routine, backend="c", raw_call=c_call,
-                             ctypes_fn=fn, batch_fn=batch_fn,
-                             batch_omp_fn=batch_omp_fn)
+    return ExecutableRoutine(routine=routine, backend="c",
+                             raw_call=_pointer_call(fn), ctypes_fn=fn,
+                             batch_fn=batch_fn, batch_omp_fn=batch_omp_fn)
 
 
 def _build_numpy(routine: CompiledRoutine) -> ExecutableRoutine:

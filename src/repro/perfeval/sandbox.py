@@ -209,8 +209,6 @@ def _sandbox_worker(conn, so_path: str, name: str, in_len: int,
     """
     try:
         _limit_memory(memory_mb)
-        import ctypes
-
         import numpy as np
 
         from pathlib import Path
@@ -221,9 +219,8 @@ def _sandbox_worker(conn, so_path: str, name: str, in_len: int,
         rng = np.random.default_rng(0)
         x = np.ascontiguousarray(rng.standard_normal(in_len))
         y = np.zeros(out_len)
-        c_double_p = ctypes.POINTER(ctypes.c_double)
-        xp = x.ctypes.data_as(c_double_p)
-        yp = y.ctypes.data_as(c_double_p)
+        xp = ccompile.address(x)
+        yp = ccompile.address(y)
         extra = (1, 1, 0, 0) if strided else ()
 
         fn(yp, xp, *extra)  # the probe call: crash/hang happens here

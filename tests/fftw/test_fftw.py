@@ -102,32 +102,46 @@ class TestExecutor:
                                        atol=1e-8)
 
     def test_apply_many_leaves_single_buffers_alone(self, library):
-        # apply/apply_many interleave safely: the batch path keeps its
-        # own workspaces (the documented re-entrancy contract).
+        # apply/apply_many interleave safely: neither keeps a buffer
+        # the other (or a later call) could overwrite.
         from repro.fftw import Planner
 
         transform = library.transform(Planner(library).plan_estimate(32))
         rng = np.random.default_rng(8)
         x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        kept = x.copy()
         y1 = transform.apply(x)
-        single_x = transform._x.copy()
+        expected = y1.copy()
         X = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
-        transform.apply_many(X)
-        np.testing.assert_array_equal(transform._x, single_x)
+        Y = transform.apply_many(X)
+        assert not np.shares_memory(y1, Y)
+        assert not np.shares_memory(y1, x)
+        np.testing.assert_array_equal(y1, expected)
+        np.testing.assert_array_equal(x, kept)  # the input is only read
         np.testing.assert_allclose(transform.apply(x), y1, atol=0)
 
     def test_apply_many_reuses_workspaces(self, library):
+        # What reused workspaces must never have shown through: every
+        # call's result is its own memory, whatever the batch size.
         from repro.fftw import Planner
 
         transform = library.transform(Planner(library).plan_estimate(32))
         rng = np.random.default_rng(9)
         X = rng.standard_normal((4, 32)) + 1j * rng.standard_normal((4, 32))
-        transform.apply_many(X)
-        first = transform._batch
-        transform.apply_many(X * 2)
-        assert transform._batch is first  # same batch size: no realloc
-        transform.apply_many(X[:2])
-        assert transform._batch is not first  # resized for B=2
+        kept = X.copy()
+        first = transform.apply_many(X)
+        expected = first.copy()
+        second = transform.apply_many(X * 2)
+        third = transform.apply_many(X[:2])
+        results = [first, second, third]
+        for i, a in enumerate(results):
+            assert not np.shares_memory(a, X)
+            for b in results[i + 1:]:
+                assert not np.shares_memory(a, b)
+        np.testing.assert_array_equal(first, expected)
+        first[:] = 0.0  # the caller owns what it was given
+        np.testing.assert_array_equal(transform.apply_many(X), expected)
+        np.testing.assert_array_equal(X, kept)
 
     def test_apply_many_rejects_wrong_shape(self, library):
         from repro.fftw import Plan

@@ -107,19 +107,32 @@ class TestConcurrentCallers:
         assert not errors, errors[0]
 
     def test_scratch_is_per_thread(self):
+        # What per-thread scratch existed for: two threads' calls share
+        # memory neither with each other, nor with the input, nor with
+        # any later call.
         executable = _fft_executable()
-        executable.apply(np.zeros(8, dtype=complex))
-        main_pair = executable._buffers()
+        x = np.arange(8, dtype=complex)
+        mine = executable.apply(x)
         other = {}
 
         def grab():
-            executable.apply(np.zeros(8, dtype=complex))
-            other["pair"] = executable._buffers()
+            other["y"] = executable.apply(x)
 
         t = threading.Thread(target=grab)
         t.start()
-        t.join()
-        assert other["pair"][0] is not main_pair[0]
+        t.join(timeout=30)
+        assert not t.is_alive()
+        later = executable.apply(x)
+        results = [mine, other["y"], later]
+        for i, a in enumerate(results):
+            assert not np.shares_memory(a, x)
+            for b in results[i + 1:]:
+                assert not np.shares_memory(a, b)
+        expected = later.copy()
+        mine[:] = -1.0  # the caller owns what it was given
+        np.testing.assert_array_equal(other["y"], expected)
+        np.testing.assert_array_equal(executable.apply(x), expected)
+        np.testing.assert_array_equal(x, np.arange(8, dtype=complex))
 
 
 class TestParallelDeterminism:

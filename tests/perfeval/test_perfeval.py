@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.compiler import CompilerOptions, SplCompiler
+from repro.formulas.factorization import ct_multi
 from repro.perfeval.accuracy import relative_error
 from repro.perfeval.ccompile import (
     CCompileError,
@@ -201,6 +202,47 @@ class TestRunner:
         np.testing.assert_allclose(executable.apply(x), np.fft.fft(x),
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("prefer", ["c", "cjit", "numpy", "python"])
+    @pytest.mark.parametrize("shape", [(1,), (63,), (65,), (1, 64),
+                                       (2, 32), (64, 1)])
+    def test_apply_rejects_wrong_shape(self, prefer, shape, monkeypatch):
+        # The kernel reads in_size elements from wherever x points: a
+        # short x must be refused, not broadcast (the old wrapper turned
+        # a length-1 x into the transform of a constant vector) and
+        # never read past.
+        from repro.core.errors import SplSemanticError
+
+        if prefer in ("c", "cjit") and not have_c_compiler():
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setenv("SPL_JIT_UPGRADE", "0")
+        compiler = SplCompiler(CompilerOptions(unroll=True,
+                                               codetype="real"))
+        language = "c" if prefer in ("c", "cjit") else prefer
+        routine = compiler.compile_formula(ct_multi((8, 8)).to_spl(),
+                                           "shape64", language=language)
+        executable = build_executable(routine, prefer=prefer)
+        assert executable.backend == prefer
+        with pytest.raises(SplSemanticError, match=r"\(64,\) vector"):
+            executable.apply(np.ones(shape, dtype=complex))
+        assert not executable.degraded  # refused, not a backend fault
+        x = np.arange(64) * (1 - 2j)
+        np.testing.assert_allclose(executable.apply(x), np.fft.fft(x),
+                                   atol=1e-9)
+
+    @pytest.mark.parametrize("prefer", ["numpy", "python"])
+    def test_kernel_bits_come_back_unchanged(self, prefer):
+        # Re-assembling re + 1j*im turned an infinite imaginary part
+        # into a NaN real part (0*inf) and dropped the sign of zeros;
+        # the result now *is* the memory the kernel wrote.
+        compiler = SplCompiler(CompilerOptions(codetype="real"))
+        routine = compiler.compile_formula("(I 3)", "id3", language=prefer)
+        executable = build_executable(routine, prefer=prefer)
+        x = np.array([complex(1.0, np.inf), complex(-0.0, -0.0),
+                      complex(-np.inf, 2.0)])
+        assert executable.apply(x).tobytes() == x.tobytes()
+        X = np.stack([x, x[::-1]])
+        assert executable.apply_many(X).tobytes() == X.tobytes()
+
     def test_bad_prefer_rejected(self):
         from repro.core.errors import SplSemanticError
 
@@ -242,14 +284,25 @@ class TestBatchExecution:
             executable.apply_many(X), np.fft.fft(X, axis=1), atol=1e-12)
 
     def test_apply_many_reuses_scratch(self):
+        # What the reused workspaces must never have shown through:
+        # each call's result is its own memory — apart from the input,
+        # from every other call's result and from any later call's.
         executable = build_executable(self._routine(), prefer="python")
         X = self._batch(8, 4)
-        executable.apply_many(X)
-        first = executable._batch_buffers(4)  # this thread's workspaces
-        executable.apply_many(X + 1)
-        assert executable._batch_buffers(4) is first  # buffers reused
-        executable.apply_many(self._batch(8, 6))
-        assert executable._batch_buffers(6) is not first  # resized for B=6
+        kept = X.copy()
+        first = executable.apply_many(X)
+        expected = first.copy()
+        second = executable.apply_many(X + 1)
+        third = executable.apply_many(self._batch(8, 6))
+        results = [first, second, third]
+        for i, a in enumerate(results):
+            assert not np.shares_memory(a, X)
+            for b in results[i + 1:]:
+                assert not np.shares_memory(a, b)
+        np.testing.assert_array_equal(first, expected)  # not overwritten
+        first[:] = 0.0  # the caller owns what it was given
+        np.testing.assert_array_equal(executable.apply_many(X), expected)
+        np.testing.assert_array_equal(X, kept)  # the input is only read
 
     def test_apply_many_rejects_wrong_shape(self):
         from repro.core.errors import SplSemanticError

@@ -1,10 +1,23 @@
 """Property tests for the batch execution layer: for random formulas
 the NumPy batch backend agrees elementwise with the i-code interpreter
 and the pure-Python backend — for strided and non-strided programs,
-``#codetype real`` and ``complex``, and batch sizes {1, 7, 64}."""
+``#codetype real`` and ``complex``, and batch sizes {1, 7, 64}.  And
+for the runner on top of them (all four backends): its results do not
+depend on how the caller laid the input out, and are the ones the
+parent commit's copying runner gave."""
+
+import functools
+import hashlib
+import json
+import os
+import platform
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.core import nodes
@@ -12,6 +25,9 @@ from repro.core.backend_numpy import compile_numpy
 from repro.core.backend_python import compile_python
 from repro.core.compiler import CompilerOptions, SplCompiler
 from repro.core.interpreter import run_program
+from repro.formulas.factorization import ct_multi, wht_multi
+from repro.perfeval.runner import build_executable
+from tests.conftest import HAS_CC, requires_cc
 
 BATCH_SIZES = (1, 7, 64)
 
@@ -157,3 +173,207 @@ class TestNumpyBackendAgreesWithInterpreter:
                                            language="numpy")
         _check_agreement(routine.program,
                          seed=data.draw(st.integers(0, 2**32 - 1)))
+
+
+# ---------------------------------------------------------------------------
+# ExecutableRoutine.apply / apply_many run on the caller's memory.
+# ---------------------------------------------------------------------------
+#
+# The runner hands the kernel a float64 view of the caller's complex128
+# rows and returns the array the kernel wrote.  Below: whatever form the
+# input arrives in, the result is, bit for bit, that of the contiguous
+# complex128 call; the input is never written; and that call's result
+# is, bit for bit, what the copying runner of the parent commit
+# returned (``golden_apply.json``).
+#
+# Re-record (from the repo root, with the *reference* commit's sources
+# on the path — the file in the tree was recorded at 7da7b35, the
+# commit before the copies were removed)::
+#
+#     PYTHONPATH=<reference checkout>/src:. \
+#         python tests/property/test_property_batch.py --record
+
+GOLDEN_APPLY = Path(__file__).with_name("golden_apply.json")
+RUNNER_BACKENDS = ("c", "cjit", "numpy", "python")
+RUNNER_BATCHES = (0, 1, 7, 64)
+#: name -> (SPL text, datatype, fully unrolled).  The codelets are what
+#: the JIT tier and the C codelet driver (alignment fast path) accept;
+#: the looped programs take the plain batch driver.
+RUNNER_CASES = {
+    "fft8_codelet": ("(F 8)", "complex", True),
+    "fft16_loop": (ct_multi((4, 4)).to_spl(), "complex", False),
+    "wht8_codelet": (wht_multi([2, 1]).to_spl(), "real", True),
+    "wht16_loop": (wht_multi([2, 2]).to_spl(), "real", False),
+}
+
+
+@functools.cache
+def _executable(case: str, backend: str, codetype: str = "real"):
+    """One executable per (case, backend, code type) for the module.
+    ``codetype="complex"`` keeps complex arithmetic native (NumPy and
+    Python only): the kernel then indexes complex128 directly and the
+    runner passes the arrays through without a view."""
+    if backend in ("c", "cjit") and not HAS_CC:
+        pytest.skip("no C compiler on PATH")
+    text, datatype, unroll = RUNNER_CASES[case]
+    compiler = SplCompiler(CompilerOptions(codetype=codetype,
+                                           unroll=unroll))
+    language = "c" if backend in ("c", "cjit") else backend
+    routine = compiler.compile_formula(
+        text, f"{case}_{backend}_{codetype}", datatype=datatype,
+        language=language)
+    # The JIT tier's background promotion to gcc code is bit-identical
+    # by construction but would make "which tier ran" depend on timing.
+    with mock.patch.dict(os.environ, {"SPL_JIT_UPGRADE": "0"}):
+        return build_executable(routine, prefer=backend)
+
+
+def _runner_input(executable, batch: int, seed: int = 20010620):
+    """A C-contiguous batch of the executable's logical dtype."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((batch, executable.n))
+    if executable.dtype.kind == "c":
+        X = X + 1j * rng.standard_normal((batch, executable.n))
+    return X
+
+
+def _runner_params():
+    """(case, backend, codetype) for every layout the runner handles."""
+    for case in RUNNER_CASES:
+        for backend in RUNNER_BACKENDS:
+            yield case, backend, "real"
+    for backend in ("numpy", "python"):  # complex128 all the way down
+        yield "fft16_loop", backend, "complex"
+
+
+def _at_offset(X: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of ``X`` whose data sits ``offset`` bytes past a 64-byte
+    boundary."""
+    raw = np.empty(X.nbytes + 128, dtype=np.uint8)
+    start = (-raw.ctypes.data % 64) + offset
+    out = raw[start:start + X.nbytes].view(X.dtype).reshape(X.shape)
+    out[...] = X
+    assert out.ctypes.data % 64 == offset or not X.size
+    return out
+
+
+class TestRunnerRunsOnCallersMemory:
+    @pytest.mark.parametrize("case,backend,codetype", _runner_params())
+    @pytest.mark.parametrize("batch", RUNNER_BATCHES)
+    def test_read_only_input_is_accepted_and_untouched(
+            self, case, backend, codetype, batch):
+        executable = _executable(case, backend, codetype)
+        X = _runner_input(executable, batch)
+        expected = executable.apply_many(X)
+        frozen = np.frombuffer(X.tobytes(), dtype=X.dtype).reshape(X.shape)
+        assert not frozen.flags.writeable
+        got = executable.apply_many(frozen)
+        np.testing.assert_array_equal(got, expected)
+        assert got.flags.writeable and not np.shares_memory(got, frozen)
+        assert frozen.tobytes() == X.tobytes()
+        for row in range(min(batch, 2)):
+            single = executable.apply(frozen[row])
+            np.testing.assert_array_equal(
+                single, executable.apply(X[row]))
+            assert not np.shares_memory(single, frozen)
+        assert frozen.tobytes() == X.tobytes()
+        assert not executable.degraded
+
+    @pytest.mark.parametrize("case,backend,codetype", _runner_params())
+    @pytest.mark.parametrize("batch", RUNNER_BATCHES)
+    def test_input_forms_give_identical_bits(self, case, backend,
+                                             codetype, batch):
+        executable = _executable(case, backend, codetype)
+        X = _runner_input(executable, batch)
+        expected = executable.apply_many(X).tobytes()
+        n = executable.n
+        strided = np.zeros((2 * batch, n), dtype=X.dtype)
+        strided[::2] = X
+        fortran = X.T.copy().T  # same values, column-major memory
+        assert batch < 2 or not fortran.flags.c_contiguous
+        forms = {"every other row": strided[::2],
+                 "column-major": fortran,
+                 "nested lists": X.tolist() if batch else X,
+                 "misaligned by 8": _at_offset(X, 8),
+                 "aligned to 64": _at_offset(X, 0)}
+        for name, form in forms.items():
+            assert executable.apply_many(form).tobytes() == expected, name
+        # A narrower dtype converts exactly, so the wide call on the
+        # converted values is the reference.
+        narrow = X.astype(np.complex64 if X.dtype.kind == "c"
+                          else np.float32)
+        assert (executable.apply_many(narrow).tobytes()
+                == executable.apply_many(narrow.astype(X.dtype)).tobytes())
+        if X.dtype.kind == "c":  # float64 into a complex transform
+            assert (executable.apply_many(X.real).tobytes()
+                    == executable.apply_many(X.real + 0j).tobytes())
+        if batch:
+            row = executable.apply(X[0]).tobytes()
+            assert executable.apply(strided[::2][0]).tobytes() == row
+            assert executable.apply(fortran[0]).tobytes() == row
+            assert executable.apply(X[0].tolist()).tobytes() == row
+            assert executable.apply(X[:, ::-1][0][::-1]).tobytes() == row
+        assert not executable.degraded
+
+    @requires_cc
+    @pytest.mark.parametrize("case", ["fft8_codelet", "wht8_codelet"])
+    @pytest.mark.parametrize("batch", RUNNER_BATCHES)
+    def test_codelet_driver_checks_alignment_at_runtime(self, case, batch):
+        # The gcc codelet driver's fast path assumes 64-byte alignment
+        # only after testing for it, so a caller's 8-byte-aligned rows
+        # must give the same bits as aligned ones (the plain loop).
+        executable = _executable(case, "c")
+        assert executable.backend == "c"
+        assert executable.routine.program.is_straight_line()
+        X = _runner_input(executable, batch)
+        aligned, misaligned = _at_offset(X, 0), _at_offset(X, 8)
+        expected = executable.apply_many(aligned).tobytes()
+        assert executable.apply_many(misaligned).tobytes() == expected
+        assert executable.apply_many(X).tobytes() == expected
+        for threads in (2, 4):
+            assert executable.apply_many(
+                misaligned, threads=threads).tobytes() == expected
+
+    @pytest.mark.parametrize("case", list(RUNNER_CASES))
+    @pytest.mark.parametrize("backend", RUNNER_BACKENDS)
+    def test_results_are_the_parent_commits(self, case, backend):
+        golden = json.loads(GOLDEN_APPLY.read_text())
+        if platform.machine() != golden["machine"]:
+            pytest.skip(f"recorded on {golden['machine']}: another "
+                        f"architecture may round the kernels differently")
+        assert _runner_hashes(case, backend) == golden["results"][
+            f"{case}/{backend}"]
+
+
+def _runner_hashes(case: str, backend: str) -> dict[str, str]:
+    """SHA-256 of the result bytes of ``apply_many`` at every batch
+    size, of a batch large enough for parallel dispatch at 1 and 2
+    threads, and of ``apply`` on the first row."""
+    executable = _executable(case, backend)
+    hashes = {}
+    for batch, threads in [(b, 1) for b in RUNNER_BATCHES] + [(512, 1),
+                                                             (512, 2)]:
+        X = _runner_input(executable, batch)
+        Y = executable.apply_many(X, threads=threads)
+        assert Y.dtype == executable.dtype
+        hashes[f"apply_many.B{batch}.t{threads}"] = hashlib.sha256(
+            Y.tobytes()).hexdigest()
+    x = _runner_input(executable, 1)[0]
+    hashes["apply"] = hashlib.sha256(
+        executable.apply(x).tobytes()).hexdigest()
+    return hashes
+
+
+def _record_golden_apply() -> None:
+    results = {f"{case}/{backend}": _runner_hashes(case, backend)
+               for case in RUNNER_CASES for backend in RUNNER_BACKENDS}
+    GOLDEN_APPLY.write_text(json.dumps(
+        {"machine": platform.machine(), "results": results},
+        indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(results)} records to {GOLDEN_APPLY}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_property_batch.py --record")
+    _record_golden_apply()
