@@ -1,10 +1,10 @@
-"""Distributed-search + wisdom-pack smoke: the deployment round trip.
+"""Leased-worker search + wisdom-pack smoke: the deployment round trip.
 
 A small but *real* end-to-end run of the fault-tolerant offline
 pipeline (everything compiled and timed by the host toolchain, no
 stubs):
 
-1. distributed small-size search over forked leased workers, with
+1. small-size search on two forked leased workers, with
    chaos-injected worker SIGKILLs and a completion journal;
 2. a second run replaying entirely from wisdom (zero re-measurement);
 3. ``pack build`` -> ``pack verify`` on the search's wisdom store,
@@ -24,14 +24,13 @@ import numpy as np
 import pytest
 
 from repro.perfeval import ccompile
-from repro.perfeval.sandbox import Quarantine
-from repro.search.dist import distributed_search_small_sizes
-from repro.search.queue import (
-    QueuePolicy,
-    SearchChaos,
-    TaskJournal,
-    queue_supported,
+from repro.perfeval.sandbox import (
+    Quarantine,
+    SandboxPolicy,
+    sandbox_supported,
 )
+from repro.search.dp import search_small_sizes
+from repro.search.queue import SEARCH_CHAOS_ENV, SearchChaos, TaskJournal
 from repro.serve.plans import PlanKey, PlanRegistry
 from repro.wisdom.pack import build_pack, load_pack, verify_pack
 from repro.wisdom.store import WisdomStore
@@ -39,29 +38,29 @@ from repro.wisdom.store import WisdomStore
 from conftest import requires_cc, write_results
 
 requires_fork = pytest.mark.skipif(
-    not queue_supported(), reason="distributed search needs POSIX fork")
+    not sandbox_supported(), reason="leased workers need POSIX fork")
 
 SIZES = (2, 4, 8)
 CHAOS = SearchChaos(kill_rate=0.3, kill_attempts=1, seed=3)
-POLICY = QueuePolicy(workers=2, lease_timeout_s=60.0,
-                     heartbeat_interval_s=0.05,
-                     heartbeat_timeout_s=20.0, max_attempts=3,
-                     backoff_base_s=0.02, backoff_max_s=0.2)
+POLICY = SandboxPolicy(timeout=60.0, heartbeat_interval=0.05,
+                       heartbeat_timeout=20.0, max_attempts=3,
+                       backoff=0.02)
 
 
 @requires_cc
 @requires_fork
 def test_search_dist_smoke(tmp_path, monkeypatch):
-    lines = ["distributed search + pack round trip",
-             f"sizes={SIZES} chaos={CHAOS.to_spec()}"]
+    lines = ["leased-worker search + pack round trip",
+             f"sizes={SIZES} jobs=2 chaos={CHAOS.to_spec()}"]
 
-    # 1. Distributed search under injected worker kills.
+    # 1. Search on two leased workers under injected worker kills.
+    monkeypatch.setenv(SEARCH_CHAOS_ENV, CHAOS.to_spec())
     wisdom = WisdomStore(tmp_path / "wisdom.json")
     journal_path = tmp_path / "journal.jsonl"
-    results = distributed_search_small_sizes(
-        SIZES, policy=POLICY, wisdom=wisdom,
+    results = search_small_sizes(
+        SIZES, jobs=2, sandbox=POLICY, wisdom=wisdom,
         journal_path=str(journal_path), quarantine=Quarantine(),
-        chaos=CHAOS, min_time=0.002, repeats=1)
+        min_time=0.002)
     for n in SIZES:
         result = results[n]
         assert not result.from_wisdom
@@ -76,9 +75,9 @@ def test_search_dist_smoke(tmp_path, monkeypatch):
                  f"0 duplicates")
 
     # 2. A rerun replays wisdom: zero candidates re-measured.
-    again = distributed_search_small_sizes(
-        SIZES, policy=POLICY, wisdom=wisdom, quarantine=Quarantine(),
-        chaos=CHAOS, min_time=0.002, repeats=1)
+    again = search_small_sizes(
+        SIZES, jobs=2, sandbox=POLICY, wisdom=wisdom,
+        quarantine=Quarantine(), min_time=0.002)
     assert all(again[n].from_wisdom for n in SIZES)
     assert all(again[n].formula.to_spl() == results[n].formula.to_spl()
                for n in SIZES)

@@ -48,8 +48,9 @@ import pytest
 
 from repro.perfeval.ccompile import have_c_compiler
 from repro.serve import PlanKey, PlanRegistry, Router, SplServer
-from repro.serve.chaos import ChaosConfig, fleet_supported, run_chaos
+from repro.serve.chaos import ChaosConfig, run_chaos
 from repro.serve.loadgen import WorkloadSpec, run_load
+from repro.serve.supervisor import fork_supported
 
 from conftest import RESULTS_DIR, write_results
 
@@ -261,7 +262,7 @@ def test_serving_resilience():
     open-loop load with retrying clients; one worker is SIGKILLed
     mid-run plus light server-side stall/truncate injection.  Gates:
     zero wrong answers, and post-recovery availability >= 99%."""
-    if not fleet_supported():
+    if not fork_supported():
         pytest.skip("supervised fleets need fork and SO_REUSEPORT")
 
     rate = float(os.environ.get("SPL_RESILIENCE_RATE", "200"))

@@ -8,10 +8,12 @@ are fully unrolled').
 Beyond the paper, ``--search-fft SIZES`` runs the §4.1 small-size
 search from the command line, with ``--wisdom FILE`` persisting the
 winners (so a repeat invocation re-measures nothing) and ``--jobs N``
-measuring candidates concurrently.  Search measurements run in
-sandboxed worker processes by default — a candidate that segfaults,
+measuring candidates concurrently.  Search measurements run on N
+leased worker processes by default — a candidate that segfaults,
 hangs past ``--measure-timeout`` or emits NaN is skipped and
-quarantined instead of killing the search; ``--no-sandbox`` opts out.  ``--language numpy`` targets the
+quarantined instead of killing the search, and ``--search-journal
+FILE`` lets an interrupted search resume; ``--no-sandbox`` opts out
+(in-process, N threads).  ``--language numpy`` targets the
 batch-vectorized NumPy backend, and ``--batch N`` times each compiled
 routine over a random N-vector batch (``apply_many``) and reports
 vectors/sec.
@@ -153,7 +155,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     arg_parser.add_argument(
         "--jobs", type=int, metavar="N", default=1,
-        help="measure up to N candidates concurrently (0 = one per CPU)",
+        help="measure up to N --search-fft candidates concurrently: N "
+             "leased worker processes, or N threads with --no-sandbox "
+             "(0 = one per CPU)",
     )
     arg_parser.add_argument(
         "--min-time", type=float, metavar="SECONDS", default=0.005,
@@ -172,7 +176,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     arg_parser.add_argument(
         "--measure-timeout", type=float, metavar="SECONDS", default=30.0,
-        help="wall-clock limit per sandboxed candidate measurement "
+        help="wall-clock limit per isolated candidate measurement "
              "during --search-fft; hung candidates are killed and "
              "quarantined (default 30)",
     )
@@ -183,26 +187,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
              "hanging candidate takes the search down with it)",
     )
     arg_parser.add_argument(
-        "--search-workers", type=int, metavar="N", default=None,
-        help="fan --search-fft measurements over N leased forked "
-             "workers (crash/hang-tolerant distributed search; implies "
-             "per-candidate isolation, so --no-sandbox does not apply)",
-    )
-    arg_parser.add_argument(
         "--search-journal", metavar="FILE", default=None,
-        help="append completed distributed-search measurements to this "
+        help="append completed --search-fft measurements to this "
              "checksummed journal; an interrupted run resumes from it "
-             "(only with --search-workers)",
+             "(not with --no-sandbox)",
     )
     return arg_parser
 
 
 def _run_search(args: argparse.Namespace) -> int:
-    from repro.perfeval.sandbox import (
-        Quarantine,
-        SandboxPolicy,
-        sandbox_supported,
-    )
+    from repro.perfeval.sandbox import Quarantine, SandboxPolicy
     from repro.search.dp import search_small_sizes
     from repro.wisdom.store import WisdomStore
 
@@ -234,48 +228,23 @@ def _run_search(args: argparse.Namespace) -> int:
                   "threshold", file=sys.stderr)
             return 2
     wisdom = WisdomStore(args.wisdom) if args.wisdom else None
-    sandbox = None
-    quarantine = None
-    if not args.no_sandbox and sandbox_supported():
+    # Hosts without fork measure in-process whatever the policy says.
+    sandbox = quarantine = None
+    if not args.no_sandbox:
         sandbox = SandboxPolicy(timeout=args.measure_timeout)
         quarantine = Quarantine()
-    use_dist = bool(args.search_workers)
-    if use_dist:
-        from repro.search.queue import queue_supported
-
-        if not queue_supported():
-            print("spl-compile: --search-workers needs POSIX fork; "
-                  "falling back to the serial search", file=sys.stderr)
-            use_dist = False
     try:
-        if use_dist:
-            from repro.search.dist import distributed_search_small_sizes
-            from repro.search.queue import QueuePolicy
-
-            results = distributed_search_small_sizes(
-                sizes,
-                max_candidates=args.max_candidates,
-                min_time=args.min_time,
-                wisdom=wisdom,
-                policy=QueuePolicy(
-                    workers=args.search_workers,
-                    lease_timeout_s=args.measure_timeout,
-                ),
-                journal_path=args.search_journal,
-                quarantine=quarantine or Quarantine(),
-                unroll_thresholds=thresholds,
-            )
-        else:
-            results = search_small_sizes(
-                sizes,
-                max_candidates=args.max_candidates,
-                min_time=args.min_time,
-                wisdom=wisdom,
-                jobs=args.jobs,
-                sandbox=sandbox,
-                quarantine=quarantine,
-                unroll_thresholds=thresholds,
-            )
+        results = search_small_sizes(
+            sizes,
+            max_candidates=args.max_candidates,
+            min_time=args.min_time,
+            wisdom=wisdom,
+            jobs=args.jobs,
+            sandbox=sandbox,
+            quarantine=quarantine,
+            journal_path=args.search_journal,
+            unroll_thresholds=thresholds,
+        )
     except SplError as exc:
         print(f"spl-compile: {exc}", file=sys.stderr)
         return 1

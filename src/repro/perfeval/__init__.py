@@ -10,9 +10,9 @@ Provides the measurement substrate for the experiments in Section 4:
 * :mod:`repro.perfeval.accuracy` — relative error measurement in the
   style of benchfft, for Figure 6;
 * :mod:`repro.perfeval.platform` — the host's "Table 1" row;
-* :mod:`repro.perfeval.sandbox` — isolated worker-process measurement
-  of untrusted generated code (timeouts, memory caps, crash
-  detection, candidate quarantine).
+* :mod:`repro.perfeval.sandbox` — the isolation policy, structured
+  failures and candidate quarantine for measuring untrusted generated
+  code (the workers themselves are :mod:`repro.search.queue`).
 """
 
 from repro.perfeval.ccompile import CCompileError, compile_c_program, have_c_compiler
@@ -20,7 +20,6 @@ from repro.perfeval.sandbox import (
     CandidateFailure,
     Quarantine,
     SandboxPolicy,
-    SandboxResult,
     default_quarantine,
     sandbox_supported,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "CandidateFailure",
     "Quarantine",
     "SandboxPolicy",
-    "SandboxResult",
     "compile_c_program",
     "default_quarantine",
     "have_c_compiler",

@@ -236,10 +236,6 @@ class BatchDispatcher:
             x = x.astype(self.dtype)
         return x
 
-    # Backwards-compatible alias (pre-serving internal name).
-    def _submit(self, x: np.ndarray) -> _Request:
-        return self.submit(x)
-
     @property
     def stats(self) -> DispatchStats:
         """A point-in-time copy of the coalescing counters."""

@@ -16,10 +16,15 @@ or tampered store entry is evicted instead of trusted; with
 ``jobs > 1`` cold searches compile and time candidates concurrently
 with a deterministic winner (ties broken on candidate index).
 
-Fault tolerance: with a ``sandbox`` policy, candidates are timed in
-isolated worker processes; one that segfaults, hangs or emits NaN is
+Fault tolerance: with a ``sandbox`` policy, candidates are compiled
+and timed on ``jobs`` leased worker processes
+(:mod:`repro.search.queue`); one that segfaults, hangs or emits NaN is
 skipped (and quarantined) and the search keeps going over the
-survivors instead of aborting.
+survivors instead of aborting, and with a journal a killed search
+resumes from the measurements it had finished.  Sizes are processed
+serially — the leaf substitution makes size ``n`` depend on every
+solved ``m < n`` — but within a size the whole candidate x threshold
+grid fans out.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from repro.core.parser import parse_formula_text
 from repro.generator.fft_rules import enumerate_ct_formulas
 from repro.perfeval.sandbox import Quarantine, SandboxPolicy
 from repro.search.measure import measure_formulas, validate_fft_formula
+from repro.search.queue import TaskJournal
 from repro.wisdom.parallel import pick_winner
 from repro.wisdom.store import WisdomStore
 
@@ -105,6 +111,7 @@ def search_small_sizes(sizes: tuple[int, ...] = (2, 4, 8, 16, 32, 64), *,
                        jobs: int = 1,
                        sandbox: SandboxPolicy | None = None,
                        quarantine: Quarantine | None = None,
+                       journal_path: str | None = None,
                        unroll_thresholds: tuple[int, ...] | None = None,
                        verbose: bool = False) -> dict[int, SearchResult]:
     """Run the paper's small-size dynamic-programming search.
@@ -114,9 +121,11 @@ def search_small_sizes(sizes: tuple[int, ...] = (2, 4, 8, 16, 32, 64), *,
     count for quick runs; ``wisdom`` replays remembered winners with
     zero re-measurement (each replayed formula is first re-validated
     numerically and evicted on mismatch); ``jobs`` measures candidates
-    concurrently; ``sandbox`` isolates each measurement in a worker
-    process so crashing/hanging/NaN candidates are skipped and
-    quarantined rather than fatal.
+    concurrently; ``sandbox`` isolates measurement in worker processes
+    so crashing/hanging/NaN candidates are skipped and quarantined
+    rather than fatal, and ``journal_path`` then makes the run
+    resumable — a search killed mid-run restarts from the journal and
+    re-measures only the missing candidates.
 
     ``unroll_thresholds`` adds the paper's ``-B`` knob as a second
     search dimension: every candidate formula is compiled and measured
@@ -130,6 +139,7 @@ def search_small_sizes(sizes: tuple[int, ...] = (2, 4, 8, 16, 32, 64), *,
     space is never silently replayed in another.
     """
     compiler = compiler or default_small_compiler()
+    journal = TaskJournal(journal_path) if journal_path else None
     sweep = tuple(sorted(set(unroll_thresholds))) \
         if unroll_thresholds else None
     variants = {
@@ -199,7 +209,7 @@ def search_small_sizes(sizes: tuple[int, ...] = (2, 4, 8, 16, 32, 64), *,
             measurements = measure_formulas(
                 variant, candidates, name_prefix=prefix,
                 min_time=min_time, jobs=jobs,
-                sandbox=sandbox, quarantine=quarantine,
+                sandbox=sandbox, quarantine=quarantine, journal=journal,
             )
             tried += len(candidates)
             tagged.extend((threshold, m) for m in measurements)

@@ -1,4 +1,4 @@
-"""Compile-and-time one formula candidate.
+"""Compile-and-time formula candidates: the search's one measurement seam.
 
 The measurement path is: SPL compiler (straight-line or looped code)
 -> C backend -> host C compiler at -O3 -> ctypes -> best-of timing.
@@ -6,21 +6,24 @@ When no C compiler is available the Python backend is timed instead
 (relative comparisons between candidates remain meaningful).
 
 Fault tolerance: with a :class:`repro.perfeval.sandbox.SandboxPolicy`,
-the risky half — executing generated native code — runs in a worker
-process per candidate (wall-clock timeout, memory cap, crash
-detection).  A candidate that segfaults, hangs or emits NaN comes back
-as a :class:`Measurement` carrying a structured
+everything after SPL->C — the host compiler and executing the
+generated native code — runs on the leased worker processes of
+:mod:`repro.search.queue`, ``jobs`` of them: wall-clock lease, memory
+cap, crash detection, finite-output probe, optional journal.  A
+candidate that segfaults, hangs, over-allocates or emits NaN comes
+back as a :class:`Measurement` carrying a structured
 :class:`~repro.perfeval.sandbox.CandidateFailure` (``ok`` is False,
 ``seconds`` is inf) instead of raising, and is quarantined by plan key
 so no later search re-measures it.  The search layers above simply
-skip non-``ok`` measurements and keep going.
+skip non-``ok`` measurements and keep going.  Without a policy (or
+without ``fork``) candidates are built and timed in-process.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
+from pathlib import Path
 from typing import Sequence
 
 from repro.core.compiler import CompiledRoutine, SplCompiler
@@ -31,19 +34,19 @@ from repro.perfeval.sandbox import (
     CandidateFailure,
     Quarantine,
     SandboxPolicy,
-    SandboxResult,
-    default_quarantine,
     sandbox_supported,
+    source_key,
 )
 from repro.perfeval.timing import pseudo_mflops, time_callable
-from repro.wisdom.parallel import map_indexed, precompile_sources
+from repro.search.queue import TaskJournal, TaskQueueCoordinator
+from repro.wisdom.parallel import map_indexed, resolve_jobs
 
 
 @dataclass
 class Measurement:
     """One timed candidate (or its structured failure).
 
-    ``executable`` is None for sandboxed measurements (the executable
+    ``executable`` is None for isolated measurements (the executable
     lives and dies in the worker; the winner can be rebuilt from its
     formula) and for failed candidates.  ``ok`` distinguishes a real
     timing from a failure: failed candidates time as ``inf`` so a
@@ -109,39 +112,100 @@ def validate_fft_formula(compiler: SplCompiler, formula: Formula, n: int, *,
     return bool(np.allclose(y, np.fft.fft(x), rtol=rtol, atol=atol))
 
 
-def _use_sandbox(sandbox: SandboxPolicy | None,
-                 routine: CompiledRoutine) -> bool:
-    return (
-        sandbox is not None
-        and sandbox.enabled
-        and sandbox_supported()
-        and routine.language == "c"
-        and ccompile.have_c_compiler()
-    )
+def _compile_task(task: dict) -> dict:
+    """Worker side, before the lease: source -> cached shared object.
+
+    The host compiler bounds itself (``SPL_CC_TIMEOUT``); a
+    ``CCompileError`` propagates and the queue retries it.
+    """
+    so_path = ccompile.compile_shared_object(task["source"])
+    return {**task, "so_path": str(so_path)}
 
 
-def _measure_sandboxed(routine: CompiledRoutine, formula: Formula, *,
-                       sandbox: SandboxPolicy,
-                       quarantine: Quarantine | None,
-                       min_time: float, repeats: int) -> Measurement:
-    from repro.perfeval import sandbox as sandbox_mod
+def _time_task(task: dict) -> dict:
+    """Worker side, under the lease: load, probe, time.
 
-    program = routine.program
-    outcome = sandbox_mod.measure_candidate(
-        routine.source, routine.name,
-        in_len=program.in_size * program.element_width,
-        out_len=program.out_size * program.element_width,
-        strided=program.strided,
-        policy=sandbox,
-        min_time=min_time, repeats=repeats,
-        quarantine=quarantine,
-    )
-    if isinstance(outcome, SandboxResult):
-        return Measurement(formula=formula, routine=routine,
-                           executable=None, seconds=outcome.seconds,
-                           sandboxed=True)
-    return Measurement(formula=formula, routine=routine, executable=None,
-                       seconds=math.inf, failure=outcome, sandboxed=True)
+    A segfault, a rlimit kill or an endless loop simply ends (or
+    wedges) the worker, which the coordinator observes; a non-finite
+    probe output is a verdict, returned as data.
+    """
+    import numpy as np
+
+    strided = task["strided"]
+    fn = ccompile.load_function(Path(task["so_path"]), task["name"],
+                                strided=strided)
+    rng = np.random.default_rng(0)
+    x = np.ascontiguousarray(rng.standard_normal(task["in_len"]))
+    y = np.zeros(task["out_len"])
+    xp = ccompile.address(x)
+    yp = ccompile.address(y)
+    extra = (1, 1, 0, 0) if strided else ()
+
+    fn(yp, xp, *extra)  # the probe call: crash/hang happens here
+    if task["check_output"] and not np.isfinite(y).all():
+        return {"ok": False, "kind": "nan",
+                "detail": "probe output contains NaN/Inf"}
+
+    def call() -> None:
+        fn(yp, xp, *extra)
+
+    return {"ok": True,
+            "seconds": time_callable(call, min_time=task["min_time"],
+                                     repeats=task["repeats"])}
+
+
+def _measure_routines(routines: Sequence[CompiledRoutine],
+                      formulas: Sequence[Formula], *,
+                      min_time: float, repeats: int, jobs: int,
+                      sandbox: SandboxPolicy | None,
+                      quarantine: Quarantine | None,
+                      journal: TaskJournal | None) -> list[Measurement]:
+    """Time compiled ``routines``: on the lease queue when isolation is
+    asked for and available, else on a thread pool in this process."""
+    if (sandbox is None or not sandbox_supported()
+            or not ccompile.have_c_compiler()):
+
+        def measure_one(index: int, routine: CompiledRoutine) -> Measurement:
+            executable = build_executable(routine)
+            seconds = time_callable(executable.timer_closure(),
+                                    min_time=min_time, repeats=repeats)
+            return Measurement(formula=formulas[index], routine=routine,
+                               executable=executable, seconds=seconds)
+
+        return map_indexed(routines, measure_one, jobs=jobs)
+
+    # Content-keyed tasks on the lease queue: the key is what the
+    # journal replays and the quarantine remembers a candidate by.
+    cflags = ccompile.extra_cflags()
+    keys = [source_key(routine.source, cflags) for routine in routines]
+    tasks = {}
+    for key, routine in zip(keys, routines):
+        program = routine.program
+        tasks[key] = {
+            "source": routine.source, "name": routine.name,
+            "in_len": program.in_size * program.element_width,
+            "out_len": program.out_size * program.element_width,
+            "strided": program.strided,
+            "check_output": sandbox.check_output,
+            "min_time": min_time, "repeats": repeats,
+        }
+    coordinator = TaskQueueCoordinator(
+        _time_task, prepare=_compile_task, workers=resolve_jobs(jobs),
+        policy=sandbox, journal=journal, quarantine=quarantine)
+    outcome = coordinator.run(tasks)
+    measurements = []
+    for key, routine, formula in zip(keys, routines, formulas):
+        result = outcome.results.get(key)
+        failure = outcome.failures.get(key)
+        if result is not None and not result["ok"]:
+            failure = CandidateFailure(kind=result["kind"], plan_key=key,
+                                       detail=result["detail"])
+            coordinator.quarantine.add(failure)
+        measurements.append(Measurement(
+            formula=formula, routine=routine, executable=None,
+            seconds=math.inf if failure else result["seconds"],
+            failure=failure, sandboxed=True))
+    return measurements
 
 
 def measure_formula(compiler: SplCompiler, formula: Formula, name: str, *,
@@ -152,19 +216,13 @@ def measure_formula(compiler: SplCompiler, formula: Formula, name: str, *,
     """Compile ``formula`` with ``compiler`` and time it.
 
     With a ``sandbox`` policy the timing runs in an isolated worker
-    process and misbehaving candidates come back as failed
-    measurements instead of taking the caller down.
+    process and a misbehaving candidate comes back as a failed
+    measurement instead of taking the caller down.
     """
     routine = compiler.compile_formula(formula, name, language="c")
-    if _use_sandbox(sandbox, routine):
-        return _measure_sandboxed(routine, formula, sandbox=sandbox,
-                                  quarantine=quarantine,
-                                  min_time=min_time, repeats=repeats)
-    executable = build_executable(routine)
-    seconds = time_callable(executable.timer_closure(),
-                            min_time=min_time, repeats=repeats)
-    return Measurement(formula=formula, routine=routine,
-                       executable=executable, seconds=seconds)
+    return _measure_routines(
+        [routine], [formula], min_time=min_time, repeats=repeats, jobs=1,
+        sandbox=sandbox, quarantine=quarantine, journal=None)[0]
 
 
 def measure_formulas(compiler: SplCompiler, formulas: Sequence[Formula], *,
@@ -174,22 +232,23 @@ def measure_formulas(compiler: SplCompiler, formulas: Sequence[Formula], *,
                      jobs: int = 1,
                      sandbox: SandboxPolicy | None = None,
                      quarantine: Quarantine | None = None,
+                     journal: TaskJournal | None = None,
                      ) -> list[Measurement]:
-    """Compile and time a batch of candidates, optionally in parallel.
+    """Compile and time a batch of candidates, ``jobs`` at a time.
 
-    With ``jobs > 1`` the expensive half of the C path — the host
-    compiler subprocess per candidate — is fanned out over a process
-    pool (see :mod:`repro.wisdom.parallel`), after which the timing
-    runs fan out over a thread pool.  Results are returned in candidate
-    order, so selecting the first minimum yields the same winner as a
-    serial run given the same timings.
+    SPL->C happens here, in the caller (memoized by the compiler).
+    With a ``sandbox`` policy the host compiler and the timing run as
+    leased tasks on ``jobs`` worker processes; ``quarantine`` (default:
+    the process-wide one) suppresses re-measurement of candidates that
+    already failed and ``journal`` makes completed measurements survive
+    a killed run.  Without one, candidates are built and timed on a
+    thread pool in this process.
 
-    With a ``sandbox`` policy each timing runs in a worker process;
-    the returned list keeps one :class:`Measurement` per candidate in
-    order — failed candidates included, marked ``ok=False`` — so
-    callers can both skip failures and report them.  ``quarantine``
-    (default: the process-wide one) suppresses re-measurement of
-    candidates that already failed.
+    Either way the returned list keeps one :class:`Measurement` per
+    candidate in candidate order — failed candidates included, marked
+    ``ok=False`` — so selecting the first minimum yields the same
+    winner at any ``jobs`` given the same timings, and callers can
+    both skip failures and report them.
     """
     formulas = list(formulas)
     routines = [
@@ -197,27 +256,6 @@ def measure_formulas(compiler: SplCompiler, formulas: Sequence[Formula], *,
                                  language="c")
         for index, formula in enumerate(formulas)
     ]
-    if jobs > 1 and len(routines) > 1 and ccompile.have_c_compiler():
-        # Warm the shared-object cache concurrently; the build step
-        # below then loads the cached .so without re-invoking cc.
-        # Candidates whose *compilation* fails are reported one at a
-        # time below, so a bad apple here must not abort the batch.
-        try:
-            precompile_sources([routine.source for routine in routines],
-                               jobs=jobs)
-        except ccompile.CCompileError:
-            pass
-
-    def measure_one(index: int, routine: CompiledRoutine) -> Measurement:
-        if _use_sandbox(sandbox, routine):
-            return _measure_sandboxed(
-                routine, formulas[index], sandbox=sandbox,
-                quarantine=quarantine, min_time=min_time, repeats=repeats,
-            )
-        executable = build_executable(routine)
-        seconds = time_callable(executable.timer_closure(),
-                                min_time=min_time, repeats=repeats)
-        return Measurement(formula=formulas[index], routine=routine,
-                           executable=executable, seconds=seconds)
-
-    return map_indexed(routines, measure_one, jobs=jobs)
+    return _measure_routines(
+        routines, formulas, min_time=min_time, repeats=repeats, jobs=jobs,
+        sandbox=sandbox, quarantine=quarantine, journal=journal)

@@ -1,20 +1,29 @@
-"""Crash-tolerant distributed work queue for plan-key measurement.
+"""The isolated-measurement executor: a crash-tolerant leased work queue.
 
 The search is the expensive offline half of the system (§4: every
-candidate formula is compiled and *executed* to be timed), and PR 4
-already isolates one measurement in a forked sandbox.  This module
-scales that out: a coordinator fans measurement tasks over a pool of
-forked workers and survives every failure mode a hostile candidate or
-an unlucky host can produce:
+candidate formula is compiled and *executed* to be timed), and the
+generated code it executes is untrusted: a miscompiled codelet can
+segfault, spin forever, allocate without bound or emit NaN.  This
+module is the one place that creates processes for measurement.  A
+coordinator fans tasks over long-lived forked workers (every worker
+under the policy's ``RLIMIT_AS`` cap) and survives every failure mode
+a hostile candidate or an unlucky host can produce:
 
-* **Leases** — a task handed to a worker is *leased*, not gone.  A
-  worker that dies (segfault, OOM kill, chaos SIGKILL), wedges past
-  the lease timeout, or stops heartbeating is SIGKILLed and its task
-  is reclaimed and re-queued under exponential backoff.
-* **Poison cap** — a task that repeatedly kills workers is not retried
-  forever: after ``max_attempts`` total attempts it is quarantined as
-  a structured :class:`~repro.perfeval.sandbox.CandidateFailure`
-  (exactly like PR 4's in-process quarantine), and the queue moves on.
+* **Leases** — a task handed to a worker is *leased*, not gone.  The
+  lease clock starts when the task's ``prepare`` step (the host
+  compiler, which bounds itself) has returned, so it budgets execution
+  only.  A worker that wedges past the lease or stops heartbeating is
+  SIGKILLed and its task settles as a ``hang``.
+* **One retry rule** — an attempt that ends without a verdict (the
+  worker died: segfault, OOM killer, chaos SIGKILL; or the task
+  function raised) is retried under exponential backoff up to
+  ``max_attempts``, because the cause may lie outside the candidate;
+  a lease expiry is terminal at once, because waiting the same timeout
+  again cannot end differently.
+* **Poison cap** — a task out of attempts is quarantined as a
+  structured :class:`~repro.perfeval.sandbox.CandidateFailure` naming
+  the last cause (for a lost worker: the signal that killed it), and
+  the queue moves on.
 * **Journal** — every completed result is appended to a checksummed,
   append-only JSONL journal *before* it is surfaced, so a coordinator
   crash (or Ctrl-C) loses nothing: a restarted run replays the
@@ -27,9 +36,10 @@ an unlucky host can produce:
   duplicate, so downstream consumers never see a key twice.
 
 The worker body is deliberately dumb: receive a task, run
-``task_fn(payload)``, send the result, heartbeat from a side thread
-while running.  Anything smart — retries, quarantine, persistence —
-lives in the coordinator, where a bug cannot be killed by a segfault.
+``prepare`` then ``task_fn``, send the result, heartbeat from a side
+thread while running.  Anything smart — retries, quarantine,
+persistence — lives in the coordinator, where a bug cannot be killed
+by a segfault.
 
 Chaos: :class:`SearchChaos` (env ``SPL_SEARCH_CHAOS``, e.g.
 ``kill=0.3,seed=7``) makes workers SIGKILL themselves immediately
@@ -41,8 +51,10 @@ an end-to-end run still converges.
 from __future__ import annotations
 
 import collections
+import faulthandler
 import hashlib
 import json
+import math
 import os
 import signal
 import threading
@@ -51,11 +63,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.perfeval.ccompile import CCompileError
 from repro.perfeval.sandbox import (
     CandidateFailure,
     Quarantine,
+    SandboxPolicy,
     default_quarantine,
+    sandbox_supported,
 )
+
+try:  # POSIX-only; without it workers simply run uncapped
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    resource = None  # type: ignore[assignment]
 
 #: Environment variable carrying the search chaos spec (mirrors the
 #: serving fleet's ``SPL_CHAOS`` convention).
@@ -64,16 +84,8 @@ SEARCH_CHAOS_ENV = "SPL_SEARCH_CHAOS"
 _STOP = ("stop",)
 
 
-def queue_supported() -> bool:
-    """Forked-worker fan-out needs a POSIX fork; mirrors the sandbox."""
-    if os.name != "posix" or not hasattr(os, "fork"):
-        return False
-    try:
-        import multiprocessing
-
-        return "fork" in multiprocessing.get_all_start_methods()
-    except ImportError:  # pragma: no cover
-        return False
+#: Failure kind by the exception a task raised (first match; else "error").
+_FAILURE_KINDS = ((MemoryError, "memory"), (CCompileError, "compile"))
 
 
 # ---------------------------------------------------------------------------
@@ -244,43 +256,8 @@ class TaskJournal:
 
 
 # ---------------------------------------------------------------------------
-# Policy + outcome types.
+# The outcome type.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QueuePolicy:
-    """Knobs governing one coordinator run.
-
-    ``lease_timeout_s`` bounds one attempt's wall clock (a wedged task
-    is killed past it); ``heartbeat_timeout_s`` catches a frozen
-    worker *process* much sooner (its heartbeat thread goes silent
-    even though the lease has time left).  ``max_attempts`` is the
-    poison cap: total attempts per key, after which the key is
-    quarantined instead of retried.
-    """
-
-    workers: int = 2
-    lease_timeout_s: float = 30.0
-    heartbeat_interval_s: float = 0.1
-    heartbeat_timeout_s: float = 5.0
-    max_attempts: int = 3
-    backoff_base_s: float = 0.05
-    backoff_multiplier: float = 2.0
-    backoff_max_s: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}")
-
-    def backoff_s(self, attempts: int) -> float:
-        """Delay before re-queueing after the ``attempts``-th failure."""
-        k = max(1, attempts)
-        return min(self.backoff_max_s,
-                   self.backoff_base_s * self.backoff_multiplier ** (k - 1))
 
 
 @dataclass
@@ -291,32 +268,48 @@ class QueueOutcome:
     failures: dict[str, CandidateFailure] = field(default_factory=dict)
     stats: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def completed(self) -> int:
-        return len(self.results)
-
 
 # ---------------------------------------------------------------------------
 # The worker body.
 # ---------------------------------------------------------------------------
 
 
+def _limit_memory(memory_mb: int) -> None:
+    if resource is None or memory_mb <= 0:
+        return
+    limit = memory_mb * 1024 * 1024
+    try:
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        if hard != resource.RLIM_INFINITY:
+            limit = min(limit, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    except (OSError, ValueError):  # pragma: no cover - exotic rlimit state
+        pass
+
+
 def _worker_main(conn, task_fn: Callable[[dict], Any],
-                 heartbeat_interval: float,
+                 prepare: Callable[[dict], dict] | None,
+                 policy: SandboxPolicy,
                  chaos: SearchChaos | None) -> None:
     """Receive tasks, run them, heartbeat while running, report.
 
     Runs in a forked child.  ``conn`` sends are serialized by a lock
     (the heartbeat thread and the task loop share the pipe).  A task
-    whose ``task_fn`` raises reports a ``fail`` message — the
-    coordinator decides whether to retry; a task that crashes the
-    process reports nothing, which the coordinator observes as EOF.
+    whose ``prepare`` or ``task_fn`` raises reports a ``fail`` message
+    — the coordinator decides whether to retry; a task that crashes the
+    process reports nothing, which the coordinator observes as EOF plus
+    the exit signal.
     """
+    # The parent's fault handler (pytest, ``-X faulthandler``) would
+    # dump the *parent's* inherited stack when a candidate segfaults;
+    # the crash is reported structurally by the coordinator instead.
+    faulthandler.disable()
     for signum in (signal.SIGTERM, signal.SIGINT, signal.SIGHUP):
         try:
             signal.signal(signum, signal.SIG_DFL)
         except (OSError, ValueError):  # pragma: no cover
             pass
+    _limit_memory(policy.memory_mb)
     send_lock = threading.Lock()
 
     def send(message: tuple) -> bool:
@@ -340,17 +333,23 @@ def _worker_main(conn, task_fn: Callable[[dict], Any],
         done = threading.Event()
 
         def beat(task_key: str = key) -> None:
-            while not done.wait(heartbeat_interval):
+            while not done.wait(policy.heartbeat_interval):
                 if not send(("beat", task_key)):
                     return
 
         beater = threading.Thread(target=beat, daemon=True)
         beater.start()
         try:
+            if prepare is not None:
+                payload = prepare(payload)
+                send(("ready", key))
             result = task_fn(payload)
         except BaseException as exc:  # noqa: BLE001 - reported, not raised
             done.set()
-            sent = send(("fail", key, type(exc).__name__, str(exc)[:500]))
+            kind = next((kind for cls, kind in _FAILURE_KINDS
+                         if isinstance(exc, cls)), "error")
+            sent = send(("fail", key, kind,
+                         f"{type(exc).__name__}: {exc}"[:2000]))
         else:
             done.set()
             sent = send(("done", key, result))
@@ -384,26 +383,34 @@ class _Worker:
 class TaskQueueCoordinator:
     """Fan tasks over forked workers; lease, journal, retry, quarantine.
 
-    ``task_fn(payload) -> result`` runs inside the worker process and
-    must return something JSON-serializable (the journal stores it
-    verbatim).  A raising ``task_fn`` counts as a failed attempt and
-    is retried under backoff like a crash; code that wants a failure
-    to be a *terminal data point* (e.g. "this candidate does not
-    compile") should catch its own exceptions and return a structured
-    result instead.
+    ``task_fn(payload) -> result`` runs inside the worker process under
+    the lease and must return something JSON-serializable (the journal
+    stores it verbatim).  ``prepare(payload) -> payload`` — optional —
+    runs in the worker first and *outside* the lease (it must bound
+    itself, as the host compiler does); its return value is what
+    ``task_fn`` receives.  Either one raising counts as a failed
+    attempt and is retried under backoff like a lost worker; code that
+    wants a failure to be a *terminal data point* (e.g. "this candidate
+    emits NaN") should return a structured result instead.
     """
 
     def __init__(self, task_fn: Callable[[dict], Any], *,
-                 policy: QueuePolicy | None = None,
+                 prepare: Callable[[dict], dict] | None = None,
+                 workers: int = 2,
+                 policy: SandboxPolicy | None = None,
                  journal: TaskJournal | None = None,
                  quarantine: Quarantine | None = None,
                  chaos: SearchChaos | None = None):
-        if not queue_supported():
+        if not sandbox_supported():
             raise RuntimeError(
-                "distributed search needs POSIX fork "
-                "(use the serial search here)")
+                "isolated measurement needs POSIX fork "
+                "(measure in-process here)")
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.task_fn = task_fn
-        self.policy = policy or QueuePolicy()
+        self.prepare = prepare
+        self.workers = workers
+        self.policy = policy or SandboxPolicy()
         self.journal = journal
         self.quarantine = (quarantine if quarantine is not None
                            else default_quarantine())
@@ -419,8 +426,8 @@ class TaskQueueCoordinator:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         proc = ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.task_fn,
-                  self.policy.heartbeat_interval_s, self.chaos),
+            args=(child_conn, self.task_fn, self.prepare, self.policy,
+                  self.chaos),
             daemon=True,
         )
         proc.start()
@@ -429,31 +436,31 @@ class TaskQueueCoordinator:
         now = time.monotonic()
         return _Worker(proc=proc, conn=parent_conn, last_beat=now)
 
-    def _kill_worker(self, worker: _Worker) -> None:
-        try:
-            if worker.proc.pid is not None:
-                os.kill(worker.proc.pid, signal.SIGKILL)
-        except (ProcessLookupError, OSError):
-            pass
-        worker.proc.join(5.0)
+    def _reap(self, worker: _Worker, *, grace: float) -> int | None:
+        """Collect ``worker``, SIGKILLing it if it outlives ``grace``.
+
+        Returns the signal that ended it, if one did.  A worker that
+        closed its pipe gets a moment to be reaped first, so the signal
+        reported is its own (SIGSEGV, the OOM killer's SIGKILL) rather
+        than ours.
+        """
+        worker.proc.join(grace)
+        if worker.proc.exitcode is None:
+            worker.proc.kill()
+            worker.proc.join(5.0)
         try:
             worker.conn.close()
         except OSError:  # pragma: no cover
             pass
+        code = worker.proc.exitcode
+        return -code if code is not None and code < 0 else None
 
     def _stop_worker(self, worker: _Worker) -> None:
         try:
             worker.conn.send(_STOP)
         except (OSError, ValueError, BrokenPipeError):
             pass
-        worker.proc.join(1.0)
-        if worker.proc.is_alive():
-            self._kill_worker(worker)
-        else:
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover
-                pass
+        self._reap(worker, grace=1.0)
 
     # -- the run -------------------------------------------------------
 
@@ -471,9 +478,9 @@ class TaskQueueCoordinator:
         policy = self.policy
         pending: collections.deque[str] = collections.deque()
         attempts: dict[str, int] = {key: 0 for key in tasks}
-        # Last observed failure cause per key, so the eventual
+        # Last observed (kind, detail, signal) per key, so the eventual
         # CandidateFailure names the real reason, not a generic one.
-        last_cause: dict[str, tuple[str, str]] = {}
+        last_cause: dict[str, tuple[str, str, int | None]] = {}
         ready_at: dict[str, float] = {}
 
         if self.journal is not None:
@@ -500,12 +507,12 @@ class TaskQueueCoordinator:
             return outcome
 
         workers = [self._spawn_worker()
-                   for _ in range(min(policy.workers, len(pending)))]
+                   for _ in range(min(self.workers, len(pending)))]
 
-        def settle_poison(key: str) -> None:
-            kind, detail = last_cause.get(key, ("crash", "worker lost"))
+        def settle_failed(key: str) -> None:
+            kind, detail, signum = last_cause[key]
             failure = CandidateFailure(
-                kind=kind, plan_key=key, detail=detail,
+                kind=kind, plan_key=key, detail=detail, signal=signum,
                 attempts=attempts[key])
             self.quarantine.add(failure)
             outcome.failures[key] = failure
@@ -513,7 +520,7 @@ class TaskQueueCoordinator:
 
         def retry_or_poison(key: str) -> None:
             if attempts[key] >= policy.max_attempts:
-                settle_poison(key)
+                settle_failed(key)
             else:
                 ready_at[key] = (time.monotonic()
                                  + policy.backoff_s(attempts[key]))
@@ -521,17 +528,26 @@ class TaskQueueCoordinator:
                 self.stats["retries"] += 1
 
         def reclaim(worker: _Worker, *, reason: str) -> None:
-            key, worker.key = worker.key, None
+            """Kill/reap ``worker``, settle or re-queue its task, replace it."""
+            signum = self._reap(worker,
+                                grace=1.0 if reason == "dead" else 0.0)
+            workers[workers.index(worker)] = self._spawn_worker()
+            key = worker.key
             if key is None or key in outcome.results:
                 return
             self.stats[f"reclaims_{reason}"] += 1
-            last_cause.setdefault(
-                key, ("hang" if reason in ("wedged", "silent") else "crash",
-                      f"worker lost ({reason})"))
-            retry_or_poison(key)
-
-        def replace(worker: _Worker) -> None:
-            workers[workers.index(worker)] = self._spawn_worker()
+            if reason == "dead":
+                how = (f"killed by signal {signum}" if signum is not None
+                       else f"exited with code {worker.proc.exitcode}")
+                last_cause[key] = ("crash", f"worker {how}", signum)
+                retry_or_poison(key)
+            else:
+                limit = (policy.timeout if reason == "wedged"
+                         else policy.heartbeat_timeout)
+                last_cause[key] = (
+                    "hang", f"worker {reason}: nothing within {limit:g}s",
+                    None)
+                settle_failed(key)
 
         def drain(worker: _Worker) -> None:
             """Consume every queued message from one worker pipe."""
@@ -543,13 +559,14 @@ class TaskQueueCoordinator:
                 except (EOFError, OSError):
                     # Worker died: crash, chaos SIGKILL, rlimit, OOM.
                     self.stats["worker_deaths"] += 1
-                    self._kill_worker(worker)
                     reclaim(worker, reason="dead")
-                    replace(worker)
                     return
                 kind = message[0]
                 if kind == "beat":
                     worker.last_beat = time.monotonic()
+                elif kind == "ready":
+                    if worker.key == message[1]:
+                        worker.leased_at = time.monotonic()
                 elif kind == "done":
                     _, key, result = message
                     if worker.key == key:
@@ -567,14 +584,14 @@ class TaskQueueCoordinator:
                         self.journal.append(key, result)
                     self.stats["completed"] += 1
                 elif kind == "fail":
-                    _, key, exc_type, detail = message
+                    _, key, failure_kind, detail = message
                     if worker.key == key:
                         worker.key = None
                     if key in outcome.results or key not in attempts:
                         self.stats["duplicates_ignored"] += 1
                         continue
                     self.stats["task_errors"] += 1
-                    last_cause[key] = ("error", f"{exc_type}: {detail}")
+                    last_cause[key] = (failure_kind, detail, None)
                     retry_or_poison(key)
 
         def outstanding() -> int:
@@ -587,7 +604,7 @@ class TaskQueueCoordinator:
             while outstanding() > 0:
                 now = time.monotonic()
                 # Assign ready tasks to idle workers.
-                for worker in workers:
+                for worker in list(workers):
                     if not worker.idle or not pending:
                         continue
                     key = None
@@ -601,7 +618,10 @@ class TaskQueueCoordinator:
                         break  # everything pending is backing off
                     attempts[key] += 1
                     worker.key = key
-                    worker.leased_at = now
+                    # With a prepare step the lease clock starts at the
+                    # worker's "ready"; until then only heartbeats watch.
+                    worker.leased_at = now if self.prepare is None \
+                        else math.inf
                     worker.last_beat = now
                     try:
                         worker.conn.send(
@@ -609,9 +629,7 @@ class TaskQueueCoordinator:
                     except (OSError, ValueError, BrokenPipeError):
                         # Worker died between assignments.
                         self.stats["worker_deaths"] += 1
-                        self._kill_worker(worker)
                         reclaim(worker, reason="dead")
-                        replace(worker)
                 # Wait for messages or the next deadline.
                 timeout = self._poll_timeout(workers, pending, ready_at)
                 conns = [w.conn for w in workers]
@@ -628,16 +646,13 @@ class TaskQueueCoordinator:
                 for worker in list(workers):
                     if worker.idle:
                         continue
-                    over_lease = (now - worker.leased_at
-                                  > policy.lease_timeout_s)
+                    over_lease = now - worker.leased_at > policy.timeout
                     silent = (now - worker.last_beat
-                              > policy.heartbeat_timeout_s)
+                              > policy.heartbeat_timeout)
                     if over_lease or silent:
                         self.stats["workers_killed"] += 1
-                        self._kill_worker(worker)
                         reclaim(worker,
                                 reason="wedged" if over_lease else "silent")
-                        replace(worker)
         finally:
             for worker in workers:
                 self._stop_worker(worker)
@@ -653,8 +668,8 @@ class TaskQueueCoordinator:
             if not worker.idle:
                 horizon = min(
                     horizon,
-                    worker.leased_at + self.policy.lease_timeout_s,
-                    worker.last_beat + self.policy.heartbeat_timeout_s,
+                    worker.leased_at + self.policy.timeout,
+                    worker.last_beat + self.policy.heartbeat_timeout,
                 )
         for key in pending:
             if key in ready_at:

@@ -17,7 +17,6 @@ from repro.serve.chaos import (
     ChaosInjector,
     ChaosReport,
     FleetProcess,
-    fleet_supported,
     run_chaos,
 )
 from repro.serve.client import (
@@ -83,7 +82,6 @@ __all__ = [
     "Unavailable",
     "WorkloadSpec",
     "call_with_retry",
-    "fleet_supported",
     "fork_supported",
     "mixed_fft_specs",
     "run_chaos",

@@ -193,14 +193,6 @@ def injector_from_env(environ=os.environ) -> ChaosInjector | None:
 # ---------------------------------------------------------------------------
 
 
-def fleet_supported() -> bool:
-    """Can this host run a supervised fleet at all?"""
-    import socket
-
-    return (hasattr(os, "fork") and hasattr(signal, "SIGCHLD")
-            and hasattr(socket, "SO_REUSEPORT"))
-
-
 class FleetProcess:
     """``spl serve --workers N`` as a context-managed subprocess.
 
@@ -524,7 +516,9 @@ def run_chaos(*, workers: int = 2, n: int = 16, rate: float = 300.0,
     result against ``numpy.fft``.  The caller asserts on the report;
     the harness never hides an outcome.
     """
-    if not fleet_supported():
+    from repro.serve.supervisor import fork_supported
+
+    if not fork_supported():
         raise RuntimeError("supervised fleets need fork + SO_REUSEPORT")
     if policy is None:
         policy = RetryPolicy(
@@ -570,7 +564,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="post-recovery availability gate")
     args = parser.parse_args(argv)
 
-    if not fleet_supported():
+    from repro.serve.supervisor import fork_supported
+
+    if not fork_supported():
         print("chaos: fork/SO_REUSEPORT unavailable; skipping",
               file=sys.stderr)
         return 0

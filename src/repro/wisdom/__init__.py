@@ -9,7 +9,7 @@ reproduction the same capability at three levels:
 * :mod:`repro.wisdom.store` — :class:`WisdomStore`, a JSON-backed
   table of best-found formulas/plans with hit/miss/bytes counters and
   graceful fallback on corrupt or foreign files;
-* :mod:`repro.wisdom.parallel` — concurrent candidate compilation and
+* :mod:`repro.wisdom.parallel` — in-process concurrent candidate
   measurement with deterministic winner selection.
 
 The in-process half (memoizing ``SplCompiler.compile_formula``) lives
@@ -26,7 +26,6 @@ from repro.wisdom.keys import (
 from repro.wisdom.parallel import (
     map_indexed,
     pick_winner,
-    precompile_sources,
     resolve_jobs,
 )
 from repro.wisdom.store import WISDOM_VERSION, WisdomEntry, WisdomStore
@@ -41,7 +40,6 @@ __all__ = [
     "options_hash",
     "pick_winner",
     "platform_fingerprint",
-    "precompile_sources",
     "resolve_jobs",
     "wisdom_key",
 ]

@@ -1,18 +1,11 @@
-"""Concurrent candidate measurement with deterministic winner selection.
+"""In-process concurrent measurement with deterministic winner selection.
 
-Search cost splits into two very different parts:
-
-* **compiling** candidates — dominated by the host C compiler, a
-  subprocess per candidate: embarrassingly parallel.  A *process* pool
-  drives :func:`repro.perfeval.ccompile.compile_shared_object` (whose
-  arguments and results are plain picklable values); when a process
-  pool cannot be used (no ``fork``, sandboxed interpreter), a thread
-  pool is an almost-as-good fallback because the compiler subprocess
-  releases the GIL anyway;
-* **timing** candidates — run through a *thread* pool (the Python
-  backend is GIL-bound, so this is the only portable choice, and the
-  native path spends its time inside ctypes calls which release the
-  GIL).
+:func:`map_indexed` fans per-candidate work over a *thread* pool: the
+Python backend is GIL-bound, so threads are the only portable choice,
+and the native path spends its time in the host-compiler subprocess
+and inside ctypes calls, both of which release the GIL.  It serves the
+FFTW-style planner and the search's in-process path; isolated
+measurement (worker processes) is :mod:`repro.search.queue`'s job.
 
 Whatever the execution order, results are returned in *candidate
 order* and :func:`pick_winner` breaks ties on the lowest candidate
@@ -23,48 +16,10 @@ the same timings.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence, TypeVar
-
-from repro.perfeval import ccompile
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-@dataclass
-class PoolStats:
-    """Global counters: how much work actually ran concurrently."""
-
-    tasks: int = 0
-    parallel_tasks: int = 0
-    compile_tasks: int = 0
-    pools_used: dict[str, int] = field(default_factory=dict)
-
-    def note_pool(self, kind: str) -> None:
-        self.pools_used[kind] = self.pools_used.get(kind, 0) + 1
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "tasks": self.tasks,
-            "parallel_tasks": self.parallel_tasks,
-            "compile_tasks": self.compile_tasks,
-            "pools_used": dict(self.pools_used),
-        }
-
-
-STATS = PoolStats()
-
-
-def stats() -> dict[str, object]:
-    return STATS.as_dict()
-
-
-def reset_stats() -> None:
-    global STATS
-    STATS = PoolStats()
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -83,67 +38,16 @@ def map_indexed(items: Sequence[T], fn: Callable[[int, T], R], *,
     is what makes downstream winner selection deterministic.
     """
     jobs = resolve_jobs(jobs)
-    STATS.tasks += len(items)
     if jobs <= 1 or len(items) <= 1:
-        STATS.note_pool("serial")
         return [fn(index, item) for index, item in enumerate(items)]
-    STATS.parallel_tasks += len(items)
-    STATS.note_pool("thread")
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         futures = [
             pool.submit(fn, index, item)
             for index, item in enumerate(items)
         ]
         return [future.result() for future in futures]
-
-
-def precompile_sources(sources: Sequence[str], *,
-                       jobs: int = 1,
-                       cflags: tuple[str, ...] = (),
-                       build_dir: Path | None = None) -> list[Path]:
-    """Compile C sources to cached shared objects, concurrently.
-
-    This is the process-based half of the C measurement path: each
-    worker invokes the host compiler through
-    :func:`repro.perfeval.ccompile.compile_shared_object`, which caches
-    by source hash — so the subsequent (serial or threaded) executable
-    builds are pure cache hits.  Falls back to a thread pool when the
-    process pool is unavailable, and to serial compilation as the last
-    resort.  Results are in source order.
-    """
-    jobs = resolve_jobs(jobs)
-    STATS.compile_tasks += len(sources)
-    if jobs <= 1 or len(sources) <= 1:
-        STATS.note_pool("serial")
-        return [
-            ccompile.compile_shared_object(src, cflags=cflags,
-                                           build_dir=build_dir)
-            for src in sources
-        ]
-    workers = min(jobs, len(sources))
-    for pool_cls, kind in ((ProcessPoolExecutor, "process"),
-                           (ThreadPoolExecutor, "thread")):
-        try:
-            with pool_cls(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(ccompile.compile_shared_object, src,
-                                cflags=cflags, build_dir=build_dir)
-                    for src in sources
-                ]
-                paths = [future.result() for future in futures]
-            STATS.parallel_tasks += len(sources)
-            STATS.note_pool(kind)
-            return paths
-        except ccompile.CCompileError:
-            raise  # a real compile failure, not a pool problem
-        except Exception:  # pool machinery unavailable: try the next kind
-            continue
-    STATS.note_pool("serial")
-    return [
-        ccompile.compile_shared_object(src, cflags=cflags,
-                                       build_dir=build_dir)
-        for src in sources
-    ]
 
 
 def pick_winner(results: Sequence[R],

@@ -6,6 +6,8 @@ Python backend, compiled C) must compute ``to_matrix(formula) @ x``.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,16 @@ HAS_CC = have_c_compiler()
 requires_cc = pytest.mark.skipif(
     not HAS_CC, reason="no C compiler on PATH"
 )
+
+
+def inherited_mb() -> int:
+    """Address space (MiB) a forked worker starts with: this process's.
+
+    Memory-cap tests set ``RLIMIT_AS`` a little above it.
+    """
+    with open("/proc/self/statm") as handle:
+        pages = int(handle.read().split()[0])
+    return pages * os.sysconf("SC_PAGE_SIZE") >> 20
 
 
 @pytest.fixture

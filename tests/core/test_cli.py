@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.cli import main
+from repro.perfeval.sandbox import sandbox_supported
+from tests.conftest import HAS_CC
 
 
 @pytest.fixture
@@ -228,6 +230,24 @@ class TestCliSearch:
     def test_search_with_sandbox_disabled(self, capsys):
         assert main(["--search-fft", "2,4", "--min-time", "0.0005",
                      "--max-candidates", "2", "--no-sandbox"]) == 0
+        assert "pseudo-MFlops" in capsys.readouterr().out
+
+    @pytest.mark.skipif(
+        not (HAS_CC and sandbox_supported()),
+        reason="the journal belongs to isolated measurement")
+    def test_search_journal_works_at_jobs_1_and_resumes(self, tmp_path,
+                                                        capsys):
+        journal = tmp_path / "journal.jsonl"
+        argv = ["--search-fft", "2,4", "--min-time", "0.0005",
+                "--max-candidates", "2", "--jobs", "1",
+                "--search-journal", str(journal)]
+        assert main(argv) == 0
+        records = journal.read_text().splitlines()
+        assert len(records) == 3  # F_2: 1 candidate, F_4: 2
+        # No wisdom file: the rerun enumerates the same candidates and
+        # finds every one in the journal, so nothing is appended.
+        assert main(argv) == 0
+        assert journal.read_text().splitlines() == records
         assert "pseudo-MFlops" in capsys.readouterr().out
 
     def test_sandbox_flags_parse(self):

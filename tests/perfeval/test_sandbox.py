@@ -1,13 +1,14 @@
-"""Tests for sandboxed candidate measurement (hostile-codelet suite).
+"""Tests for isolated candidate measurement (hostile-codelet suite).
 
 Each hostile fixture is a syntactically valid SPL-style C routine that
 misbehaves at runtime — segfault, infinite loop, NaN output — plus one
-that does not compile at all.  The sandbox must convert every one of
-them into a structured :class:`CandidateFailure` (never an exception,
-never a hung test run) and remember it in the quarantine.
+that does not compile at all.  ``measure_formulas`` must convert every
+one of them into a structured :class:`CandidateFailure` (never an
+exception, never a hung test run) and remember it in the quarantine.
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,14 +16,12 @@ from repro.perfeval.sandbox import (
     CandidateFailure,
     Quarantine,
     SandboxPolicy,
-    SandboxResult,
-    TRANSIENT_KINDS,
     default_quarantine,
-    measure_candidate,
     plan_key,
     sandbox_supported,
     source_key,
 )
+from repro.search.measure import measure_formulas
 from tests.conftest import HAS_CC
 
 requires_sandbox = pytest.mark.skipif(
@@ -71,13 +70,27 @@ void nan8(double *y, const double *x)
 BROKEN_SOURCE = "void broken8(double *y, const double *x) { this is not C"
 
 
-def measure(source, name, *, quarantine, timeout=10.0, **kwargs):
-    policy = kwargs.pop("policy", None) or SandboxPolicy(
-        timeout=timeout, backoff=0.0)
-    return measure_candidate(
-        source, name, in_len=8, out_len=8, policy=policy,
-        min_time=0.0005, quarantine=quarantine, **kwargs,
-    )
+class RawC:
+    """Stands in for the SPL compiler: each "formula" is already the C
+    source of an 8-in/8-out routine called ``name``."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def compile_formula(self, formula, name, language="c"):
+        return SimpleNamespace(
+            source=formula, name=self.name, in_size=8,
+            program=SimpleNamespace(in_size=8, out_size=8,
+                                    element_width=1, strided=False))
+
+
+def measure(source, name, *, quarantine, timeout=10.0, policy=None):
+    policy = policy or SandboxPolicy(timeout=timeout, backoff=0.0)
+    [measurement] = measure_formulas(
+        RawC(name), [source], sandbox=policy, min_time=0.0005,
+        quarantine=quarantine)
+    assert measurement.sandboxed
+    return measurement
 
 
 class TestKeys:
@@ -124,18 +137,31 @@ class TestQuarantine:
     def test_default_quarantine_is_shared(self):
         assert default_quarantine() is default_quarantine()
 
+    @requires_sandbox
     def test_empty_quarantine_is_still_used(self):
         # Regression: an *empty* Quarantine is falsy (len == 0); the
         # sandbox must not silently substitute the process-wide one.
         q = Quarantine()
         assert not q  # the hazard under test
-        failure = measure_candidate(
-            "nonsense", "nope", in_len=8, out_len=8,
-            policy=SandboxPolicy(retries=0, backoff=0.0),
-            quarantine=q,
-        )
+        failure = measure(
+            "nonsense", "nope", quarantine=q,
+            policy=SandboxPolicy(max_attempts=1, backoff=0.0),
+        ).failure
         assert isinstance(failure, CandidateFailure)
         assert failure.plan_key in q
+
+
+class TestSandboxPolicy:
+    def test_backoff_doubles_and_caps(self):
+        policy = SandboxPolicy(backoff=0.1)
+        assert policy.backoff_s(1) == pytest.approx(0.1)
+        assert policy.backoff_s(2) == pytest.approx(0.2)
+        assert policy.backoff_s(3) == pytest.approx(0.4)
+        assert policy.backoff_s(30) == pytest.approx(2.0)
+
+    def test_rejects_bad_knobs(self):
+        with pytest.raises(ValueError):
+            SandboxPolicy(max_attempts=0)
 
 
 class TestFailureDescribe:
@@ -152,34 +178,36 @@ class TestSandboxOutcomes:
     def test_good_candidate_returns_timing(self):
         q = Quarantine()
         result = measure(GOOD_SOURCE, "good8", quarantine=q)
-        assert isinstance(result, SandboxResult)
+        assert result.ok
         assert result.seconds > 0
         assert math.isfinite(result.seconds)
         assert len(q) == 0
 
     def test_segfault_reported_as_crash(self):
         q = Quarantine()
-        result = measure(SEGFAULT_SOURCE, "crash8", quarantine=q)
-        assert isinstance(result, CandidateFailure)
-        assert result.kind == "crash"
-        assert result.signal == 11  # SIGSEGV
-        assert result.attempts == 1  # deterministic: no retry
-        assert result.plan_key in q
+        failure = measure(SEGFAULT_SOURCE, "crash8", quarantine=q).failure
+        assert failure.kind == "crash"
+        assert failure.signal == 11  # SIGSEGV
+        # A lost worker may be the host's doing (OOM killer), so it is
+        # retried up to the cap before the candidate is blamed.
+        assert failure.attempts == SandboxPolicy().max_attempts
+        assert failure.plan_key in q
 
     def test_infinite_loop_reported_as_hang(self):
         q = Quarantine()
-        result = measure(HANG_SOURCE, "hang8", quarantine=q, timeout=0.5)
-        assert isinstance(result, CandidateFailure)
-        assert result.kind == "hang"
-        assert result.attempts == 1
-        assert result.plan_key in q
+        failure = measure(HANG_SOURCE, "hang8", quarantine=q,
+                          timeout=0.3).failure
+        assert failure.kind == "hang"
+        assert failure.attempts == 1  # a lease expiry is terminal
+        assert failure.plan_key in q
 
     def test_nan_output_rejected(self):
         q = Quarantine()
         result = measure(NAN_SOURCE, "nan8", quarantine=q)
-        assert isinstance(result, CandidateFailure)
-        assert result.kind == "nan"
-        assert result.plan_key in q
+        assert not result.ok
+        assert result.seconds == math.inf
+        assert result.failure.kind == "nan"
+        assert result.failure.plan_key in q
 
     def test_nan_check_can_be_disabled(self):
         q = Quarantine()
@@ -188,29 +216,25 @@ class TestSandboxOutcomes:
             policy=SandboxPolicy(timeout=10.0, backoff=0.0,
                                  check_output=False),
         )
-        assert isinstance(result, SandboxResult)
+        assert result.ok
 
-    def test_compile_failure_is_transient_and_retried(self):
-        assert "compile" in TRANSIENT_KINDS
+    def test_compile_failure_is_retried_to_the_cap(self):
         q = Quarantine()
-        result = measure(BROKEN_SOURCE, "broken8", quarantine=q)
-        assert isinstance(result, CandidateFailure)
-        assert result.kind == "compile"
-        assert result.attempts == 2  # default policy grants one retry
-        assert result.detail  # compiler stderr captured
+        failure = measure(BROKEN_SOURCE, "broken8", quarantine=q).failure
+        assert failure.kind == "compile"
+        assert failure.attempts == SandboxPolicy().max_attempts
+        assert "CCompileError" in failure.detail  # compiler stderr kept
 
     def test_quarantined_candidate_is_never_rerun(self):
         q = Quarantine()
-        first = measure(SEGFAULT_SOURCE, "crash8", quarantine=q)
-        assert isinstance(first, CandidateFailure)
+        first = measure(SEGFAULT_SOURCE, "crash8", quarantine=q).failure
+        assert first is not None
         skips_before = q.skips
-        again = measure(SEGFAULT_SOURCE, "crash8", quarantine=q)
+        again = measure(SEGFAULT_SOURCE, "crash8", quarantine=q).failure
         assert again is first  # the remembered failure, not a re-run
         assert q.skips == skips_before + 1
 
-    def test_explicit_key_overrides_source_hash(self):
+    def test_plan_key_is_the_source_hash(self):
         q = Quarantine()
-        key = plan_key("custom", 8)
-        result = measure(SEGFAULT_SOURCE, "crash8", quarantine=q, key=key)
-        assert result.plan_key == key
-        assert key in q
+        failure = measure(SEGFAULT_SOURCE, "crash8", quarantine=q).failure
+        assert failure.plan_key == source_key(SEGFAULT_SOURCE)

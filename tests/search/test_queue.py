@@ -1,42 +1,46 @@
 """The fault-tolerant search queue: leases, journal, chaos, poison.
 
-Unit tests pin the pure pieces (chaos determinism, backoff shape,
-journal replay over damaged files); coordinator tests run real forked
-workers and inject every failure mode the queue promises to absorb —
-worker SIGKILL mid-task, task functions that raise, tasks that wedge
-past their lease — and assert the exactly-once contract: every key
-lands in ``results`` or ``failures``, never both, never twice.
+Unit tests pin the pure pieces (chaos determinism, journal replay over
+damaged files); coordinator tests run real forked workers and inject
+every failure mode the queue promises to absorb — worker SIGKILL or
+segfault mid-task, task functions that raise, tasks that wedge past
+their lease or allocate past the memory cap — and assert the
+exactly-once contract: every key lands in ``results`` or ``failures``,
+never both, never twice.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
-from repro.perfeval.sandbox import Quarantine
+from repro.perfeval.sandbox import (
+    Quarantine,
+    SandboxPolicy,
+    sandbox_supported,
+)
 from repro.search.queue import (
     JournalReplay,
-    QueuePolicy,
     SearchChaos,
     TaskJournal,
     TaskQueueCoordinator,
-    queue_supported,
 )
+from tests.conftest import inherited_mb
 
 needs_fork = pytest.mark.skipif(
-    not queue_supported(),
-    reason="the distributed queue needs POSIX fork")
+    not sandbox_supported(),
+    reason="the lease queue needs POSIX fork")
 
 #: Fast knobs so a whole coordinator test settles in well under a
 #: second even when every task is retried.
-FAST = QueuePolicy(workers=2, lease_timeout_s=10.0,
-                   heartbeat_interval_s=0.02, heartbeat_timeout_s=5.0,
-                   max_attempts=3, backoff_base_s=0.01,
-                   backoff_max_s=0.05)
+FAST = SandboxPolicy(timeout=10.0, heartbeat_interval=0.02,
+                     heartbeat_timeout=5.0, max_attempts=3, backoff=0.01)
 
 
 class TestSearchChaos:
@@ -71,22 +75,6 @@ class TestSearchChaos:
         chaos = SearchChaos.from_env(
             {"SPL_SEARCH_CHAOS": "kill=1.0,seed=2"})
         assert chaos is not None and chaos.kill_rate == 1.0
-
-
-class TestQueuePolicy:
-    def test_backoff_grows_and_caps(self):
-        policy = QueuePolicy(backoff_base_s=0.1, backoff_multiplier=2.0,
-                             backoff_max_s=0.35)
-        assert policy.backoff_s(1) == pytest.approx(0.1)
-        assert policy.backoff_s(2) == pytest.approx(0.2)
-        assert policy.backoff_s(3) == pytest.approx(0.35)
-        assert policy.backoff_s(9) == pytest.approx(0.35)
-
-    def test_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            QueuePolicy(workers=0)
-        with pytest.raises(ValueError):
-            QueuePolicy(max_attempts=0)
 
 
 class TestTaskJournal:
@@ -178,6 +166,25 @@ def _wedge_on_marked(payload):
     return {"value": payload["x"]}
 
 
+def _slow_prepare(payload):
+    time.sleep(0.3)  # twice the lease timeout of the test using it
+    return payload
+
+
+def _freeze(payload):
+    os.kill(os.getpid(), signal.SIGSTOP)  # heartbeat thread stops too
+
+
+def _segfault(payload):
+    ctypes.string_at(1)  # read through a wild pointer
+
+
+def _allocate(payload):
+    # Reserved, never touched: costs address space only.
+    np.empty(payload["mb"] << 20, dtype=np.uint8)
+    return {"value": payload["mb"]}
+
+
 @needs_fork
 class TestCoordinator:
     def test_all_tasks_complete_exactly_once(self):
@@ -214,6 +221,7 @@ class TestCoordinator:
         assert outcome.results == {"good": {"value": 1}}
         failure = outcome.failures["poison"]
         assert failure.kind == "crash"
+        assert failure.signal == signal.SIGKILL
         assert failure.attempts == FAST.max_attempts
         assert "poison" in quarantine
         # A second run skips the poisoned key without forking for it.
@@ -242,11 +250,11 @@ class TestCoordinator:
         assert "permanently broken" in failure.detail
         assert outcome.stats["task_errors"] == FAST.max_attempts
 
-    def test_wedged_task_is_killed_at_lease_expiry(self):
-        policy = QueuePolicy(workers=2, lease_timeout_s=0.3,
-                             heartbeat_interval_s=0.02,
-                             heartbeat_timeout_s=5.0, max_attempts=1,
-                             backoff_base_s=0.01)
+    def test_wedged_task_is_killed_at_lease_expiry_and_not_retried(self):
+        # max_attempts=3, yet the wedged key burns exactly one lease:
+        # waiting the same timeout again cannot end differently.
+        policy = SandboxPolicy(timeout=0.15, heartbeat_interval=0.02,
+                               max_attempts=3, backoff=0.01)
         coordinator = TaskQueueCoordinator(
             _wedge_on_marked, policy=policy, quarantine=Quarantine())
         start = time.monotonic()
@@ -254,9 +262,71 @@ class TestCoordinator:
             {"ok": {"x": 1}, "stuck": {"wedge": True}})
         elapsed = time.monotonic() - start
         assert outcome.results == {"ok": {"value": 1}}
+        failure = outcome.failures["stuck"]
+        assert failure.kind == "hang"
+        assert failure.attempts == 1
+        assert outcome.stats["reclaims_wedged"] == 1
+        assert outcome.stats.get("retries", 0) == 0
+        assert elapsed < 30  # the 3600s sleep never ran to completion
+
+    def test_lease_starts_when_prepare_returns(self):
+        # The prepare step (gcc, in the search) outlasts the lease
+        # timeout and is not killed for it; the task function gets the
+        # full lease afterwards, and a wedge *there* still expires.
+        policy = SandboxPolicy(timeout=0.15, heartbeat_interval=0.02,
+                               backoff=0.01)
+        coordinator = TaskQueueCoordinator(
+            _wedge_on_marked, prepare=_slow_prepare, policy=policy,
+            quarantine=Quarantine())
+        outcome = coordinator.run(
+            {"ok": {"x": 1}, "stuck": {"x": 2, "wedge": True}})
+        assert outcome.results == {"ok": {"value": 1}}
         assert outcome.failures["stuck"].kind == "hang"
         assert outcome.stats["reclaims_wedged"] == 1
-        assert elapsed < 30  # the 3600s sleep never ran to completion
+
+    def test_frozen_worker_is_killed_on_heartbeat_silence(self):
+        policy = SandboxPolicy(timeout=60.0, heartbeat_interval=0.02,
+                               heartbeat_timeout=0.15, backoff=0.01)
+        coordinator = TaskQueueCoordinator(
+            _freeze, policy=policy, quarantine=Quarantine())
+        outcome = coordinator.run({"frozen": {}})
+        assert outcome.failures["frozen"].kind == "hang"
+        assert outcome.stats["reclaims_silent"] == 1
+
+    def test_segfault_reports_its_signal(self):
+        coordinator = TaskQueueCoordinator(
+            _segfault, policy=FAST, quarantine=Quarantine())
+        outcome = coordinator.run({"wild": {}})
+        failure = outcome.failures["wild"]
+        assert failure.kind == "crash"
+        assert failure.signal == signal.SIGSEGV
+        assert "signal 11" in failure.describe()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_cap_applies_in_every_worker(self, workers):
+        # Cap the address space a little above what the forked worker
+        # inherits; a 2 GiB allocation must then fail *inside* the
+        # worker as a structured "memory" failure...
+        capped = SandboxPolicy(memory_mb=inherited_mb() + 512,
+                               heartbeat_interval=0.02, backoff=0.01)
+        tasks = {"big": {"mb": 2048}, "small": {"mb": 1}}
+        outcome = TaskQueueCoordinator(
+            _allocate, workers=workers, policy=capped,
+            quarantine=Quarantine()).run(tasks)
+        assert outcome.results == {"small": {"value": 1}}
+        failure = outcome.failures["big"]
+        assert failure.kind == "memory"
+        assert "MemoryError" in failure.detail
+        # ...and succeeds with the cap off, so the cap was the cause.
+        uncapped = SandboxPolicy(memory_mb=0, heartbeat_interval=0.02)
+        outcome = TaskQueueCoordinator(
+            _allocate, workers=workers, policy=uncapped,
+            quarantine=Quarantine()).run(tasks)
+        assert outcome.results["big"] == {"value": 2048}
+
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError):
+            TaskQueueCoordinator(_double, workers=0)
 
     def test_journal_makes_reruns_free(self, tmp_path):
         journal_path = tmp_path / "journal.jsonl"

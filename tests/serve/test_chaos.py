@@ -14,12 +14,12 @@ import pytest
 from repro.serve.chaos import (
     ChaosConfig,
     ChaosInjector,
-    fleet_supported,
     run_chaos,
 )
+from repro.serve.supervisor import fork_supported
 
 needs_fleet = pytest.mark.skipif(
-    not fleet_supported(),
+    not fork_supported(),
     reason="supervised fleets need fork, SIGCHLD and SO_REUSEPORT")
 
 

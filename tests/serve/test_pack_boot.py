@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.serve.chaos import FleetProcess, fleet_supported
+from repro.serve.chaos import FleetProcess
 from repro.serve.plans import PlanRegistry
 from repro.serve.supervisor import (
     RestartBudget,
@@ -33,10 +33,6 @@ from repro.wisdom.store import WisdomStore
 needs_fork = pytest.mark.skipif(
     not fork_supported(),
     reason="the supervisor needs fork, SIGCHLD and SO_REUSEPORT")
-
-needs_fleet = pytest.mark.skipif(
-    not fleet_supported(),
-    reason="supervised fleets need fork, SIGCHLD and SO_REUSEPORT")
 
 
 def _seeded(tmp_path):
@@ -166,7 +162,7 @@ class TestStatusFilePublishing:
         sup._maybe_publish_status()  # logged, not fatal
 
 
-@needs_fleet
+@needs_fork
 class TestStatusFileLive:
     def test_fleet_publishes_ready_then_stopped(self, tmp_path):
         status_path = tmp_path / "status.json"

@@ -18,17 +18,18 @@ import numpy as np
 import pytest
 
 from repro.serve import RetryPolicy, SplClient
-from repro.serve.chaos import FleetProcess, fleet_supported
+from repro.serve.chaos import FleetProcess
 from repro.serve.supervisor import (
     BackoffPolicy,
     RestartBudget,
     ServeConfig,
+    fork_supported,
 )
 
 from tests.serve.test_server import _complex_vec
 
 needs_fleet = pytest.mark.skipif(
-    not fleet_supported(),
+    not fork_supported(),
     reason="supervised fleets need fork, SIGCHLD and SO_REUSEPORT")
 
 
