@@ -56,6 +56,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import signal
 import threading
 import time
@@ -71,6 +72,7 @@ from repro.perfeval.sandbox import (
     default_quarantine,
     sandbox_supported,
 )
+from repro.wisdom.keys import canonical_sha256
 
 try:  # POSIX-only; without it workers simply run uncapped
     import resource
@@ -91,6 +93,43 @@ _FAILURE_KINDS = ((MemoryError, "memory"), (CCompileError, "compile"))
 # ---------------------------------------------------------------------------
 # Chaos injection.
 # ---------------------------------------------------------------------------
+
+
+def parse_spec(text: str, keys: dict[str, Callable[[str], Any]],
+               ) -> dict[str, Any]:
+    """Parse a ``key=value,...`` fault spec (``SPL_CHAOS``,
+    ``SPL_SEARCH_CHAOS``) into ``{key: keys[key](value)}``.
+
+    Only keys the text names appear in the result, so "absent" and
+    "zero" stay distinct (``seed=0`` is a seed).  A malformed element,
+    an unknown key or a rejected value raises ``ValueError`` — a typo'd
+    spec that silently injected nothing would report fake resilience.
+    """
+    values: dict[str, Any] = {}
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        key, sep, value = part.partition("=")
+        key = key.strip()
+        try:
+            if not sep:
+                raise ValueError("want key=value")
+            if key not in keys:
+                raise ValueError(f"unknown key {key!r}")
+            values[key] = keys[key](value)
+        except ValueError as exc:
+            raise ValueError(
+                f"bad fault-spec element {part!r}: {exc}") from None
+    return values
+
+
+def spec_rate(value: str) -> float:
+    """A per-event probability in a fault spec: a float in [0, 1]."""
+    rate = float(value)
+    if not 0 <= rate <= 1:
+        raise ValueError(f"rate must be in [0, 1], got {rate}")
+    return rate
 
 
 @dataclass(frozen=True)
@@ -123,35 +162,16 @@ class SearchChaos:
 
     @classmethod
     def from_spec(cls, spec: str) -> "SearchChaos":
-        """Parse ``kill=RATE[,attempts=N][,seed=N]`` (typos raise)."""
-        kill_rate = 0.0
-        kill_attempts = 1
-        seed = 0
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            if not sep:
-                raise ValueError(
-                    f"bad search-chaos element {part!r} (want key=value)")
-            try:
-                if key == "kill":
-                    kill_rate = float(value)
-                elif key == "attempts":
-                    kill_attempts = int(value)
-                elif key == "seed":
-                    seed = int(value)
-                else:
-                    raise ValueError(f"unknown search-chaos key {key!r}")
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad search-chaos element {part!r}: {exc}") from None
-        if not 0 <= kill_rate <= 1:
-            raise ValueError(
-                f"search-chaos kill rate must be in [0, 1], got {kill_rate}")
-        return cls(kill_rate=kill_rate, kill_attempts=kill_attempts,
-                   seed=seed)
+        """Parse ``kill=RATE[,attempts=N][,seed=N]`` (typos raise).
+
+        A spec without ``seed=`` is unseeded: the doomed set is drawn
+        afresh (and :meth:`to_spec` names the seed that was drawn).
+        """
+        values = parse_spec(spec, {"kill": spec_rate, "attempts": int,
+                                   "seed": int})
+        return cls(kill_rate=values.get("kill", 0.0),
+                   kill_attempts=values.get("attempts", 1),
+                   seed=values.get("seed", random.getrandbits(32)))
 
     def to_spec(self) -> str:
         return (f"kill={self.kill_rate},attempts={self.kill_attempts},"
@@ -171,9 +191,7 @@ class SearchChaos:
 
 
 def _record_checksum(key: str, result: Any) -> str:
-    canonical = json.dumps({"key": key, "result": result},
-                           sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return canonical_sha256({"key": key, "result": result})[:16]
 
 
 @dataclass
@@ -190,9 +208,12 @@ class TaskJournal:
 
     One JSON object per line: ``{"key", "result", "sha"}`` where
     ``sha`` covers the canonical rendering of key+result.  Appends are
-    flushed line-at-a-time, so a coordinator killed mid-run loses at
-    most the line being written — and that line fails its checksum (or
-    does not parse) on replay and is skipped, never trusted.  The file
+    flushed to the OS line-at-a-time, so a coordinator killed mid-run
+    loses at most the line being written — and that line fails its
+    checksum (or does not parse) on replay and is skipped, never
+    trusted.  Nothing is ``fsync``ed: the journal survives a killed
+    process, not a power cut (which can drop the unsynced tail; the
+    checksums keep what is left trustworthy).  The file
     is only ever appended to; dedup on replay keeps the *first* record
     for a key, so a journal assembled across crashes and restarts
     still yields exactly one result per key.
@@ -235,7 +256,9 @@ class TaskJournal:
         return replay
 
     def append(self, key: str, result: Any) -> bool:
-        """Durably record one completion (False on an unwritable path).
+        """Record one completion so that it outlives this process
+        (flushed to the OS, not ``fsync``ed); False on an unwritable
+        path.
 
         Failure to journal must never lose the in-memory result or
         abort the run — it just means a crash after this point would

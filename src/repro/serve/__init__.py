@@ -32,13 +32,6 @@ from repro.serve.errors import (
     SplTimeout,
     Unavailable,
 )
-from repro.serve.loadgen import (
-    LoadReport,
-    WorkloadSpec,
-    mixed_fft_specs,
-    run_load,
-    run_load_sync,
-)
 from repro.serve.plans import Plan, PlanKey, PlanRegistry
 from repro.serve.retry import RetryBudget, RetryPolicy, call_with_retry
 from repro.serve.server import PlanService, Router, SplServer
@@ -62,7 +55,6 @@ __all__ = [
     "ChaosReport",
     "DeadlineExceeded",
     "FleetProcess",
-    "LoadReport",
     "Overloaded",
     "Plan",
     "PlanKey",
@@ -80,12 +72,8 @@ __all__ = [
     "SplTimeout",
     "Supervisor",
     "Unavailable",
-    "WorkloadSpec",
     "call_with_retry",
     "fork_supported",
-    "mixed_fft_specs",
     "run_chaos",
-    "run_load",
-    "run_load_sync",
     "run_worker",
 ]

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.search.queue import parse_spec, spec_rate
 from repro.serve.errors import ServeError
 from repro.serve.retry import RetryBudget, RetryPolicy
 
@@ -63,7 +64,7 @@ class ChaosConfig:
     stall_s: float = 1.0
     truncate_rate: float = 0.0
     trip_rate: float = 0.0
-    seed: int = 0
+    seed: int | None = None  # None: unseeded (OS entropy); 0 is a seed
 
     @property
     def enabled(self) -> bool:
@@ -74,42 +75,21 @@ class ChaosConfig:
     def from_spec(cls, spec: str) -> "ChaosConfig":
         """Parse ``stall=RATE[:SECONDS],truncate=RATE,trip=RATE``.
 
-        Unknown keys raise — a typo'd chaos spec silently injecting
-        nothing would report fake resilience.
+        Unknown keys raise (see :func:`parse_spec`); a spec without
+        ``seed=`` draws from OS entropy, ``seed=0`` is a seed like any
+        other.
         """
-        values: dict[str, float] = {}
-        stall_s = 1.0
-        seed = 0
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ValueError(f"bad chaos element {part!r} "
-                                 f"(want key=value)")
-            key, _, value = part.partition("=")
-            key = key.strip()
-            try:
-                if key == "stall":
-                    rate, _, hold = value.partition(":")
-                    values["stall_rate"] = float(rate)
-                    if hold:
-                        stall_s = float(hold)
-                elif key in ("truncate", "trip"):
-                    values[f"{key}_rate"] = float(value)
-                elif key == "seed":
-                    seed = int(value)
-                else:
-                    raise ValueError(f"unknown chaos key {key!r}")
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad chaos spec element {part!r}: {exc}"
-                ) from None
-        for name, rate in values.items():
-            if rate < 0 or rate > 1:
-                raise ValueError(
-                    f"chaos {name} must be in [0, 1], got {rate}")
-        return cls(stall_s=stall_s, seed=seed, **values)
+        def stall(value: str) -> tuple[float, float]:
+            rate, _, hold = value.partition(":")
+            return spec_rate(rate), float(hold) if hold else 1.0
+
+        values = parse_spec(spec, {"stall": stall, "truncate": spec_rate,
+                                   "trip": spec_rate, "seed": int})
+        stall_rate, stall_s = values.get("stall", (0.0, 1.0))
+        return cls(stall_rate=stall_rate, stall_s=stall_s,
+                   truncate_rate=values.get("truncate", 0.0),
+                   trip_rate=values.get("trip", 0.0),
+                   seed=values.get("seed"))
 
     @classmethod
     def from_env(cls, environ=os.environ) -> "ChaosConfig | None":
@@ -127,7 +107,8 @@ class ChaosConfig:
             parts.append(f"truncate={self.truncate_rate}")
         if self.trip_rate:
             parts.append(f"trip={self.trip_rate}")
-        parts.append(f"seed={self.seed}")
+        if self.seed is not None:
+            parts.append(f"seed={self.seed}")
         return ",".join(parts)
 
 
@@ -141,7 +122,7 @@ class ChaosInjector:
 
     def __init__(self, config: ChaosConfig):
         self.config = config
-        self._rng = random.Random(config.seed or None)
+        self._rng = random.Random(config.seed)
         self.stalls = 0
         self.truncations = 0
         self.trips = 0
@@ -196,10 +177,9 @@ def injector_from_env(environ=os.environ) -> ChaosInjector | None:
 class FleetProcess:
     """``spl serve --workers N`` as a context-managed subprocess.
 
-    Used by the chaos harness, the resilience benchmark and the
-    supervisor tests: boots the real CLI (signals, fork, SO_REUSEPORT
-    — nothing mocked), learns the bound port through ``--port-file``,
-    and guarantees teardown.
+    Used by the chaos harness and the supervisor tests: boots the real
+    CLI (signals, fork, SO_REUSEPORT — nothing mocked), learns the
+    bound port through ``--port-file``, and guarantees teardown.
     """
 
     def __init__(self, *, workers: int = 2, prefer: str = "numpy",

@@ -2,7 +2,7 @@
 
 :class:`SplClient` is the simple blocking client: one request in
 flight at a time, typed errors raised from the wire ``code``.  The
-load generator and benchmark use :class:`AsyncSplClient`, which
+chaos harness and the benchmark use :class:`AsyncSplClient`, which
 pipelines — requests are tagged with a client-side ``id``, responses
 are matched back to their futures as they arrive, in any order.
 
@@ -223,8 +223,8 @@ class AsyncSplClient:
     """Pipelining asyncio client.
 
     ``submit`` returns immediately with a future; a background reader
-    task resolves futures as tagged responses arrive.  Used by the
-    open-loop load generator, where issuing must never wait on
+    task resolves futures as tagged responses arrive.  Used by
+    open-loop drivers, where issuing must never wait on
     completion.  ``submit(..., timeout=...)`` arms a per-request timer
     that fails the future with :class:`SplTimeout` — the connection
     stays usable (responses are tagged, so a late answer is simply
@@ -429,9 +429,8 @@ class ResilientAsyncClient:
                         deadline_ms: float | None = None
                         ) -> np.ndarray:
         policy = self.policy
-        budget = policy.budget
-        if budget is not None:
-            budget.record_attempt()
+        if policy.budget is not None:
+            policy.budget.record_attempt()
         for retry_index in range(policy.attempts):
             try:
                 client = await self._ensure()
@@ -439,14 +438,10 @@ class ResilientAsyncClient:
                     transform, x, deadline_ms=deadline_ms,
                     timeout=self.request_timeout)
             except BaseException as exc:  # noqa: BLE001 - classified
-                if self._closed:
+                delay = None if self._closed else policy.next_delay(
+                    exc, retry_index, self._rng)
+                if delay is None:
                     raise
-                last_try = retry_index >= policy.attempts - 1
-                if last_try or not policy.retryable(exc):
-                    raise
-                if budget is not None and not budget.allow_retry():
-                    raise
-                delay = policy.backoff_s(retry_index, self._rng)
                 if delay > 0:
                     await asyncio.sleep(delay)
         raise AssertionError("unreachable")  # pragma: no cover

@@ -1,7 +1,7 @@
 """Typed serving errors and their wire codes.
 
 Every way a request can fail without being executed has a distinct
-type and a stable wire ``code``, so clients (and the load generator's
+type and a stable wire ``code``, so clients (and the chaos harness's
 outcome accounting) can react per cause instead of pattern-matching
 message strings:
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.compiler import CompilerOptions, SplCompiler
+from repro.core.compiler import CompiledRoutine, CompilerOptions, SplCompiler
 from repro.core.errors import SplError
 from repro.core.nodes import Formula
 from repro.core.parser import parse_formula_text
@@ -117,6 +117,33 @@ def fft_factors(n: int) -> list[int] | None:
     return factors if prod == n else None
 
 
+def plan_session(sessions: dict[int, SplCompiler],
+                 threshold: int | None) -> SplCompiler:
+    """The compiler session for one ``-B`` unroll threshold, made on
+    first use and kept in ``sessions`` (``compile_formula`` memoizes
+    per session).  None is the serving default, 16; a wisdom winner
+    whose search swept ``-B`` compiles under the threshold that won."""
+    threshold = 16 if threshold is None else threshold
+    session = sessions.get(threshold)
+    if session is None:
+        session = sessions.setdefault(threshold, SplCompiler(
+            CompilerOptions(codetype="real", unroll_threshold=threshold)))
+    return session
+
+
+def compile_plan(sessions: dict[int, SplCompiler], formula: Formula,
+                 transform: str, n: int, *, datatype: str,
+                 threshold: int | None, language: str) -> CompiledRoutine:
+    """The routine behind route ``transform:n``: the one place that
+    fixes a plan's compiler options and routine name.
+    :meth:`PlanRegistry.get` serves what this returns and ``spl pack
+    build`` bundles its shared object, so a pack's artifact is the
+    cache entry a booting registry asks for."""
+    return plan_session(sessions, threshold).compile_formula(
+        formula, f"serve_{transform}{n}", datatype=datatype,
+        language=language)
+
+
 class PlanRegistry:
     """Build-once cache of executables keyed by :class:`PlanKey`.
 
@@ -157,15 +184,10 @@ class PlanRegistry:
         self._registry_lock = threading.Lock()
         self._builds = 0
         self._wisdom_boots = 0
-        # One compiler session per registry: compile_formula memoizes,
-        # so re-building a route after a restart-less eviction is free.
-        self._compiler = SplCompiler(CompilerOptions(
-            codetype="real", unroll_threshold=16,
-        ))
-        # Extra sessions for wisdom entries whose search swept the -B
-        # unroll threshold: each recorded winner compiles under the
-        # threshold that won for it, not the registry default.
-        self._threshold_compilers: dict[int, SplCompiler] = {}
+        # Compiler sessions live as long as the registry, so
+        # re-building a route after a restart-less eviction is free.
+        self._sessions: dict[int, SplCompiler] = {}
+        self._compiler = plan_session(self._sessions, None)
         # Wisdom entries are keyed by the *search* compiler's options;
         # use the same options object so lookups actually hit.
         self._wisdom_options = default_small_compiler().options
@@ -238,18 +260,6 @@ class PlanRegistry:
             f"(supported: fft, wht)"
         )
 
-    def _compiler_for(self, threshold: int | None) -> SplCompiler:
-        if threshold is None:
-            return self._compiler
-        with self._registry_lock:
-            compiler = self._threshold_compilers.get(threshold)
-            if compiler is None:
-                compiler = SplCompiler(CompilerOptions(
-                    codetype="real", unroll_threshold=threshold,
-                ))
-                self._threshold_compilers[threshold] = compiler
-            return compiler
-
     # -- the cache --------------------------------------------------------
 
     def _lock_for(self, key: PlanKey) -> threading.Lock:
@@ -275,11 +285,10 @@ class PlanRegistry:
             if plan is not None:
                 return plan
             formula, from_wisdom, datatype, threshold = self._formula(key)
-            name = f"serve_{key.transform}{key.n}"
-            routine = self._compiler_for(threshold).compile_formula(
-                formula, name, datatype=datatype,
-                language=self._language(),
-            )
+            routine = compile_plan(
+                self._sessions, formula, key.transform, key.n,
+                datatype=datatype, threshold=threshold,
+                language=self._language())
             executable = build_executable(
                 routine, prefer=self.prefer, cflags=self.cflags,
                 threads=self.threads,

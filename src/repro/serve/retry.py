@@ -136,6 +136,19 @@ class RetryPolicy:
             return 0.0
         return (rng or random).uniform(0.0, ceiling)
 
+    def next_delay(self, exc: BaseException, retry_index: int,
+                   rng: random.Random | None = None) -> float | None:
+        """Seconds to back off before retrying after ``exc``, or None
+        to give up: the last attempt is spent, the failure is not
+        retryable, or the budget refuses a token (one is withdrawn when
+        the answer is a delay).  The one retry decision, shared by the
+        blocking and the asyncio loop."""
+        if retry_index >= self.attempts - 1 or not self.retryable(exc):
+            return None
+        if self.budget is not None and not self.budget.allow_retry():
+            return None
+        return self.backoff_s(retry_index, rng)
+
 
 def call_with_retry(attempt_fn, policy: RetryPolicy, *,
                     rng: random.Random | None = None,
@@ -148,21 +161,17 @@ def call_with_retry(attempt_fn, policy: RetryPolicy, *,
     each backoff — the hook clients use to reconnect after a
     connection-level failure.
     """
-    budget = policy.budget
-    if budget is not None:
-        budget.record_attempt()
+    if policy.budget is not None:
+        policy.budget.record_attempt()
     for retry_index in range(policy.attempts):
         try:
             return attempt_fn()
-        except BaseException as exc:  # noqa: BLE001 - classified below
-            last_try = retry_index >= policy.attempts - 1
-            if last_try or not policy.retryable(exc):
-                raise
-            if budget is not None and not budget.allow_retry():
+        except BaseException as exc:  # noqa: BLE001 - classified
+            delay = policy.next_delay(exc, retry_index, rng)
+            if delay is None:
                 raise
             if on_retry is not None:
                 on_retry(exc, retry_index)
-            delay = policy.backoff_s(retry_index, rng)
             if delay > 0:
                 sleep(delay)
     raise AssertionError("unreachable")  # pragma: no cover

@@ -22,7 +22,7 @@ takes the whole service down.  This module runs the service as a
 pipe (each worker's event loop writes a byte every
 ``heartbeat_interval``; a silent-but-alive worker is *wedged* — its
 loop is stuck even though the process lives — and is SIGKILLed).
-Dead workers restart under exponential backoff with full jitter, and
+Dead workers restart under exponential backoff with jitter, and
 a fleet-wide **restart budget** (a sliding window) breaks the
 crash-restart-crash flap: once the window fills, further restarts are
 refused and the fleet *degrades to fewer workers* until the window
@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 
 from repro.serve.chaos import injector_from_env
 from repro.serve.plans import PlanKey, PlanRegistry
+from repro.wisdom.store import WisdomStore, atomic_write
 
 _HEARTBEAT = b"\x01"
 
@@ -103,8 +104,6 @@ def _boot_wisdom(config: ServeConfig):
     the plain wisdom store, or to no wisdom at all (estimate /
     search-on-demand), exactly as if the pack had not been shipped.
     """
-    from repro.wisdom.store import WisdomStore
-
     if config.pack_path:
         from repro.wisdom.pack import load_pack
 
@@ -223,10 +222,7 @@ async def _worker_amain(config: ServeConfig, *, reuse_port: bool,
 
 
 def _publish_port(port_file: str, host: str, port: int) -> None:
-    tmp = f"{port_file}.tmp.{os.getpid()}"
-    with open(tmp, "w") as handle:
-        handle.write(f"{host}:{port}\n")
-    os.replace(tmp, port_file)
+    atomic_write(port_file, f"{host}:{port}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +232,7 @@ def _publish_port(port_file: str, host: str, port: int) -> None:
 
 @dataclass(frozen=True)
 class BackoffPolicy:
-    """Exponential backoff with full jitter for worker restarts.
+    """Exponential backoff with additive jitter for worker restarts.
 
     The delay before restart attempt ``k`` (1-based consecutive
     failures) is ``min(max_s, base_s * multiplier^(k-1))`` plus a
@@ -690,7 +686,7 @@ class Supervisor:
         """Atomically write :meth:`status` as JSON on every change.
 
         Orchestrators tail this file instead of parsing the stderr
-        log.  The write is temp-file + rename (readers never see a
+        log.  The write is :func:`atomic_write` (readers never see a
         partial document) and is skipped when nothing changed, so the
         steady-state fleet does not rewrite the file once per poll.
         Write failures are logged once per change, never fatal: losing
@@ -704,17 +700,10 @@ class Supervisor:
         if text == self._last_status_json:
             return
         self._last_status_json = text
-        tmp = f"{self.status_file}.tmp.{os.getpid()}"
         try:
-            with open(tmp, "w") as handle:
-                handle.write(text + "\n")
-            os.replace(tmp, self.status_file)
+            atomic_write(self.status_file, text + "\n")
         except OSError as exc:
             self._log(f"status file write failed: {exc}")
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
 
     def run(self) -> int:
         host, port = self._reserve_address()

@@ -18,8 +18,10 @@ compiler driver can use it without an import cycle.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import fields, is_dataclass
 from functools import lru_cache
+from typing import Any
 
 
 def options_fingerprint(options: object | None) -> str:
@@ -38,6 +40,14 @@ def options_fingerprint(options: object | None) -> str:
 
 def _digest(text: str, length: int = 16) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:length]
+
+
+def canonical_sha256(obj: Any) -> str:
+    """SHA-256 (hex) over the canonical JSON of ``obj`` (sorted keys, no
+    whitespace): the one rendering every on-disk checksum — wisdom
+    store, pack entry and whole pack, journal line — is taken over."""
+    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def options_hash(options: object | None) -> str:

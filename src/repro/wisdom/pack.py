@@ -41,14 +41,20 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from repro.wisdom.keys import (
+    canonical_sha256,
     hardware_fingerprint,
     platform_description,
     platform_fingerprint,
 )
-from repro.wisdom.store import WISDOM_VERSION, WisdomEntry, WisdomStore
+from repro.wisdom.store import (
+    WISDOM_VERSION,
+    WisdomEntry,
+    WisdomStore,
+    atomic_write,
+)
 
 PACK_FORMAT = "spl-wisdom-pack"
 PACK_VERSION = 1
@@ -59,19 +65,10 @@ DIAGNOSTIC_KINDS = ("io", "json", "format", "version", "platform",
                     "pack-checksum", "entry", "artifact")
 
 
-def _canonical(data: Any) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def _payload_checksum(payload: dict) -> str:
     """The whole-pack checksum: everything except the checksum field."""
-    trimmed = {key: value for key, value in payload.items()
-               if key != "checksum"}
-    return _sha256(_canonical(trimmed))
+    return canonical_sha256({key: value for key, value in payload.items()
+                             if key != "checksum"})
 
 
 @dataclass(frozen=True)
@@ -80,6 +77,7 @@ class PackDiagnostic:
 
     kind: str  # one of DIAGNOSTIC_KINDS
     detail: str
+    key: str = ""  # the damaged entry key / artifact digest; "" = whole pack
 
     def describe(self) -> str:
         return f"[{self.kind}] {self.detail}"
@@ -106,20 +104,6 @@ class PackLoadResult:
     def ok(self) -> bool:
         return self.store is not None and not self.diagnostics
 
-    def describe(self) -> str:
-        if self.store is None:
-            reason = self.diagnostics[0].describe() \
-                if self.diagnostics else "empty"
-            return f"pack unusable: {reason}"
-        bits = [f"{self.entries_loaded} entries"]
-        if self.entries_skipped:
-            bits.append(f"{self.entries_skipped} skipped")
-        if self.artifacts_installed or self.artifacts_skipped:
-            bits.append(f"{self.artifacts_installed} artifacts installed")
-        if self.artifacts_skipped:
-            bits.append(f"{self.artifacts_skipped} artifacts skipped")
-        return "pack loaded: " + ", ".join(bits)
-
 
 # ---------------------------------------------------------------------------
 # Building.
@@ -130,27 +114,21 @@ def _registry_build_inputs(entry: WisdomEntry):
     """(source, cflags, openmp, key_extra) a booting registry will ask
     the shared-object cache for — portable variant — or None.
 
-    Mirrors :meth:`repro.serve.plans.PlanRegistry.get` exactly: same
-    compiler options (``codetype="real"`` with the registry default or
-    the entry's winning ``-B`` threshold), same routine name, same
-    datatype/language — any drift makes the bundled artifact a cache
-    miss (harmless, but cold).
+    The routine comes from :func:`repro.serve.plans.compile_plan`, the
+    function :meth:`~repro.serve.plans.PlanRegistry.get` itself calls,
+    so the bundled artifact cannot drift into a cache miss.
     """
-    from repro.core.compiler import CompilerOptions, SplCompiler
     from repro.core.parser import parse_formula_text
     from repro.perfeval.runner import c_build_spec
     from repro.search.dp import SMALL_TRANSFORM
+    from repro.serve.plans import compile_plan
 
     if entry.transform != SMALL_TRANSFORM:
         return None
-    threshold = entry.meta.get("unroll_threshold")
-    compiler = SplCompiler(CompilerOptions(
-        codetype="real",
-        unroll_threshold=16 if threshold is None else threshold,
-    ))
-    formula = parse_formula_text(entry.formula, compiler.defines)
-    routine = compiler.compile_formula(
-        formula, f"serve_fft{entry.n}", datatype="complex", language="c")
+    routine = compile_plan(
+        {}, parse_formula_text(entry.formula, {}), "fft", entry.n,
+        datatype="complex", threshold=entry.meta.get("unroll_threshold"),
+        language="c")
     return c_build_spec(routine, (), openmp=False, simd=False)
 
 
@@ -167,38 +145,35 @@ def build_pack(store: WisdomStore, out_path: str | os.PathLike, *,
     from repro.perfeval import ccompile
 
     entries: dict[str, Any] = {}
-    for key, entry in sorted(store.entries.items()):
-        raw = entry.to_json()
-        entries[key] = {"entry": raw, "sha256": _sha256(_canonical(raw))}
-
     artifacts: dict[str, Any] = {}
     artifacts_skipped = 0
-    if include_artifacts:
-        for key, entry in sorted(store.entries.items()):
-            try:
-                spec = _registry_build_inputs(entry)
-                if spec is None:
-                    continue
-                source, cflags, openmp, key_extra = spec
-                digest = ccompile.shared_object_cache_key(
-                    source, cflags=cflags, openmp=openmp,
-                    key_extra=key_extra)
-                if digest in artifacts:
-                    continue
-                so_path = ccompile.compile_shared_object(
-                    source, cflags=cflags, openmp=openmp,
-                    key_extra=key_extra)
-                data = so_path.read_bytes()
-            except Exception as exc:  # noqa: BLE001 - artifact optional
-                artifacts_skipped += 1
+    for key, entry in sorted(store.entries.items()):
+        raw = entry.to_json()
+        entries[key] = {"entry": raw, "sha256": canonical_sha256(raw)}
+        if not include_artifacts:
+            continue
+        try:
+            spec = _registry_build_inputs(entry)
+            if spec is None:
                 continue
-            artifacts[digest] = {
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "data": base64.b64encode(data).decode("ascii"),
-                "meta": {"transform": entry.transform, "n": entry.n,
-                         "unroll_threshold":
-                             entry.meta.get("unroll_threshold")},
-            }
+            source, cflags, openmp, key_extra = spec
+            digest = ccompile.shared_object_cache_key(
+                source, cflags=cflags, openmp=openmp, key_extra=key_extra)
+            if digest in artifacts:
+                continue
+            data = ccompile.compile_shared_object(
+                source, cflags=cflags, openmp=openmp,
+                key_extra=key_extra).read_bytes()
+        except Exception:  # noqa: BLE001 - artifact optional
+            artifacts_skipped += 1
+            continue
+        artifacts[digest] = {
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "data": base64.b64encode(data).decode("ascii"),
+            "meta": {"transform": entry.transform, "n": entry.n,
+                     "unroll_threshold":
+                         entry.meta.get("unroll_threshold")},
+        }
 
     payload = {
         "format": PACK_FORMAT,
@@ -216,12 +191,8 @@ def build_pack(store: WisdomStore, out_path: str | os.PathLike, *,
         "artifacts": artifacts,
     }
     payload["checksum"] = _payload_checksum(payload)
-    out_path = Path(out_path)
     text = json.dumps(payload, indent=1, sort_keys=True)
-    tmp = out_path.with_name(f"{out_path.name}.{os.getpid()}.tmp")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(out_path)
+    atomic_write(out_path, text)
     return {
         "path": str(out_path),
         "entries": len(entries),
@@ -260,6 +231,12 @@ def _read_manifest(path: str | os.PathLike,
     return data, None
 
 
+def _table(value: Any) -> dict:
+    """``value`` when it is a JSON table, else an empty one: summaries
+    must not trip over a manifest the walk will diagnose."""
+    return value if isinstance(value, dict) else {}
+
+
 def _platform_mismatch(data: dict, platform: str | None,
                        ) -> PackDiagnostic | None:
     """The typed rejection when the pack fits this host nowhere.
@@ -286,88 +263,90 @@ def _platform_mismatch(data: dict, platform: str | None,
         f"(hardware {local_hw!r})")
 
 
+def _walk_manifest(data: dict, platform: str | None, *,
+                   artifacts: bool = True,
+                   ) -> Iterator[PackDiagnostic | tuple[str, str, Any]]:
+    """Every check a parsed manifest gets, in one place; never raises.
+
+    Yields a :class:`PackDiagnostic` per finding (platform first, then
+    the whole-pack checksum, then entries, then artifacts) and, per
+    piece that verifies, ``("entry", key, WisdomEntry)`` or
+    ``("artifact", digest, bytes)``.  The consumer decides what a
+    finding costs: :func:`verify_pack` collects them all,
+    :func:`load_pack` stops at a foreign platform and salvages around
+    the rest.
+    """
+    mismatch = _platform_mismatch(data, platform)
+    if mismatch is not None:
+        yield mismatch
+    if data.get("checksum") != _payload_checksum(data):
+        yield PackDiagnostic(
+            "pack-checksum", "whole-pack checksum mismatch (truncated or "
+            "tampered file); only entries whose own checksums verify "
+            "are usable")
+    entries = data.get("entries")
+    if not isinstance(entries, dict):
+        yield PackDiagnostic("entry", "entries table missing")
+    for key, wrapped in _table(entries).items():
+        try:
+            raw, sha = wrapped["entry"], wrapped["sha256"]
+            if canonical_sha256(raw) != sha:
+                raise ValueError("checksum mismatch")
+            entry = WisdomEntry.from_json(raw)
+        except Exception as exc:  # noqa: BLE001 - diagnose, go on
+            yield PackDiagnostic("entry", f"bad entry {key!r}: {exc!r}",
+                                 key)
+            continue
+        yield "entry", key, entry
+    records = data.get("artifacts") if artifacts else None
+    if records is not None and not isinstance(records, dict):
+        yield PackDiagnostic("artifact", "artifacts table malformed")
+    for digest, record in _table(records).items():
+        try:
+            blob = base64.b64decode(record["data"], validate=True)
+            if hashlib.sha256(blob).hexdigest() != record["sha256"]:
+                raise ValueError("checksum mismatch")
+        except Exception as exc:  # noqa: BLE001 - diagnose, go on
+            yield PackDiagnostic(
+                "artifact", f"bad artifact {digest!r}: {exc!r}", digest)
+            continue
+        yield "artifact", digest, blob
+
+
 def verify_pack(path: str | os.PathLike, *, platform: str | None = None,
                 ) -> tuple[bool, list[PackDiagnostic], dict[str, Any]]:
     """Full integrity check: ``(ok, diagnostics, info)``; never raises.
 
     ``ok`` means byte-perfect *and* valid on this platform.  ``info``
-    summarizes what the pack claims (counts, platform) even when
+    is the manifest summary of :func:`inspect_pack`, given even when
     verification fails, so operators can see what they are holding.
     """
-    diagnostics: list[PackDiagnostic] = []
     data, fatal = _read_manifest(path)
     if data is None:
         return False, [fatal], {}
-    info = {
-        "path": str(path),
-        "platform": data.get("platform"),
-        "platform_info": data.get("platform_info"),
-        "wisdom_version": data.get("wisdom_version"),
-        "entries": len(data.get("entries") or {}),
-        "artifacts": len(data.get("artifacts") or {}),
-    }
-    mismatch = _platform_mismatch(data, platform)
-    if mismatch is not None:
-        diagnostics.append(mismatch)
-    if data.get("checksum") != _payload_checksum(data):
-        diagnostics.append(PackDiagnostic(
-            "pack-checksum", "whole-pack checksum mismatch "
-            "(truncated or tampered file)"))
-    entries = data.get("entries")
-    if not isinstance(entries, dict):
-        diagnostics.append(PackDiagnostic("entry",
-                                          "entries table missing"))
-        entries = {}
-    for key, wrapped in entries.items():
-        try:
-            raw, sha = wrapped["entry"], wrapped["sha256"]
-        except (KeyError, TypeError):
-            diagnostics.append(PackDiagnostic(
-                "entry", f"malformed entry record {key!r}"))
-            continue
-        if _sha256(_canonical(raw)) != sha:
-            diagnostics.append(PackDiagnostic(
-                "entry", f"entry checksum mismatch: {key}"))
-            continue
-        try:
-            WisdomEntry.from_json(raw)
-        except (KeyError, TypeError, ValueError):
-            diagnostics.append(PackDiagnostic(
-                "entry", f"unparseable entry: {key}"))
-    artifacts = data.get("artifacts")
-    if artifacts is None:
-        artifacts = {}
-    if not isinstance(artifacts, dict):
-        diagnostics.append(PackDiagnostic("artifact",
-                                          "artifacts table malformed"))
-        artifacts = {}
-    for digest, record in artifacts.items():
-        try:
-            blob = base64.b64decode(record["data"], validate=True)
-            ok = hashlib.sha256(blob).hexdigest() == record["sha256"]
-        except (KeyError, TypeError, ValueError):
-            ok = False
-        if not ok:
-            diagnostics.append(PackDiagnostic(
-                "artifact", f"artifact checksum mismatch: {digest}"))
-    return not diagnostics, diagnostics, info
+    diagnostics = [item for item in _walk_manifest(data, platform)
+                   if isinstance(item, PackDiagnostic)]
+    return not diagnostics, diagnostics, _summary(path, data)
 
 
 def inspect_pack(path: str | os.PathLike) -> dict[str, Any]:
     """The pack's manifest summary (no integrity verdicts beyond
     parseability); unusable files come back as ``{"error": ...}``."""
     data, fatal = _read_manifest(path)
-    if data is None:
-        return {"error": fatal.describe()}
-    entries = data.get("entries") or {}
+    return ({"error": fatal.describe()} if data is None
+            else _summary(path, data))
+
+
+def _summary(path: str | os.PathLike, data: dict) -> dict[str, Any]:
+    entries = _table(data.get("entries"))
     per_transform: dict[str, list[int]] = {}
     for wrapped in entries.values():
-        raw = (wrapped or {}).get("entry") or {}
+        raw = _table(_table(wrapped).get("entry"))
         transform = str(raw.get("transform"))
         per_transform.setdefault(transform, []).append(raw.get("n"))
     for sizes in per_transform.values():
         sizes.sort(key=lambda v: (not isinstance(v, int), v))
-    artifacts = data.get("artifacts") or {}
+    artifacts = _table(data.get("artifacts"))
     return {
         "path": str(path),
         "format": data.get("format"),
@@ -380,21 +359,24 @@ def inspect_pack(path: str | os.PathLike) -> dict[str, Any]:
         "transforms": per_transform,
         "artifacts": len(artifacts),
         "artifact_bytes": sum(
-            len((record or {}).get("data") or "") * 3 // 4
+            len(str(_table(record).get("data") or "")) * 3 // 4
             for record in artifacts.values()),
         "local_platform": platform_fingerprint(),
         "local_hardware": hardware_fingerprint(),
     }
 
 
-def _install_artifact(build_dir: Path, digest: str, blob: bytes) -> bool:
-    """Atomically publish one ``.so`` into the shared-object cache."""
-    so_path = build_dir / f"spl_{digest}.so"
+def _install_artifact(build_dir: str | os.PathLike | None, digest: str,
+                      blob: bytes) -> bool:
+    """Atomically publish one ``.so`` into the shared-object cache
+    (``build_dir`` None: the default one)."""
+    from repro.perfeval import ccompile
+
+    so_path = (Path(build_dir) if build_dir is not None
+               else ccompile.default_build_dir()) / f"spl_{digest}.so"
     if so_path.exists():
         return False  # already cached (possibly locally compiled)
-    tmp = build_dir / f"spl_{digest}.{os.getpid()}.pack.tmp"
-    tmp.write_bytes(blob)
-    tmp.replace(so_path)
+    atomic_write(so_path, blob)
     try:
         so_path.chmod(0o755)
     except OSError:  # pragma: no cover
@@ -422,56 +404,31 @@ def load_pack(path: str | os.PathLike, *, platform: str | None = None,
     if data is None:
         result.diagnostics.append(fatal)
         return result
-    mismatch = _platform_mismatch(data, platform)
-    if mismatch is not None:
-        result.diagnostics.append(PackDiagnostic(
-            mismatch.kind,
-            f"{mismatch.detail}; serving will search on demand"))
-        return result
-    if data.get("checksum") != _payload_checksum(data):
-        result.diagnostics.append(PackDiagnostic(
-            "pack-checksum",
-            "whole-pack checksum mismatch; salvaging entries whose own "
-            "checksums verify"))
     store = WisdomStore(None, platform=platform or platform_fingerprint(),
                         autosave=False)
-    entries = data.get("entries")
-    if not isinstance(entries, dict):
-        entries = {}
-        result.diagnostics.append(PackDiagnostic(
-            "entry", "entries table missing"))
-    for key, wrapped in entries.items():
-        try:
-            raw, sha = wrapped["entry"], wrapped["sha256"]
-            if _sha256(_canonical(raw)) != sha:
-                raise ValueError("checksum mismatch")
-            entry = WisdomEntry.from_json(raw)
-        except Exception as exc:  # noqa: BLE001 - skip, count, go on
-            result.entries_skipped += 1
-            result.diagnostics.append(PackDiagnostic(
-                "entry", f"skipped {key!r}: {exc}"))
+    for item in _walk_manifest(data, platform, artifacts=install_artifacts):
+        if isinstance(item, PackDiagnostic):
+            result.diagnostics.append(item)
+            if item.kind == "platform":
+                return result  # foreign: no store, search on demand
+            if item.key:
+                if item.kind == "entry":
+                    result.entries_skipped += 1
+                else:
+                    result.artifacts_skipped += 1
             continue
-        store.entries[str(key)] = entry
-        result.entries_loaded += 1
+        kind, key, value = item
+        if kind == "entry":
+            store.entries[key] = value
+            result.entries_loaded += 1
+            continue
+        try:
+            if _install_artifact(build_dir, key, value):
+                result.artifacts_installed += 1
+        except Exception as exc:  # noqa: BLE001 - never fail the boot
+            result.artifacts_skipped += 1
+            result.diagnostics.append(PackDiagnostic(
+                "artifact", f"cannot install artifact {key!r}: {exc}",
+                key))
     result.store = store
-
-    if install_artifacts:
-        from repro.perfeval import ccompile
-
-        target = Path(build_dir) if build_dir is not None \
-            else ccompile.default_build_dir()
-        artifacts = data.get("artifacts")
-        if not isinstance(artifacts, dict):
-            artifacts = {}
-        for digest, record in artifacts.items():
-            try:
-                blob = base64.b64decode(record["data"], validate=True)
-                if hashlib.sha256(blob).hexdigest() != record["sha256"]:
-                    raise ValueError("checksum mismatch")
-                if _install_artifact(target, str(digest), blob):
-                    result.artifacts_installed += 1
-            except Exception as exc:  # noqa: BLE001
-                result.artifacts_skipped += 1
-                result.diagnostics.append(PackDiagnostic(
-                    "artifact", f"skipped artifact {digest!r}: {exc}"))
     return result

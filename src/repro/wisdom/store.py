@@ -10,9 +10,12 @@ the store sort out whether its contents are usable.
 
 Crash safety and concurrency:
 
-* **Atomic writes** — every save goes through a temp file plus
-  ``rename``, so a writer killed mid-save leaves either the old file
-  or the new one, never a truncated hybrid.
+* **Atomic writes** — every save goes through :func:`atomic_write`
+  (temp file plus ``rename``), so a writer killed mid-save leaves
+  either the old file or the new one, never a truncated hybrid.  The
+  guarantee covers a killed *process*: nothing is ``fsync``ed, so a
+  power cut can still lose or tear the most recent save (which the
+  checksum below then catches).
 * **Content checksum** — the payload carries a SHA-256 over its
   entries; a file whose bytes no longer match (bit rot, manual edits,
   a partial write from a non-atomic writer) is detected at load.
@@ -35,7 +38,6 @@ benchmarks can report cache effectiveness.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -44,6 +46,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.wisdom.keys import (
+    canonical_sha256,
     platform_description,
     platform_fingerprint,
     wisdom_key,
@@ -62,10 +65,29 @@ WISDOM_FORMAT = "spl-wisdom"
 WISDOM_VERSION = 2
 
 
-def _entries_checksum(entries: dict[str, Any]) -> str:
-    """SHA-256 over the canonical JSON rendering of the entries table."""
-    canonical = json.dumps(entries, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+def atomic_write(path: str | os.PathLike, data: str | bytes) -> None:
+    """Publish ``data`` at ``path`` whole or not at all.
+
+    The bytes go to a sibling temp file (named with the pid, so
+    concurrent writers never share one) that is then renamed over
+    ``path``; readers see the old content or the new, never a mix.  On
+    any failure the temp file is removed and the ``OSError`` propagates
+    to the caller, which handles it as it would a failed plain write.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass
+        raise
 
 
 @contextmanager
@@ -206,7 +228,7 @@ class WisdomStore:
             return None, "entries"
         if version == WISDOM_VERSION:
             checksum = data.get("checksum")
-            if checksum != _entries_checksum(raw):
+            if checksum != canonical_sha256(raw):
                 return None, "checksum"
         loaded: dict[str, WisdomEntry] = {}
         try:
@@ -317,23 +339,14 @@ class WisdomStore:
                 "version": WISDOM_VERSION,
                 "platform": self.platform,
                 "platform_info": platform_description(),
-                "checksum": _entries_checksum(raw_entries),
+                "checksum": canonical_sha256(raw_entries),
                 "entries": raw_entries,
             }
             text = json.dumps(payload, indent=1, sort_keys=True)
-            tmp = self.path.with_name(
-                f"{self.path.name}.{os.getpid()}.tmp"
-            )
             try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                tmp.write_text(text, encoding="utf-8")
-                tmp.replace(self.path)
+                atomic_write(self.path, text)
             except OSError:
                 self.save_errors += 1
-                try:
-                    tmp.unlink(missing_ok=True)
-                except OSError:
-                    pass
                 return False
         self.saves += 1
         self.bytes_written += len(text.encode())

@@ -219,6 +219,26 @@ class TestCompiledPlans:
         assert fused.scratch_bytes_before == plain.scratch_bytes
         assert_routine_matches_matrix(fused)
 
+    @pytest.mark.parametrize("language", ["python", "numpy", "c"])
+    @pytest.mark.parametrize("factors", [[4, 4, 4, 4], [2] * 9],
+                             ids=["n256-mixed-radix", "n512-radix2"])
+    def test_scratch_cut_by_30_percent_at_large_n(self, factors,
+                                                  language):
+        # The acceptance floor fusion + liveness reuse were landed
+        # under: per-call scratch down >= 30 % at n >= 256 against the
+        # stage-at-a-time program.  All-radix-2 n=512 is the worst
+        # case: log2(n) compose stages, one temp per stage boundary.
+        from repro.formulas.factorization import ct_multi
+
+        compiler = SplCompiler(CompilerOptions(codetype="real",
+                                               unroll_threshold=16))
+        routine = compiler.compile_formula(ct_multi(factors),
+                                           language=language)
+        assert routine.scratch_bytes_before > 0
+        assert routine.temps_eliminated > 0
+        assert (routine.scratch_bytes
+                <= 0.70 * routine.scratch_bytes_before)
+
     def test_strided_plan_validates(self):
         compiler = SplCompiler(CompilerOptions(
             codetype="real", unroll_threshold=2, validate_passes=True))

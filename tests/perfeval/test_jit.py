@@ -120,6 +120,47 @@ class TestBuildExecutable:
 
 
 @needs_jit
+@needs_jit
+@needs_cc
+class TestColdStart:
+    """Why the tier exists: a fresh codelet plan answers its first
+    call long before a cold gcc build of the same plan could."""
+
+    @pytest.mark.parametrize("factors", [[8], [4, 4, 4]],
+                             ids=["n8", "n64"])
+    def test_first_execution_5x_sooner_than_cold_gcc(
+            self, factors, tmp_path, monkeypatch):
+        import time
+
+        from repro.formulas.factorization import ct_multi
+
+        def first_execution_s(prefer):
+            start = time.perf_counter()
+            executable = build_executable(routine, prefer=prefer)
+            assert executable.backend == prefer
+            executable.apply(x)
+            return time.perf_counter() - start
+
+        monkeypatch.setenv("SPL_JIT_UPGRADE", "0")  # no gcc racing the JIT
+        compiler = SplCompiler(CompilerOptions(codetype="real",
+                                               unroll=True))
+        routine = compiler.compile_formula(ct_multi(factors), "cold",
+                                           language="cjit")
+        assert jit.can_jit(routine.program)
+        n = routine.program.in_size
+        x = np.arange(n) + 1j
+        # Fresh build dir: the shared-object cache cannot answer, so
+        # the C figure includes the compiler.  One run is enough for
+        # the slow side (noise only lengthens it); the fast side takes
+        # the best of three.
+        monkeypatch.setenv("SPL_BUILD_DIR", str(tmp_path / "cold"))
+        gcc_s = first_execution_s("c")
+        monkeypatch.delenv("SPL_BUILD_DIR")
+        jit_s = min(first_execution_s("cjit") for _ in range(3))
+        assert gcc_s >= 5.0 * jit_s, (
+            f"n={n}: gcc {gcc_s * 1e3:.1f} ms vs jit {jit_s * 1e3:.3f} ms")
+
+
 class TestJitRoutineLifetime:
     def test_fn_outlives_routine_object(self):
         # The ctypes entries keep the RWX mapping alive via _keepalive;

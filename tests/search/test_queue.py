@@ -51,6 +51,15 @@ class TestSearchChaos:
         assert chaos.seed == 7
         assert SearchChaos.from_spec(chaos.to_spec()) == chaos
 
+    def test_absent_seed_is_drawn_and_zero_is_a_seed(self):
+        assert SearchChaos.from_spec("kill=0.3,seed=0").seed == 0
+        drawn = SearchChaos.from_spec("kill=0.3")
+        # Unseeded means drawn afresh, but the run stays replayable:
+        # the spec handed to workers names the seed that was drawn.
+        assert SearchChaos.from_spec(drawn.to_spec()) == drawn
+        assert len({SearchChaos.from_spec("kill=0.3").seed
+                    for _ in range(8)}) > 1
+
     def test_bad_specs_raise(self):
         for spec in ("kill", "kill=lots", "boom=1", "kill=1.5"):
             with pytest.raises(ValueError):

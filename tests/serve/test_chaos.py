@@ -43,6 +43,13 @@ class TestChaosConfig:
         config = ChaosConfig.from_spec("stall=0.5:1.5,trip=0.25")
         assert ChaosConfig.from_spec(config.to_spec()) == config
 
+    def test_absent_seed_is_unseeded_and_zero_is_a_seed(self):
+        assert ChaosConfig.from_spec("stall=0.5").seed is None
+        assert ChaosConfig.from_spec("stall=0.5,seed=0").seed == 0
+        assert "seed" not in ChaosConfig.from_spec("stall=0.5").to_spec()
+        assert ChaosConfig.from_spec("trip=0.1,seed=0").to_spec() \
+            == "trip=0.1,seed=0"
+
     def test_unknown_key_raises(self):
         # A typo'd spec that silently injected nothing would report
         # fake resilience.
@@ -67,6 +74,16 @@ class TestChaosInjector:
             assert not injector.take_trip()
         assert injector.stalls == injector.truncations == \
             injector.trips == 0
+
+    def test_seed_zero_is_reproducible(self):
+        def decisions():
+            injector = ChaosInjector(
+                ChaosConfig.from_spec("stall=0.5,seed=0"))
+            return [injector.take_stall() for _ in range(200)]
+
+        first = decisions()
+        assert first == decisions()
+        assert 0 < sum(first) < 200  # a rate, not all-or-nothing
 
     def test_unit_rates_always_fire_and_count(self):
         injector = ChaosInjector(ChaosConfig(

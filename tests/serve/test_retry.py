@@ -231,6 +231,74 @@ class TestCallWithRetry:
         assert budget.denied >= 1
 
 
+class _ScriptedConnection:
+    """Stands in for the ``AsyncSplClient`` behind a
+    :class:`ResilientAsyncClient`: each ``transform`` plays the next
+    scripted outcome (the last one repeats)."""
+
+    connected = True
+
+    def __init__(self, *script):
+        self.script = list(script)
+        self.calls = 0
+
+    async def transform(self, transform, x, **kwargs):
+        self.calls += 1
+        outcome = (self.script.pop(0) if len(self.script) > 1
+                   else self.script[0])
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    async def close(self):
+        pass
+
+
+def _transform_through(stub, policy):
+    async def drive():
+        client = ResilientAsyncClient("stub", 0, policy=policy,
+                                      rng=random.Random(0))
+        client._client = stub  # live connection: _ensure never dials
+        return await client.transform("fft", _complex_vec(4))
+
+    return asyncio.run(drive())
+
+
+class TestResilientAsyncClientRetryLoop:
+    """The asyncio loop takes the same ``RetryPolicy.next_delay``
+    decisions as ``call_with_retry`` (the twins of the class above)."""
+
+    def test_retries_until_success(self):
+        stub = _ScriptedConnection(Overloaded("busy"),
+                                   Unavailable("draining"), "ok")
+        policy = RetryPolicy(attempts=4, base_backoff_s=0.0)
+        assert _transform_through(stub, policy) == "ok"
+        assert stub.calls == 3
+
+    def test_non_retryable_raises_immediately(self):
+        stub = _ScriptedConnection(BadRequest("no"))
+        with pytest.raises(BadRequest):
+            _transform_through(stub, RetryPolicy(attempts=5))
+        assert stub.calls == 1
+
+    def test_attempt_bound_is_respected(self):
+        stub = _ScriptedConnection(Unavailable("down"))
+        with pytest.raises(Unavailable):
+            _transform_through(
+                stub, RetryPolicy(attempts=3, base_backoff_s=0.0))
+        assert stub.calls == 3
+
+    def test_exhausted_budget_stops_retries(self):
+        budget = RetryBudget(ratio=0.0, max_tokens=1.0,
+                             min_reserve=1.0)
+        stub = _ScriptedConnection(Overloaded("busy"))
+        with pytest.raises(Overloaded):
+            _transform_through(stub, RetryPolicy(
+                attempts=10, base_backoff_s=0.0, budget=budget))
+        assert stub.calls == 2  # first try + the single budgeted retry
+        assert budget.spent == 1 and budget.denied == 1
+
+
 class TestClientTimeout:
     def test_slow_response_raises_typed_timeout(self):
         # max_delay keeps the request parked in the coalescing window

@@ -26,7 +26,6 @@ from repro.serve import (
     SplClient,
     SplServer,
 )
-from repro.serve.loadgen import WorkloadSpec, run_load
 from repro.serve.protocol import dtype_name
 from repro.wisdom.store import WisdomStore
 
@@ -95,6 +94,24 @@ class ServerHarness:
 
     def client(self) -> SplClient:
         return SplClient(self.host, self.port)
+
+
+async def _pipelined_burst(harness: ServerHarness,
+                           xs: list[np.ndarray]) -> list:
+    """Submit an fft of every vector on one connection without awaiting
+    any reply; the outcomes (vector or exception) in submission order."""
+    client = await AsyncSplClient.connect(harness.host, harness.port)
+    try:
+        futures = [client.submit(
+            {"op": "transform", "transform": "fft",
+             "n": int(x.shape[0]), "dtype": dtype_name(x.dtype)},
+            x.tobytes(), timeout=30.0) for x in xs]
+        await client.drain()
+        replies = await asyncio.gather(*futures, return_exceptions=True)
+        return [r if isinstance(r, BaseException) else r[1]
+                for r in replies]
+    finally:
+        await client.close()
 
 
 def numpy_router(**kwargs) -> Router:
@@ -319,23 +336,27 @@ class TestOverloadAndIsolation:
         router = numpy_router(queue_limit=2, max_batch=4,
                               max_delay=0.001)
         with ServerHarness(router, warm=[FFT16]) as harness:
-            async def drive():
-                return await run_load(
-                    harness.host, harness.port,
-                    mix={WorkloadSpec("fft", 16): 1.0},
-                    rate=4000, duration=0.4, pattern="burst",
-                    connections=4, seed=11)
+            outcomes = asyncio.run(_pipelined_burst(
+                harness, [_complex_vec(16, seed=s) for s in range(400)]))
+            # A pipelined burst far beyond queue_limit=2 never waits
+            # on a reply, so the bounded queue must shed — and only
+            # with the typed overload code, never a timeout, a
+            # transport error or a lost request.
+            ok = [y for y in outcomes if isinstance(y, np.ndarray)]
+            refused = [y for y in outcomes if isinstance(y, Overloaded)]
+            assert ok and refused
+            assert len(ok) + len(refused) == len(outcomes) == 400
 
-            report = asyncio.run(drive())
-            assert report.offered > 100
-            assert report.completed > 0
-            # Open-loop at far beyond capacity with queue_limit=2:
-            # the bounded queue must shed, and only with the typed
-            # overload code — never a transport error or a crash.
-            assert report.errors.get("overload", 0) > 0
-            assert set(report.errors) <= {"overload"}
-            assert (report.completed
-                    + sum(report.errors.values())) == report.offered
+    def test_two_routes_interleaved_on_one_connection(self):
+        router = numpy_router(max_batch=8, max_delay=0.001)
+        fft64 = PlanKey("fft", 64, "complex128")
+        with ServerHarness(router, warm=[FFT16, fft64]) as harness:
+            xs = [_complex_vec(16 if s % 2 else 64, seed=s)
+                  for s in range(60)]
+            outcomes = asyncio.run(_pipelined_burst(harness, xs))
+            for x, y in zip(xs, outcomes):
+                assert isinstance(y, np.ndarray), y
+                np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-9)
 
 
 class TestDrain:

@@ -1,0 +1,118 @@
+"""The one temp-file + rename helper, driven through every caller.
+
+``atomic_write`` is used by the wisdom store, the pack builder, the
+pack artifact installer, the serve port file and the supervisor status
+file.  Whatever fails — the write itself partway through, or the
+rename — each of them must leave the published file exactly as it was
+and no temp file beside it; the two callers that promise never to raise
+(``WisdomStore.save``, status publishing) must keep that promise.
+"""
+
+from __future__ import annotations
+
+import errno
+import os
+from pathlib import Path
+
+import pytest
+
+from repro.serve.supervisor import (
+    ServeConfig,
+    Supervisor,
+    _publish_port,
+    fork_supported,
+)
+from repro.wisdom import pack as pack_module
+from repro.wisdom import store as store_module
+from repro.wisdom.pack import build_pack
+from repro.wisdom.store import WisdomStore, atomic_write
+
+
+def _store_save(path: Path, version: int) -> None:
+    store = WisdomStore(path)
+    store.record("fft-small", 4 * version, formula="(F 4)",
+                 seconds=1.0, mflops=2.0)  # autosaves
+    assert store.save_errors == (0 if store.saves else 1)
+
+
+def _build_pack(path: Path, version: int) -> None:
+    store = WisdomStore(None, autosave=False)
+    store.record("fft-small", 4 * version, formula="(F 4)",
+                 seconds=1.0, mflops=2.0)
+    build_pack(store, path, include_artifacts=False)
+
+
+def _install_artifact(path: Path, version: int) -> None:
+    digest = path.name[len("spl_"):-len(".so")]
+    pack_module._install_artifact(path.parent, digest, b"\x7fELF" * 64)
+
+
+def _publish_port_file(path: Path, version: int) -> None:
+    _publish_port(str(path), "127.0.0.1", 7000 + version)
+
+
+def _publish_status(path: Path, version: int) -> None:
+    supervisor = Supervisor(ServeConfig(), workers=1,
+                            status_file=str(path))
+    supervisor.crashes = version
+    supervisor._maybe_publish_status()
+
+
+#: name -> (writer, file name, has old content, raises on failure)
+CALLERS = {
+    "store-save": (_store_save, "wisdom.json", True, False),
+    "build-pack": (_build_pack, "wisdom.pack", True, True),
+    "install-artifact": (_install_artifact, "spl_abc123.so", False, True),
+    "publish-port": (_publish_port_file, "port", True, True),
+    "publish-status": (_publish_status, "status.json", True, False),
+}
+
+
+def _torn_write(self: Path, data: bytes) -> int:
+    with open(self, "wb") as handle:
+        handle.write(data[:len(data) // 2])
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _failing_replace(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize("fault", ["write-fails-midway", "rename-fails"])
+@pytest.mark.parametrize("caller", sorted(CALLERS))
+def test_failed_publish_leaves_old_content_and_no_temp(
+        caller, fault, tmp_path, monkeypatch):
+    writer, name, has_old, raises = CALLERS[caller]
+    if caller == "publish-status" and not fork_supported():
+        pytest.skip("Supervisor needs fork + SO_REUSEPORT")
+    path = tmp_path / name
+    if has_old:
+        writer(path, 1)
+    old = path.read_bytes() if has_old else None
+
+    if fault == "write-fails-midway":
+        monkeypatch.setattr(Path, "write_bytes", _torn_write)
+    else:
+        monkeypatch.setattr(store_module.os, "replace", _failing_replace)
+    if raises:
+        with pytest.raises(OSError):
+            writer(path, 2)
+    else:
+        writer(path, 2)  # swallowed by the caller's own handling
+    monkeypatch.undo()
+
+    assert (path.read_bytes() if path.exists() else None) == old
+    assert [p.name for p in tmp_path.iterdir()
+            if ".tmp" in p.name] == []
+    # And the same call succeeds once the fault is gone.
+    writer(path, 2)
+    assert path.read_bytes() != old
+
+
+def test_atomic_write_takes_text_or_bytes_and_makes_parents(tmp_path):
+    target = tmp_path / "a" / "b" / "file"
+    atomic_write(target, "héllo\n")
+    assert target.read_bytes() == "héllo\n".encode("utf-8")
+    atomic_write(str(target), b"\x00\x01")
+    assert target.read_bytes() == b"\x00\x01"
+    assert os.listdir(target.parent) == ["file"]

@@ -13,17 +13,19 @@ shells out to gcc breaks loudly.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from repro.perfeval import ccompile
-from repro.wisdom.keys import platform_fingerprint
+from repro.wisdom.keys import canonical_sha256, platform_fingerprint
 from repro.wisdom.pack import (
     PACK_FORMAT,
     PACK_VERSION,
     PackDiagnostic,
+    _payload_checksum,
     build_pack,
     inspect_pack,
     load_pack,
@@ -145,6 +147,78 @@ class TestLoadPackDegradation:
     def test_diagnostic_describe_is_typed(self):
         diagnostic = PackDiagnostic("platform", "wrong host")
         assert diagnostic.describe() == "[platform] wrong host"
+
+
+def _unparseable_but_sealed(data):
+    raw = data["entries"]["K1"]["entry"]
+    raw["n"] = "eight"
+    data["entries"]["K1"]["sha256"] = canonical_sha256(raw)
+
+
+#: name -> (what to do to the manifest, the (kind, key) findings it must
+#: produce).  Unless the whole-pack checksum is itself the finding, the
+#: pack is resealed so the damage is the only thing wrong with it.
+CORRUPTIONS = {
+    "flipped-entry-byte": (
+        lambda d: d["entries"]["K0"]["entry"].update(seconds=0.0),
+        {("pack-checksum", ""), ("entry", "K0")}),
+    "entry-not-a-record": (
+        lambda d: d["entries"].update(K0=None), {("entry", "K0")}),
+    "entry-without-checksum": (
+        lambda d: d["entries"]["K1"].pop("sha256"), {("entry", "K1")}),
+    "entry-unparseable": (_unparseable_but_sealed, {("entry", "K1")}),
+    "entries-missing": (lambda d: d.pop("entries"), {("entry", "")}),
+    "artifacts-not-a-table": (
+        lambda d: d.update(artifacts=["spl_a.so"]), {("artifact", "")}),
+    "artifact-bad-base64": (
+        lambda d: d["artifacts"]["A0"].update(data="!!not base64!!"),
+        {("artifact", "A0")}),
+    "artifact-wrong-bytes": (
+        lambda d: d["artifacts"]["A1"].update(
+            data=base64.b64encode(b"tampered").decode("ascii")),
+        {("artifact", "A1")}),
+    "artifact-without-data": (
+        lambda d: d["artifacts"]["A0"].pop("data"), {("artifact", "A0")}),
+    "stale-pack-checksum": (
+        lambda d: d.update(platform_info="edited after sealing"),
+        {("pack-checksum", "")}),
+}
+
+
+class TestVerifyAndLoadAgree:
+    """``verify_pack`` and ``load_pack`` consume one manifest walk, so
+    whatever is wrong with a pack they name the same damaged pieces."""
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_same_kind_and_key_diagnostics(self, name, tmp_path):
+        corrupt, expected = CORRUPTIONS[name]
+        _, pack_path, _ = built_pack(tmp_path)
+        data = json.loads(pack_path.read_text())
+        # Stable names, and two (fake) artifacts so the artifact half
+        # of the walk runs without a C compiler.
+        data["entries"] = {f"K{i}": wrapped for i, (_, wrapped)
+                           in enumerate(sorted(data["entries"].items()))}
+        data["artifacts"] = {
+            f"A{i}": {"sha256": hashlib.sha256(blob).hexdigest(),
+                      "data": base64.b64encode(blob).decode("ascii")}
+            for i, blob in enumerate((b"first", b"second"))}
+        data["checksum"] = _payload_checksum(data)
+        corrupt(data)
+        if ("pack-checksum", "") not in expected:
+            data["checksum"] = _payload_checksum(data)
+        pack_path.write_text(json.dumps(data))
+
+        ok, verified, _ = verify_pack(pack_path)
+        loaded = load_pack(pack_path, build_dir=tmp_path / "build")
+        assert not ok and not loaded.ok
+        assert {(d.kind, d.key) for d in verified} == expected
+        assert {(d.kind, d.key) for d in loaded.diagnostics} == expected
+        # Damage costs exactly the pieces it touched.
+        damaged_entries = sum(1 for kind, key in expected
+                              if kind == "entry" and key)
+        assert loaded.entries_skipped == damaged_entries
+        if ("entry", "") not in expected:
+            assert loaded.entries_loaded == 2 - damaged_entries
 
 
 @needs_cc
