@@ -15,31 +15,44 @@ or, for codelet-style strided entry points::
     void name(double *restrict y, const double *restrict x,
               int istride, int ostride, int iofs, int oofs);
 
-Innermost loops are strength-reduced on emission: every affine
-subscript ``step*i + rest`` (with ``rest`` invariant in ``i``) becomes
-a ``long`` induction variable initialized to ``rest`` and bumped by
-``step`` per iteration; subscripts sharing a step reuse one induction
-variable with a constant offset.  The per-iteration multiplies the
-paper's listings show (``t3[4*i5 + 2]``) disappear from the loop body.
+Innermost loops are strength-reduced on emission
+(:func:`repro.core.emit.plan_inductions`): every affine subscript
+``step*i + rest`` (with ``rest`` invariant in ``i``) becomes a ``long``
+induction variable initialized to ``rest`` and bumped by ``step`` per
+iteration; subscripts sharing a step reuse one induction variable with
+a constant offset.  The per-iteration multiplies the paper's listings
+show (``t3[4*i5 + 2]``) disappear from the loop body.
 """
 
 from __future__ import annotations
 
+from repro.core.emit import Printer, loop_vars
 from repro.core.errors import SplSemanticError
-from repro.core.icode import (
-    Comment,
-    FConst,
-    FVar,
-    IExpr,
-    Instr,
-    Loop,
-    Op,
-    Operand,
-    Program,
-    VecRef,
-)
+from repro.core.icode import Loop, Program
 
 INDENT = "    "
+
+
+class _CPrinter(Printer):
+    language = "C"
+    terminator = ";"
+    loop_close = "}"
+    induction = ("k", "long ")
+
+    def const(self, value) -> str:
+        if isinstance(value, complex):
+            raise SplSemanticError(
+                "complex constant reached the C backend; run the type "
+                "transformation first"
+            )
+        return repr(float(value))
+
+    def loop_open(self, loop: Loop) -> str:
+        var = loop.var
+        return f"for ({var} = 0; {var} < {loop.count}; {var}++) {{"
+
+    def comment(self, pad: str, text: str) -> str:
+        return f"{pad}/* {text} */"
 
 
 def emit_c(program: Program, *, static: bool = False) -> str:
@@ -49,11 +62,12 @@ def emit_c(program: Program, *, static: bool = False) -> str:
             "the C backend requires complex programs to be lowered to "
             "real arithmetic first (codetype real)"
         )
+    printer = _CPrinter(program)
     lines: list[str] = []
     for name, values in program.tables.items():
-        data = ", ".join(_const(v) for v in values)
         lines.append(
-            f"static const double {name}[{len(values)}] = {{{data}}};"
+            f"static const double {name}[{len(values)}] = "
+            f"{{{printer.table_values(values)}}};"
         )
     qualifier = "static " if static else ""
     params = "double *restrict y, const double *restrict x"
@@ -64,166 +78,11 @@ def emit_c(program: Program, *, static: bool = False) -> str:
     scalars = program.scalar_names()
     if scalars:
         lines.append(f"{INDENT}double {', '.join(scalars)};")
-    loop_vars = _loop_vars(program.body)
-    if loop_vars:
-        lines.append(f"{INDENT}int {', '.join(loop_vars)};")
+    counters = loop_vars(program.body)
+    if counters:
+        lines.append(f"{INDENT}int {', '.join(counters)};")
     for info in program.temp_vectors():
         lines.append(f"{INDENT}double {info.name}[{max(info.size, 1)}];")
-    used = set(scalars) | set(loop_vars) | set(program.vectors) \
-        | set(program.tables)
-    lines.extend(_emit_block(program.body, 1, _NameAlloc(used)))
+    lines.extend(printer.block(program.body, 1))
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-class _NameAlloc:
-    """Fresh induction-variable names that dodge every existing name."""
-
-    def __init__(self, used: set[str]):
-        self._used = set(used)
-        self._counter = 0
-
-    def fresh(self) -> str:
-        while True:
-            name = f"k{self._counter}"
-            self._counter += 1
-            if name not in self._used:
-                self._used.add(name)
-                return name
-
-
-def _loop_vars(body: list[Instr]) -> list[str]:
-    names: dict[str, None] = {}
-
-    def visit(instrs: list[Instr]) -> None:
-        for inst in instrs:
-            if isinstance(inst, Loop):
-                names.setdefault(inst.var)
-                visit(inst.body)
-
-    visit(body)
-    return list(names)
-
-
-def _emit_block(body: list[Instr], depth: int,
-                alloc: _NameAlloc) -> list[str]:
-    pad = INDENT * depth
-    lines: list[str] = []
-    for inst in body:
-        if isinstance(inst, Loop):
-            inner = not any(isinstance(i, Loop) for i in inst.body)
-            subs: dict[IExpr, str] = {}
-            bumps: list[str] = []
-            if inner and inst.count >= 4:
-                subs, decls, bumps = _strength_reduce(inst, alloc)
-                lines.extend(f"{pad}{decl}" for decl in decls)
-            lines.append(
-                f"{pad}for ({inst.var} = 0; {inst.var} < {inst.count}; "
-                f"{inst.var}++) {{"
-            )
-            if subs:
-                inner_pad = INDENT * (depth + 1)
-                for op in inst.body:
-                    if isinstance(op, Op):
-                        lines.append(f"{inner_pad}{_emit_op(op, subs)}")
-                    elif isinstance(op, Comment):
-                        lines.append(f"{inner_pad}/* {op.text} */")
-                lines.extend(f"{inner_pad}{bump}" for bump in bumps)
-            else:
-                lines.extend(_emit_block(inst.body, depth + 1, alloc))
-            lines.append(f"{pad}}}")
-        elif isinstance(inst, Op):
-            lines.append(f"{pad}{_emit_op(inst)}")
-        else:
-            lines.append(f"{pad}/* {inst.text} */")
-    return lines
-
-
-def _strength_reduce(loop: Loop, alloc: _NameAlloc
-                     ) -> tuple[dict[IExpr, str], list[str], list[str]]:
-    """Plan induction variables for one innermost loop.
-
-    Returns ``(subscript substitutions, declarations, per-iteration
-    bumps)``.  Subscripts affine in the loop variable with an invariant
-    rest become ``k + const`` references; subscripts sharing the same
-    step share one induction variable.
-    """
-    subs: dict[IExpr, str] = {}
-    decls: list[str] = []
-    bumps: list[str] = []
-    groups: list[tuple[int, IExpr, str]] = []  # (step, rest, name)
-    for inst in loop.body:
-        if not isinstance(inst, Op):
-            continue
-        for item in (inst.dest, *inst.operands()):
-            if not isinstance(item, VecRef) or item.index in subs:
-                continue
-            affine = item.index.as_affine()
-            if affine is None:
-                continue
-            step = affine[0].get(loop.var, 0)
-            if step == 0:
-                continue
-            rest = item.index - IExpr.var(loop.var) * step
-            for g_step, g_rest, g_name in groups:
-                if g_step != step:
-                    continue
-                delta = (rest - g_rest).as_const()
-                if delta is None:
-                    continue
-                if delta == 0:
-                    subs[item.index] = g_name
-                elif delta > 0:
-                    subs[item.index] = f"{g_name} + {delta}"
-                else:
-                    subs[item.index] = f"{g_name} - {-delta}"
-                break
-            else:
-                name = alloc.fresh()
-                groups.append((step, rest, name))
-                decls.append(f"long {name} = {_index(rest)};")
-                bumps.append(f"{name} += {step};"
-                             if step > 0 else f"{name} -= {-step};")
-                subs[item.index] = name
-    return subs, decls, bumps
-
-
-def _emit_op(op: Op, subs: dict[IExpr, str] | None = None) -> str:
-    dest = _operand(op.dest, subs)
-    if op.op == "=":
-        return f"{dest} = {_operand(op.a, subs)};"
-    if op.op == "neg":
-        return f"{dest} = -{_operand(op.a, subs)};"
-    return (f"{dest} = {_operand(op.a, subs)} {op.op} "
-            f"{_operand(op.b, subs)};")
-
-
-def _operand(operand: Operand,
-             subs: dict[IExpr, str] | None = None) -> str:
-    if isinstance(operand, FVar):
-        return operand.name
-    if isinstance(operand, FConst):
-        return _const(operand.value)
-    if isinstance(operand, VecRef):
-        if subs is not None:
-            text = subs.get(operand.index)
-            if text is not None:
-                return f"{operand.vec}[{text}]"
-        return f"{operand.vec}[{_index(operand.index)}]"
-    raise SplSemanticError(f"cannot emit operand {operand!r} as C")
-
-
-def _const(value) -> str:
-    if isinstance(value, complex):
-        raise SplSemanticError(
-            "complex constant reached the C backend; run the type "
-            "transformation first"
-        )
-    return repr(float(value))
-
-
-def _index(expr: IExpr) -> str:
-    const = expr.as_const()
-    if const is not None:
-        return str(const)
-    return str(expr)

@@ -7,6 +7,11 @@ backend declares ``complex*16`` data and emits complex constants as
 ``(re, im)`` pairs — the Fortran-only capability called out in Section
 3.3.3.
 
+The source is fixed-form: statements start in column 7 and a
+statement that would run past column 72 — where a standard compiler
+silently stops reading — is continued on ``     &`` lines, broken in
+front of an operator or ``=``, never inside a token.
+
 The ``automatic_storage`` flag reproduces the paper's second peephole:
 "declares all temporary variables as automatic so they will be
 allocated on the stack" (a Sun Fortran extension).
@@ -14,21 +19,65 @@ allocated on the stack" (a Sun Fortran extension).
 
 from __future__ import annotations
 
-from repro.core.errors import SplSemanticError
-from repro.core.icode import (
-    FConst,
-    FVar,
-    IExpr,
-    Instr,
-    Loop,
-    Op,
-    Operand,
-    Program,
-    VecRef,
-)
+from repro.core.emit import Printer
+from repro.core.icode import IExpr, Loop, Program
 
 MARGIN = "      "  # columns 1-6 of fixed-form Fortran
 CONT = "     &"
+LAST_COLUMN = 72
+
+
+class _FortranPrinter(Printer):
+    language = "Fortran"
+    margin = MARGIN
+    indent = "  "
+    loop_close = "end do"
+
+    def const(self, value) -> str:
+        if isinstance(value, complex):
+            return f"({_real(value.real)},{_real(value.imag)})"
+        return _real(float(value))
+
+    def index(self, expr: IExpr) -> str:
+        return str(expr + 1)  # Fortran arrays are 1-based
+
+    def element(self, vec: str, index: str) -> str:
+        return f"{vec}({index})"
+
+    def loop_open(self, loop: Loop) -> str:
+        return f"do {loop.var} = 0, {loop.count - 1}"
+
+    def comment(self, pad: str, text: str) -> str:
+        return f"c {text}"
+
+    def statement(self, pad: str, text: str) -> list[str]:
+        lines = [pad + text]
+        while len(lines[-1]) > LAST_COLUMN:
+            line = lines[-1]
+            # The last " <operator> " that starts at or before the last
+            # column; it opens the continuation line, so joining the
+            # pieces gives the statement back.
+            cut = max(line.rfind(f" {mark} ", len(CONT) + 1, LAST_COLUMN + 3)
+                      for mark in "=+-*/")
+            if cut < 0:
+                break  # one token wider than the line: nowhere to break
+            lines[-1:] = [line[:cut], CONT + line[cut:]]
+        return lines
+
+    def data_statement(self, name: str, values) -> list[str]:
+        rendered = [self.const(v) for v in values]
+        lines = [f"{MARGIN}data {name} /"]
+        current = lines[-1]
+        for i, item in enumerate(rendered):
+            suffix = "," if i + 1 < len(rendered) else "/"
+            if len(current) + len(item) + 1 > 70:
+                lines[-1] = current
+                current = f"{CONT}{item}{suffix}"
+                lines.append(current)
+            else:
+                current += item + suffix
+                lines[-1] = current
+        return lines
 
 
 def emit_fortran(program: Program, *, automatic_storage: bool = False) -> str:
@@ -36,6 +85,7 @@ def emit_fortran(program: Program, *, automatic_storage: bool = False) -> str:
         program.datatype == "complex" and program.element_width == 1
     )
     scalar_type = "complex*16" if complex_code else "real*8"
+    printer = _FortranPrinter(program)
     lines: list[str] = []
     args = "(y,x)"
     if program.strided:
@@ -52,71 +102,15 @@ def emit_fortran(program: Program, *, automatic_storage: bool = False) -> str:
         lines.append(f"{MARGIN}{scalar_type} {info.name}({max(info.size, 1)})")
     for name, values in program.tables.items():
         lines.append(f"{MARGIN}{scalar_type} {name}({len(values)})")
-        lines.extend(_data_statement(name, values))
+        lines.extend(printer.data_statement(name, values))
     if automatic_storage:
         names = program.scalar_names()
         names.extend(info.name for info in program.temp_vectors())
         for name in names:
             lines.append(f"{MARGIN}automatic {name}")
-    lines.extend(_emit_block(program.body, 0))
+    lines.extend(printer.block(program.body, 0))
     lines.append(f"{MARGIN}end")
     return "\n".join(lines) + "\n"
-
-
-def _data_statement(name: str, values) -> list[str]:
-    rendered = [_const(v) for v in values]
-    lines = [f"{MARGIN}data {name} /"]
-    current = lines[-1]
-    for i, item in enumerate(rendered):
-        suffix = "," if i + 1 < len(rendered) else "/"
-        if len(current) + len(item) + 1 > 70:
-            lines[-1] = current
-            current = f"{CONT}{item}{suffix}"
-            lines.append(current)
-        else:
-            current += item + suffix
-            lines[-1] = current
-    return lines
-
-
-def _emit_block(body: list[Instr], depth: int) -> list[str]:
-    pad = MARGIN + "  " * depth
-    lines: list[str] = []
-    for inst in body:
-        if isinstance(inst, Loop):
-            lines.append(f"{pad}do {inst.var} = 0, {inst.count - 1}")
-            lines.extend(_emit_block(inst.body, depth + 1))
-            lines.append(f"{pad}end do")
-        elif isinstance(inst, Op):
-            lines.append(f"{pad}{_emit_op(inst)}")
-        else:
-            lines.append(f"c {inst.text}")
-    return lines
-
-
-def _emit_op(op: Op) -> str:
-    dest = _operand(op.dest)
-    if op.op == "=":
-        return f"{dest} = {_operand(op.a)}"
-    if op.op == "neg":
-        return f"{dest} = -{_operand(op.a)}"
-    return f"{dest} = {_operand(op.a)} {op.op} {_operand(op.b)}"
-
-
-def _operand(operand: Operand) -> str:
-    if isinstance(operand, FVar):
-        return operand.name
-    if isinstance(operand, FConst):
-        return _const(operand.value)
-    if isinstance(operand, VecRef):
-        return f"{operand.vec}({_index(operand.index)})"
-    raise SplSemanticError(f"cannot emit operand {operand!r} as Fortran")
-
-
-def _const(value) -> str:
-    if isinstance(value, complex):
-        return f"({_real(value.real)},{_real(value.imag)})"
-    return _real(float(value))
 
 
 def _real(value: float) -> str:
@@ -124,12 +118,3 @@ def _real(value: float) -> str:
     if "e" in text or "E" in text:
         return text.replace("e", "d").replace("E", "d")
     return text + "d0"
-
-
-def _index(expr: IExpr) -> str:
-    # Fortran arrays are 1-based: shift every subscript.
-    shifted = expr + 1
-    const = shifted.as_const()
-    if const is not None:
-        return str(const)
-    return str(shifted)

@@ -21,7 +21,6 @@ Representation choices:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -149,9 +148,6 @@ class IExpr:
 
     # -- queries -------------------------------------------------------------
 
-    def is_const(self) -> bool:
-        return self.as_const() is not None
-
     def as_const(self) -> int | None:
         terms = self.terms
         if not terms:
@@ -159,9 +155,6 @@ class IExpr:
         if len(terms) == 1 and terms[0][0] == ():
             return terms[0][1]
         return None
-
-    def const_part(self) -> int:
-        return self.split_const()[1]
 
     def split_const(self) -> tuple[Terms, int]:
         """``(non-constant terms, constant term)``.
@@ -188,18 +181,24 @@ class IExpr:
             names.update(mono)
         return frozenset(names)
 
-    def as_affine(self) -> tuple[dict[str, int], int] | None:
-        """Return ``(coeffs, const)`` if the polynomial is affine, else None."""
-        coeffs: dict[str, int] = {}
-        const = 0
-        for mono, coeff in self.terms:
-            if mono == ():
-                const = coeff
+    def split_var(self, var: str) -> "tuple[int, IExpr] | None":
+        """``(step, rest)`` with ``self == step * var + rest``, ``step``
+        an integer and ``rest`` free of ``var``; None when ``var``
+        occurs in a product (``var * var``, ``var * other``).  The one
+        affine split: induction planning and slice lowering both ask
+        how a subscript moves with a single loop variable, whatever
+        the other variables do."""
+        step = 0
+        rest: list[tuple[Monomial, int]] = []
+        for term in self.terms:
+            mono = term[0]
+            if var not in mono:
+                rest.append(term)
             elif len(mono) == 1:
-                coeffs[mono[0]] = coeffs.get(mono[0], 0) + coeff
+                step = term[1]
             else:
                 return None
-        return coeffs, const
+        return step, (IExpr(tuple(rest)) if step else self)
 
     def at(self, point: Mapping[str, int]) -> "int | IExpr":
         """Partially evaluate at an integer point.
@@ -626,7 +625,3 @@ def clone_body(body: list[Instr]) -> list[Instr]:
         else:
             result.append(Comment(inst.text))
     return result
-
-
-def rename_program(program: Program, name: str) -> Program:
-    return dataclasses.replace(program, name=name)

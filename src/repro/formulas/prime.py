@@ -30,15 +30,6 @@ from repro.core.nodes import Formula, compose, fourier
 from repro.formulas.multidim import inverse_dft
 
 
-def _crt_index(c: int, d: int, m: int, k: int) -> int:
-    """The unique u in [0, mk) with u = c (mod m) and u = d (mod k)."""
-    n = m * k
-    for u in range(n):  # n is small; clarity over cleverness
-        if u % m == c and u % k == d:
-            return u
-    raise SplSemanticError("CRT failure (moduli not coprime?)")
-
-
 def good_thomas(m: int, k: int,
                 leaf=fourier) -> Formula:
     """The prime-factor algorithm: ``F_mk = P_out (F_m (x) F_k) P_in``.

@@ -1,13 +1,19 @@
-"""The differential oracle: four independent executions must agree.
+"""The differential oracle: every way to run a program must agree.
 
 For every formula unit in a program the oracle computes
 
 1. the dense matrix semantics ``to_matrix(f) @ x`` (ground truth),
 2. the compiled Python backend's result,
 3. the compiled NumPy (batch) backend's result,
-4. the i-code interpreter's result on the compiled program,
+4. the gcc-built C routine's result, on a host with a C compiler,
+5. the in-process JIT's result, on a host that supports it and for
+   the programs it can lower (straight-line codelets),
+6. the i-code interpreter's result on the compiled program,
 
-on a deterministic random input derived from the source text.  Any
+on a deterministic random input derived from the source text.  The
+native tiers run through ``build_executable(routine, prefer=...)``, the
+way every other caller reaches them; a host without them skips them
+(:func:`checked_languages`).  Any
 disagreement is a ``diverged`` verdict; any exception that is *not* a
 typed :class:`~repro.core.errors.SplError` (``RecursionError``,
 ``MemoryError``, assertion failures, ...) is a ``crash``.  A clean
@@ -25,6 +31,7 @@ so although it is a typed ``SplError`` it counts as ``diverged``, not
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 from dataclasses import dataclass, field
 
@@ -47,7 +54,21 @@ FUZZ_LIMITS = DEFAULT_LIMITS.with_overrides(
     compile_deadline=10.0,
 )
 
-_LANGUAGES = ("python", "numpy")
+_NATIVE = ("c", "cjit")
+
+
+def checked_languages() -> tuple[str, ...]:
+    """The executable targets this host can check: Python and NumPy
+    always, C with a host compiler, the JIT where it is supported."""
+    from repro.perfeval.ccompile import have_c_compiler
+    from repro.perfeval.jit import jit_supported
+
+    languages = ["python", "numpy"]
+    if have_c_compiler():
+        languages.append("c")
+    if jit_supported():
+        languages.append("cjit")
+    return tuple(languages)
 
 
 @dataclass
@@ -83,17 +104,54 @@ def _deinterleave(buf: list) -> list[complex]:
             for k in range(len(buf) // 2)]
 
 
+def _run_native(routine, tier: str, x):
+    """``routine`` applied to ``x`` on exactly the native ``tier``.
+
+    ``build_executable`` is how every other caller reaches the native
+    tiers, but it is forgiving where an oracle must not be: a build it
+    cannot make falls through to NumPy, a call that faults degrades
+    onto the lower tiers, and the JIT tier starts a background gcc
+    build that swaps itself in whenever it finishes.  So the upgrade is
+    pinned off for the build (nothing outlives this call, and "cjit"
+    means the JIT's own machine code), and a result that did not come
+    from ``tier`` raises: the host said it had the tier, so that is a
+    crash, not a pass.  A gcc refusal of the generated C
+    (``CCompileError``) propagates the same way.
+    """
+    from repro.perfeval.runner import build_executable
+
+    pinned = os.environ.get("SPL_JIT_UPGRADE")
+    os.environ["SPL_JIT_UPGRADE"] = "0"
+    try:
+        executable = build_executable(routine, prefer=tier)
+    finally:
+        if pinned is None:
+            del os.environ["SPL_JIT_UPGRADE"]
+        else:
+            os.environ["SPL_JIT_UPGRADE"] = pinned
+    got = executable.apply(x)
+    if executable.backend != tier:
+        raise RuntimeError(
+            f"asked for the {tier} tier, ran {executable.backend}: "
+            f"{executable.backend_failures or 'build fell through'}")
+    return got
+
+
 def check_source(source: str, *,
                  limits: CompileLimits | None = None,
-                 languages: tuple[str, ...] = _LANGUAGES,
+                 languages: tuple[str, ...] | None = None,
                  atol: float = 1e-7,
                  validate_passes: bool = False) -> OracleResult:
-    """Differentially validate one SPL source text."""
+    """Differentially validate one SPL source text (in every one of
+    :func:`checked_languages` unless ``languages`` narrows it)."""
     import numpy as np
 
     from repro.formulas.matrices import to_matrix
+    from repro.perfeval.jit import can_jit
 
     limits = limits or FUZZ_LIMITS
+    if languages is None:
+        languages = checked_languages()
     try:
         compiler = SplCompiler(
             CompilerOptions(validate_passes=validate_passes), limits=limits)
@@ -116,11 +174,21 @@ def check_source(source: str, *,
             tolerance = atol * max(1.0, float(np.abs(want).max(initial=0.0)))
             routine = None
             for language in languages:
-                routine = compiler.compile_formula(
-                    unit.formula, name=f"{unit.name}_{language}",
-                    datatype="complex", language=language, limits=limits,
-                )
-                got = np.asarray(routine.run(x))
+                native = language in _NATIVE
+                # Both native tiers run the one real program C lowers
+                # to, so "cjit" reuses the routine "c" was built from.
+                target = "c" if native else language
+                if routine is None or routine.language != target:
+                    routine = compiler.compile_formula(
+                        unit.formula, name=f"{unit.name}_{target}",
+                        datatype="complex", language=target, limits=limits,
+                    )
+                if not native:
+                    got = np.asarray(routine.run(x))
+                elif language == "cjit" and not can_jit(routine.program):
+                    continue  # loops left: not a codelet the JIT lowers
+                else:
+                    got = _run_native(routine, language, np.asarray(x))
                 if not np.allclose(got, want, atol=tolerance):
                     worst = float(np.abs(got - want).max())
                     return OracleResult(

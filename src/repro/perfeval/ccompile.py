@@ -159,11 +159,6 @@ def have_openmp() -> bool:
     return _probe_openmp(compiler, extra_cflags())
 
 
-def openmp_cflags() -> tuple[str, ...]:
-    """The flags enabling OpenMP, empty when the toolchain lacks it."""
-    return _OPENMP_CFLAGS if have_openmp() else ()
-
-
 @lru_cache(maxsize=None)
 def _probe_openmp_simd(compiler: str, flags: tuple[str, ...]) -> bool:
     build_dir = default_build_dir()

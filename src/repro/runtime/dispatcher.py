@@ -245,12 +245,6 @@ class BatchDispatcher:
     # -- drain hooks ---------------------------------------------------------
 
     @property
-    def pending_count(self) -> int:
-        """Requests queued but not yet taken into a batch."""
-        with self._lock:
-            return len(self._pending)
-
-    @property
     def unresolved_count(self) -> int:
         """Requests submitted whose futures have not resolved yet —
         queued *or* mid-execution.  Zero means the dispatcher is

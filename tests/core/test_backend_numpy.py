@@ -1,7 +1,6 @@
 """Unit tests for the NumPy batch backend and its affine loop lowering."""
 
 import numpy as np
-import pytest
 
 from repro.core.backend_numpy import (
     compile_numpy,
@@ -9,7 +8,6 @@ from repro.core.backend_numpy import (
     loop_is_lowerable,
 )
 from repro.core.compiler import CompilerOptions, SplCompiler
-from repro.core.errors import SplSemanticError
 from repro.core.icode import (
     FVar,
     IExpr,
@@ -199,15 +197,3 @@ class TestExecution:
     def test_unrolled_program_runs(self):
         routine = compile_one(FORMULA_F4, codetype="real", unroll=True)
         assert_routine_matches_matrix(routine)
-
-    def test_intrinsic_operand_raises(self):
-        from repro.core.icode import Intrinsic
-
-        program = Program(
-            name="w", in_size=1, out_size=1, datatype="real",
-            body=[Op("=", VecRef("y", IExpr.const(0)),
-                     Intrinsic("W", (IExpr.const(4), IExpr.const(1))))],
-            vectors={"x": VecInfo("x", 1, "in"), "y": VecInfo("y", 1, "out")},
-        )
-        with pytest.raises(SplSemanticError):
-            emit_numpy(program)

@@ -1,13 +1,27 @@
-"""Unit tests for the three backends: Python, C, Fortran."""
+"""Unit tests for the Python, C and Fortran backends and for what all
+four printers share (the NumPy target's own tests are in
+``test_backend_numpy.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.core.backend_c import emit_c
-from repro.core.backend_fortran import emit_fortran
+from repro.core.backend_fortran import CONT, emit_fortran
+from repro.core.backend_numpy import emit_numpy
 from repro.core.backend_python import compile_python, emit_python
 from repro.core.compiler import CompilerOptions, SplCompiler
 from repro.core.errors import SplSemanticError
+from repro.formulas.factorization import ct_multi
+from repro.core.icode import (
+    FVar,
+    IExpr,
+    Intrinsic,
+    Loop,
+    Op,
+    Program,
+    VecInfo,
+    VecRef,
+)
 from tests.conftest import (
     assert_routine_matches_matrix,
     requires_cc,
@@ -161,6 +175,105 @@ class TestFortranBackend:
         routine = compile_one("(diagonal (1e-3 1))", "fortran",
                               datatype="real")
         assert "d-" in routine.source or "d0" in routine.source
+
+
+    def test_long_statements_continue_before_column_73(self):
+        # A 256-point FFT as real code at -B 16 nests three loops
+        # around subscripts like t1(128*i0 + 2*i1 + 32*i2 + 1): well
+        # past column 72 unwrapped.
+        compiler = SplCompiler(CompilerOptions(codetype="real",
+                                               unroll_threshold=16))
+        routine = compiler.compile_formula(
+            ct_multi((4, 4, 4, 4)).to_spl(), "fft256", datatype="complex",
+            language="fortran")
+        lines = routine.source.splitlines()
+        assert max(len(line) for line in lines) <= 72
+        wrapped = [i for i, line in enumerate(lines)
+                   if line.startswith(CONT) and " = " in lines[i - 1]]
+        assert wrapped
+        for i in wrapped:
+            # The break sits in front of an operator, not inside a token.
+            assert lines[i][len(CONT):].startswith((" + ", " - ", " * ",
+                                                    " / ", " = "))
+
+    def test_continuation_lines_join_back_to_the_statement(self):
+        i, j, k = (IExpr.var(name) for name in ("i0", "i1", "i2"))
+        index = i * 1024 + j * 256 + k * 64
+        program = Program(
+            name="wide", in_size=8192, out_size=8192, datatype="real",
+            body=[Loop("i0", 2, [Loop("i1", 2, [Loop("i2", 2, [
+                Op("*", VecRef("y", index + 4095), VecRef("x", index + 17),
+                   VecRef("x", index + 4000)),
+            ])])])],
+            vectors={"x": VecInfo("x", 8192, "in"),
+                     "y": VecInfo("y", 8192, "out")},
+        )
+        lines = emit_fortran(program).splitlines()
+        first = next(n for n, line in enumerate(lines) if " = x(" in line)
+        assert [line[:len(CONT)] for line in lines[first:first + 3]] == \
+            ["      ", CONT, "      "]
+        assert all(len(line) <= 72 for line in lines)
+        assert lines[first] + lines[first + 1][len(CONT):] == (
+            "            y(1024*i0 + 256*i1 + 64*i2 + 4096) = "
+            "x(1024*i0 + 256*i1 + 64*i2 + 18) * "
+            "x(1024*i0 + 256*i1 + 64*i2 + 4001)")
+
+
+class TestSharedPrinter:
+    @pytest.mark.parametrize(
+        "emit", [emit_c, emit_fortran, emit_python, emit_numpy])
+    def test_intrinsic_operand_raises(self, emit):
+        # Intrinsics are evaluated before code generation; one that
+        # survives is a typed error in every target, never a traceback.
+        program = Program(
+            name="w", in_size=1, out_size=1, datatype="real",
+            body=[Op("=", VecRef("y", IExpr.const(0)),
+                     Intrinsic("W", (IExpr.const(4), IExpr.const(1))))],
+            vectors={"x": VecInfo("x", 1, "in"), "y": VecInfo("y", 1, "out")},
+        )
+        with pytest.raises(SplSemanticError, match="cannot emit operand"):
+            emit(program)
+
+    def test_c_and_numpy_render_the_same_induction_plan(self):
+        # The loop-invariant scalar keeps NumPy on its fallback loop, so
+        # both targets print plan_inductions' variables: same steps,
+        # same offsets, only the spelling differs.
+        i = IExpr.var("i0")
+        program = Program(
+            name="scale", in_size=17, out_size=16, datatype="real",
+            body=[
+                Op("=", FVar("f0"), VecRef("x", IExpr.const(16))),
+                Loop("i0", 8, [
+                    Op("*", VecRef("y", i * 2 + 1), VecRef("x", i * 2),
+                       FVar("f0")),
+                    Op("=", VecRef("y", i * 2), VecRef("x", 15 - i)),
+                ]),
+            ],
+            vectors={"x": VecInfo("x", 17, "in"),
+                     "y": VecInfo("y", 16, "out")},
+        )
+        assert emit_c(program).splitlines()[4:] == [
+            "    f0 = x[16];",
+            "    long k0 = 1;",
+            "    long k1 = 15;",
+            "    for (i0 = 0; i0 < 8; i0++) {",
+            "        y[k0] = x[k0 - 1] * f0;",
+            "        y[k0 - 1] = x[k1];",
+            "        k0 += 2;",
+            "        k1 -= 1;",
+            "    }",
+            "}",
+        ]
+        assert emit_numpy(program).splitlines()[4:] == [
+            "    f0 = x[:, 16]",
+            "    _k0 = 1",
+            "    _k1 = 15",
+            "    for i0 in range(8):",
+            "        y[:, _k0] = x[:, _k0 - 1] * f0",
+            "        y[:, _k0 - 1] = x[:, _k1]",
+            "        _k0 += 2",
+            "        _k1 -= 1",
+        ]
 
 
 class TestBackendAgreement:

@@ -19,6 +19,12 @@ same passes a second and third time; that keeps this suite a few
 seconds long.  The file was recorded through ``compile_formula`` in all
 four languages, so the hashes also say the shortcut is one.
 
+Fortran is fixed-form, so the printer continues statements that would
+pass column 72.  A Fortran record whose program has such statements
+carries ``unwrapped_sha256`` as well: the hash of the source with the
+statement continuation lines joined back, which is the ``source_sha256``
+the commit before the wrapping recorded for the same program.
+
 Re-record (from the repo root, on the commit whose output is the
 reference)::
 
@@ -37,7 +43,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import compiler as compiler_module
-from repro.core.backend_fortran import emit_fortran
+from repro.core.backend_fortran import CONT, LAST_COLUMN, MARGIN, emit_fortran
 from repro.core.backend_numpy import emit_numpy
 from repro.core.compiler import CompilerOptions, SplCompiler
 from repro.core.limits import CompileBudget
@@ -96,12 +102,29 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def compile_records(name: str, text: str, datatype: str, unroll: bool,
-                    language: str) -> dict[str, dict]:
-    """``"name/language" -> record`` for ``language`` and the languages
-    printed from its i-code.  C is compiled the way ``spl serve`` does
-    (real code, ``-B 16``; codelets fully unrolled with the peephole
-    pass), the others with their native element type."""
+def unwrap_fortran(source: str) -> str:
+    """Join statement continuation lines back onto their statement
+    (``data`` statements were always continued and stay as they are)."""
+    lines: list[str] = []
+    in_data = False
+    for line in source.splitlines():
+        if line.startswith(CONT) and not in_data:
+            lines[-1] += line[len(CONT):]
+            continue
+        if not line.startswith(CONT):
+            in_data = line.startswith(f"{MARGIN}data ")
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def compile_sources(name: str, text: str, datatype: str, unroll: bool,
+                    language: str) -> tuple[dict[str, str], str, int]:
+    """``({target: source}, pass-size hash, budget charge)`` for
+    ``language`` and the languages printed from its i-code.  C is
+    compiled the way ``spl serve`` does (real code, ``-B 16``; codelets
+    fully unrolled with the peephole pass), the others with their
+    native element type."""
     codetype = "real" if language == "c" else None
     if unroll:
         options = CompilerOptions(codetype=codetype, unroll=True,
@@ -127,14 +150,27 @@ def compile_records(name: str, text: str, datatype: str, unroll: bool,
     sources = {language: routine.source}
     for other, emit in PIPELINES[language].items():
         sources[other] = emit(routine.program)
-    return {
-        f"{name}/{target}": {
+    return (sources, _sha256(json.dumps(sizes)),
+            max(b.statements for b in budgets))
+
+
+def compile_records(name: str, text: str, datatype: str, unroll: bool,
+                    language: str) -> dict[str, dict]:
+    """``"name/target" -> record`` for everything ``compile_sources``
+    printed."""
+    sources, passes, statements = compile_sources(
+        name, text, datatype, unroll, language)
+    records = {}
+    for target, source in sources.items():
+        records[f"{name}/{target}"] = record = {
             "source_sha256": _sha256(source),
-            "passes_sha256": _sha256(json.dumps(sizes)),
-            "budget_statements": max(b.statements for b in budgets),
+            "passes_sha256": passes,
+            "budget_statements": statements,
         }
-        for target, source in sources.items()
-    }
+        unwrapped = unwrap_fortran(source) if target == "fortran" else source
+        if unwrapped != source:
+            record["unwrapped_sha256"] = _sha256(unwrapped)
+    return records
 
 
 @pytest.fixture(scope="module")
@@ -153,11 +189,25 @@ def test_emitted_code_matches_the_recorded_hashes(golden, language):
     mismatches = []
     for case in formula_list():
         for key, got in compile_records(*case, language).items():
+            if set(got) != set(golden[key]):
+                mismatches.append(f"{key}: fields {sorted(got)} != "
+                                  f"recorded {sorted(golden[key])}")
             for field, want in golden[key].items():
-                if got[field] != want:
-                    mismatches.append(f"{key}: {field} {got[field]} "
+                if got.get(field) != want:
+                    mismatches.append(f"{key}: {field} {got.get(field)} "
                                       f"!= recorded {want}")
     assert not mismatches, "\n".join(mismatches)
+
+
+def test_fortran_statements_stay_inside_the_fixed_form_columns():
+    """A fixed-form compiler stops reading at column 72 without a word."""
+    too_wide = [
+        f"{case[0]}: {len(line)} columns: {line}"
+        for case in formula_list()
+        for line in compile_sources(*case, "python")[0]["fortran"].splitlines()
+        if len(line) > LAST_COLUMN and not line.startswith("c ")
+    ]
+    assert not too_wide, "\n".join(too_wide[:10])
 
 
 if __name__ == "__main__":

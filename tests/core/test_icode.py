@@ -68,16 +68,22 @@ class TestIExprQueries:
         e = var("i") * var("j") + 3
         assert e.free_vars() == frozenset({"i", "j"})
 
-    def test_affine_detection(self):
-        coeffs, const = (var("i") * 2 + var("j") + 5).as_affine()
-        assert coeffs == {"i": 2, "j": 1}
-        assert const == 5
+    def test_split_var(self):
+        e = var("i") * 2 + var("j") + 5
+        assert e.split_var("i") == (2, var("j") + 5)
+        assert e.split_var("j") == (1, var("i") * 2 + 5)
+        assert e.split_var("k") == (0, e)
 
-    def test_nonaffine_returns_none(self):
-        assert (var("i") * var("j")).as_affine() is None
+    def test_split_var_leaves_products_of_other_variables_in_rest(self):
+        e = var("i") * var("j") + var("k") * 3
+        assert e.split_var("k") == (3, var("i") * var("j"))
 
-    def test_const_part(self):
-        assert (var("i") + 7).const_part() == 7
+    def test_split_var_rejects_products_of_the_variable(self):
+        assert (var("i") * var("j")).split_var("i") is None
+        assert (var("i") * var("i") + var("i")).split_var("i") is None
+
+    def test_split_const(self):
+        assert (var("i") + 7).split_const()[1] == 7
 
 
 class TestSubstitution:

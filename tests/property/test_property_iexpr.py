@@ -103,13 +103,14 @@ class TestSubstitution:
         assert step1.subst(env_all).as_const() == \
             expr.subst(env_all).as_const()
 
-    @given(iexprs())
-    def test_affine_round_trip(self, expr):
-        affine = expr.as_affine()
-        if affine is None:
-            return
-        coeffs, const = affine
-        rebuilt = IExpr.const(const)
-        for name, coeff in coeffs.items():
-            rebuilt = rebuilt + IExpr.var(name) * coeff
-        assert rebuilt == expr
+    @given(iexprs(), st.sampled_from(VARS + ("i9",)))
+    def test_split_var_round_trip(self, expr, name):
+        split = expr.split_var(name)
+        in_product = any(name in mono and len(mono) > 1
+                         for mono, _ in expr.terms)
+        assert (split is None) == in_product
+        if split is not None:
+            step, rest = split
+            assert isinstance(step, int)
+            assert name not in rest.free_vars()
+            assert IExpr.var(name) * step + rest == expr
