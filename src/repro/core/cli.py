@@ -14,23 +14,14 @@ hangs past ``--measure-timeout`` or emits NaN is skipped and
 quarantined instead of killing the search, and ``--search-journal
 FILE`` lets an interrupted search resume; ``--no-sandbox`` opts out
 (in-process, N threads).  ``--language numpy`` targets the
-batch-vectorized NumPy backend, and ``--batch N`` times each compiled
-routine over a random N-vector batch (``apply_many``) and reports
-vectors/sec.
-
-Parallel runtime knobs: ``--threads N`` runs ``apply_many`` across N
-workers (OpenMP C driver or sharded thread-pool dispatch; 0 = one per
-CPU), ``--dispatch`` drives the batch through the dynamic request
-batcher (:class:`repro.runtime.BatchDispatcher`) from concurrent
-client threads and reports its coalescing counters, and ``--cflags``
-appends extra host-compiler flags (e.g. ``-march=native``; also
-settable process-wide via ``SPL_CFLAGS``).
+batch-vectorized NumPy backend.  This command compiles and searches; it
+does not benchmark — runner and server speed are measured by
+``bench/run.py`` and nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
-import shlex
 import sys
 
 from repro.core.compiler import CompilerOptions, SplCompiler
@@ -117,31 +108,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--stats", action="store_true",
         help="print flop/memory statistics for each routine to stderr "
              "(with --wisdom: also the wisdom-cache counters)",
-    )
-    arg_parser.add_argument(
-        "--batch", type=int, metavar="N", default=None,
-        help="execute each compiled routine on a random batch of N "
-             "vectors through apply_many and report vectors/sec on "
-             "stderr (backend follows --language: c, numpy or python; "
-             "default: fastest available)",
-    )
-    arg_parser.add_argument(
-        "--threads", type=int, metavar="N", default=1,
-        help="run apply_many across N workers: the OpenMP batch driver "
-             "for the C backend, sharded thread-pool dispatch otherwise "
-             "(0 = one per CPU; default 1)",
-    )
-    arg_parser.add_argument(
-        "--dispatch", action="store_true",
-        help="with --batch: serve the vectors through the dynamic "
-             "request batcher from concurrent clients and report its "
-             "coalescing stats instead of timing apply_many directly",
-    )
-    arg_parser.add_argument(
-        "--cflags", metavar="FLAGS", default=None,
-        help="extra host C compiler flags for compiled backends, e.g. "
-             "--cflags=-march=native (the '=' form is needed for "
-             "flags starting with '-'; also: SPL_CFLAGS env variable)",
     )
     arg_parser.add_argument(
         "--search-fft", metavar="SIZES", default=None,
@@ -260,89 +226,6 @@ def _run_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _time_dispatch(executable, args: argparse.Namespace):
-    """Serve random vectors through a BatchDispatcher from concurrent
-    clients for ~min_time; returns (vectors/sec, DispatchStats)."""
-    import threading
-    import time as _time
-
-    import numpy as np
-
-    from repro.runtime import BatchDispatcher
-
-    rng = np.random.default_rng(0)
-    n = executable.n
-    clients = min(args.batch, 8)
-    vectors = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
-               for _ in range(clients)]
-    with BatchDispatcher(executable, max_batch=args.batch,
-                         max_delay=0.0005,
-                         threads=args.threads) as dispatcher:
-        counts = [0] * clients
-        stop = _time.monotonic() + max(args.min_time, 0.01)
-
-        def client(i: int) -> None:
-            while _time.monotonic() < stop:
-                dispatcher.apply(vectors[i])
-                counts[i] += 1
-
-        start = _time.monotonic()
-        workers = [threading.Thread(target=client, args=(i,))
-                   for i in range(clients)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        elapsed = _time.monotonic() - start
-        stats = dispatcher.stats
-    return sum(counts) / elapsed, stats
-
-
-def _run_batch(routines, args: argparse.Namespace) -> int:
-    """Time ``apply_many`` over a random batch for every routine."""
-    from repro.perfeval.runner import build_executable
-    from repro.perfeval.timing import time_callable
-
-    if args.batch < 1:
-        print("spl-compile: --batch needs a positive batch size",
-              file=sys.stderr)
-        return 2
-    prefer = {"c": "c", "cjit": "cjit", "numpy": "numpy",
-              "python": "python"}.get(args.language, "c")
-    cflags = tuple(shlex.split(args.cflags)) if args.cflags else ()
-    for routine in routines:
-        try:
-            executable = build_executable(routine, prefer=prefer,
-                                          cflags=cflags,
-                                          threads=args.threads)
-        except (SplError, ValueError) as exc:
-            print(f"spl-compile: {routine.name}: {exc}", file=sys.stderr)
-            return 1
-        if args.dispatch:
-            rate, stats = _time_dispatch(executable, args)
-            print(
-                f"; {routine.name}: n={routine.in_size} "
-                f"batch={args.batch} threads={args.threads} "
-                f"backend={executable.backend} dispatch {rate:.0f} "
-                f"vectors/sec (requests={stats.requests} "
-                f"batches={stats.batches} max_batch={stats.max_batch} "
-                f"coalesced={stats.coalesced_requests})",
-                file=sys.stderr,
-            )
-            continue
-        closure = executable.timer_closure_many(args.batch,
-                                                threads=args.threads)
-        seconds = time_callable(closure, min_time=args.min_time)
-        rate = args.batch / seconds
-        print(
-            f"; {routine.name}: n={routine.in_size} batch={args.batch} "
-            f"threads={args.threads} backend={executable.backend} "
-            f"{rate:.0f} vectors/sec",
-            file=sys.stderr,
-        )
-    return 0
-
-
 def _report(exc: SplError, source: str, filename: str) -> None:
     """Print one rendered diagnostic (caret snippet and all) to stderr."""
     print(f"spl-compile: {exc.render(source, filename=filename)}",
@@ -414,10 +297,6 @@ def _main(argv: list[str] | None = None) -> int:
             failures += 1
     if failures:
         return 1
-    if args.batch is not None:
-        status = _run_batch(routines, args)
-        if status:
-            return status
     for routine in routines:
         print(routine.source)
         if args.dump_passes:

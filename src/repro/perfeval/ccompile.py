@@ -10,8 +10,7 @@ covers the full flag set (defaults + OpenMP + extra flags + caller
 flags) as well as the source, so artifacts never leak across flag sets.
 
 Extra flags: ``SPL_CFLAGS`` (e.g. ``SPL_CFLAGS=-march=native``) appends
-host-compiler flags to every compilation; the CLI exposes the same knob
-as ``--cflags``.  OpenMP: :func:`have_openmp` probes the toolchain once
+host-compiler flags to every compilation.  OpenMP: :func:`have_openmp` probes the toolchain once
 (compile a trivial ``#pragma omp`` program), and
 :func:`batch_driver_source` can emit a parallel ``spl_batch_omp_*``
 driver next to the serial one; callers fall back to single-threaded

@@ -482,25 +482,6 @@ class ExecutableRoutine:
         call._keepalive = (x, y)
         return call
 
-    def timer_closure_many(self, batch: int,
-                           threads: int | None = None) -> Callable[[], None]:
-        """A zero-argument closure timing ``apply_many`` on a fixed
-        random batch (buffer handling included — that is the honest
-        per-batch cost a caller pays)."""
-        rng = np.random.default_rng(0)
-        n = self.routine.program.in_size
-        if self.dtype.kind == "c":
-            X = rng.standard_normal((batch, 2 * n)).view(np.complex128)
-        else:
-            X = rng.standard_normal((batch, n))
-        apply_many = self.apply_many
-
-        def call() -> None:
-            apply_many(X, threads=threads)
-
-        call._keepalive = (X,)
-        return call
-
 
 def _pointer_call(fn: Callable) -> Callable:
     """``raw_call`` for a native entry: ``fn(y, x)`` on the data

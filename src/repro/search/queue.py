@@ -208,12 +208,10 @@ class TaskJournal:
 
     One JSON object per line: ``{"key", "result", "sha"}`` where
     ``sha`` covers the canonical rendering of key+result.  Appends are
-    flushed to the OS line-at-a-time, so a coordinator killed mid-run
-    loses at most the line being written — and that line fails its
-    checksum (or does not parse) on replay and is skipped, never
-    trusted.  Nothing is ``fsync``ed: the journal survives a killed
-    process, not a power cut (which can drop the unsynced tail; the
-    checksums keep what is left trustworthy).  The file
+    flushed and ``fsync``ed line-at-a-time, so a coordinator killed
+    mid-run — or a power cut — loses at most the line being written, and
+    that line fails its checksum (or does not parse) on replay and is
+    skipped, never trusted.  The file
     is only ever appended to; dedup on replay keeps the *first* record
     for a key, so a journal assembled across crashes and restarts
     still yields exactly one result per key.
@@ -256,9 +254,9 @@ class TaskJournal:
         return replay
 
     def append(self, key: str, result: Any) -> bool:
-        """Record one completion so that it outlives this process
-        (flushed to the OS, not ``fsync``ed); False on an unwritable
-        path.
+        """Record one completion so that it outlives this process and
+        a power cut (flushed, then ``fsync``ed); False on an unwritable
+        path or a failed sync.
 
         Failure to journal must never lose the in-memory result or
         abort the run — it just means a crash after this point would
@@ -271,6 +269,7 @@ class TaskJournal:
             with open(self.path, "a", encoding="utf-8") as handle:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
                 handle.flush()
+                os.fsync(handle.fileno())
             self.appends += 1
             return True
         except (OSError, TypeError, ValueError):
@@ -384,23 +383,17 @@ def _worker_main(conn, task_fn: Callable[[dict], Any],
 
 
 # ---------------------------------------------------------------------------
-# The coordinator.
+# The coordinator: a decision core behind a thin I/O loop.
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _Worker:
-    """Coordinator-side state for one forked worker."""
+    """The core's view of one worker slot: its lease, nothing else."""
 
-    proc: Any
-    conn: Any
     key: str | None = None  # leased task, None when idle
     leased_at: float = 0.0
     last_beat: float = 0.0
-
-    @property
-    def idle(self) -> bool:
-        return self.key is None
 
 
 class TaskQueueCoordinator:
@@ -415,6 +408,28 @@ class TaskQueueCoordinator:
     attempt and is retried under backoff like a lost worker; code that
     wants a failure to be a *terminal data point* (e.g. "this candidate
     emits NaN") should return a structured result instead.
+
+    Two halves.  :meth:`decide` is the **decision core**: a function of
+    (this object's state, one event, ``now``) that updates the state
+    and returns plain-data effects; it never reads a clock, forks,
+    kills, sends or waits, so the retry rule, the leases and the
+    exactly-once contract run under a simulated clock
+    (``tests/search/test_queue_schedule.py``).
+
+    ======================================  ============================
+    event                                   effect
+    ======================================  ============================
+    ``("message", worker, msg)``            ``("send", worker, key, attempt)``
+    ``("worker_died", worker, sig, code)``  ``("kill", worker)``
+    ``("tick",)``                           ``("spawn", worker)``
+    ..                                      ``("journal", key, result)``
+    ..                                      ``("settle", key, value)``
+    ======================================  ============================
+
+    :meth:`run` is the **I/O loop**: it reads the clock once per
+    iteration, turns pipe traffic and dead processes into events and
+    performs the effects (``settle`` writes the outcome and, for a
+    failure, the quarantine).
     """
 
     def __init__(self, task_fn: Callable[[dict], Any], *,
@@ -440,9 +455,171 @@ class TaskQueueCoordinator:
         self.chaos = chaos if chaos is not None else SearchChaos.from_env()
         self.stats: dict[str, int] = collections.defaultdict(int)
 
-    # -- worker lifecycle ----------------------------------------------
+    # -- the decision core ---------------------------------------------
 
-    def _spawn_worker(self) -> _Worker:
+    def _begin(self, tasks: dict[str, dict]) -> list[tuple]:
+        """Settle what the journal and the quarantine already know,
+        open the rest, and staff the first workers."""
+        self._tasks = tasks
+        outcome = self._outcome = QueueOutcome()
+        self._pending: collections.deque[str] = collections.deque()
+        self._attempts = {key: 0 for key in tasks}
+        # Last observed (kind, detail, signal) per key, so the eventual
+        # CandidateFailure names the real reason, not a generic one.
+        self._last_cause: dict[str, tuple[str, str, int | None]] = {}
+        self._ready_at: dict[str, float] = {}
+        self._slots: dict[int, _Worker] = {}
+        replayed: dict[str, Any] = {}
+        if self.journal is not None:
+            replay = self.journal.replay()
+            self.stats["journal_corrupt_lines"] += replay.corrupt_lines
+            self.stats["journal_duplicates"] += replay.duplicate_keys
+            replayed = replay.results
+        for key in tasks:
+            if key in replayed:
+                outcome.results[key] = replayed[key]
+                self.stats["journal_replayed"] += 1
+                continue
+            known = self.quarantine.check(key)
+            if known is not None:
+                outcome.failures[key] = known
+                self.stats["quarantine_skips"] += 1
+                continue
+            self._pending.append(key)
+        self._open = set(self._pending)  # pending or leased, not settled
+        self.stats["tasks_total"] += len(tasks)
+        return [self._staff(wid)
+                for wid in range(min(self.workers, len(self._pending)))]
+
+    def decide(self, event: tuple, now: float) -> list[tuple]:
+        """Apply one event at time ``now``; return the effects to perform."""
+        return getattr(self, f"_on_{event[0]}")(now, *event[1:])
+
+    def _staff(self, wid: int) -> tuple:
+        self._slots[wid] = _Worker()
+        self.stats["workers_spawned"] += 1
+        return ("spawn", wid)
+
+    def _poison(self, key: str) -> list[tuple]:
+        kind, detail, signum = self._last_cause[key]
+        self._open.discard(key)
+        self.stats["poisoned"] += 1
+        return [("settle", key, CandidateFailure(
+            kind=kind, plan_key=key, detail=detail, signal=signum,
+            attempts=self._attempts[key]))]
+
+    def _retry_or_poison(self, key: str, now: float) -> list[tuple]:
+        if self._attempts[key] >= self.policy.max_attempts:
+            return self._poison(key)
+        self._ready_at[key] = now + self.policy.backoff_s(
+            self._attempts[key])
+        self._pending.append(key)
+        self.stats["retries"] += 1
+        return []
+
+    def _reclaim(self, now: float, wid: int, reason: str,
+                 cause: tuple) -> list[tuple]:
+        """Take back ``wid``'s lease — a crash is retried, a hang is
+        terminal — and restaff the slot only while work remains."""
+        key = self._slots.pop(wid).key
+        effects: list[tuple] = []
+        if key in self._open:
+            self.stats[f"reclaims_{reason}"] += 1
+            self._last_cause[key] = cause
+            effects = (self._retry_or_poison(key, now)
+                       if reason == "dead" else self._poison(key))
+        if self._open:
+            effects.append(self._staff(wid))
+        return effects
+
+    def _on_worker_died(self, now: float, wid: int, signum: int | None,
+                        exitcode: int | None) -> list[tuple]:
+        # Crash, chaos SIGKILL, rlimit, OOM killer.
+        self.stats["worker_deaths"] += 1
+        how = (f"killed by signal {signum}" if signum is not None
+               else f"exited with code {exitcode}")
+        return self._reclaim(now, wid, "dead",
+                             ("crash", f"worker {how}", signum))
+
+    def _on_message(self, now: float, wid: int,
+                    message: tuple) -> list[tuple]:
+        worker = self._slots[wid]
+        kind, key = message[:2]
+        if kind == "beat":
+            worker.last_beat = now
+            return []
+        if kind == "ready":
+            if worker.key == key:
+                worker.leased_at = now
+            return []
+        if worker.key == key:
+            worker.key = None
+        if key not in self._open:
+            # A reclaimed lease finished anyway: the first settlement
+            # stands, the duplicate is counted.
+            self.stats["duplicates_ignored"] += 1
+            return []
+        if kind == "done":
+            self._open.discard(key)
+            self.stats["completed"] += 1
+            return [("journal", key, message[2]),
+                    ("settle", key, message[2])]
+        self.stats["task_errors"] += 1
+        self._last_cause[key] = (message[2], message[3], None)
+        return self._retry_or_poison(key, now)
+
+    def _on_tick(self, now: float) -> list[tuple]:
+        policy = self.policy
+        effects: list[tuple] = []
+        # Lease and heartbeat enforcement.
+        for wid, worker in list(self._slots.items()):
+            if worker.key is None:
+                continue
+            if now - worker.leased_at > policy.timeout:
+                reason, limit = "wedged", policy.timeout
+            elif now - worker.last_beat > policy.heartbeat_timeout:
+                reason, limit = "silent", policy.heartbeat_timeout
+            else:
+                continue
+            self.stats["workers_killed"] += 1
+            effects.append(("kill", wid))
+            effects += self._reclaim(now, wid, reason, (
+                "hang", f"worker {reason}: nothing within {limit:g}s",
+                None))
+        # Assign ready tasks to idle workers.
+        for wid, worker in self._slots.items():
+            if worker.key is not None:
+                continue
+            key = next((k for k in self._pending
+                        if now >= self._ready_at.get(k, 0.0)), None)
+            if key is None:
+                break  # everything pending is backing off
+            self._pending.remove(key)
+            self._attempts[key] += 1
+            worker.key = key
+            # With a prepare step the lease clock starts at the
+            # worker's "ready"; until then only heartbeats watch.
+            worker.leased_at = now if self.prepare is None else math.inf
+            worker.last_beat = now
+            effects.append(("send", wid, key, self._attempts[key]))
+        return effects
+
+    def _poll_timeout(self, now: float) -> float:
+        horizon = now + 0.5
+        for worker in self._slots.values():
+            if worker.key is not None:
+                horizon = min(
+                    horizon,
+                    worker.leased_at + self.policy.timeout,
+                    worker.last_beat + self.policy.heartbeat_timeout,
+                )
+        for key in self._pending:
+            horizon = min(horizon, self._ready_at.get(key, horizon))
+        return max(0.01, horizon - now)
+
+    # -- the I/O loop: events in, effects out --------------------------
+
+    def _spawn_worker(self) -> tuple:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
@@ -455,37 +632,75 @@ class TaskQueueCoordinator:
         )
         proc.start()
         child_conn.close()
-        self.stats["workers_spawned"] += 1
-        now = time.monotonic()
-        return _Worker(proc=proc, conn=parent_conn, last_beat=now)
+        return proc, parent_conn
 
-    def _reap(self, worker: _Worker, *, grace: float) -> int | None:
-        """Collect ``worker``, SIGKILLing it if it outlives ``grace``.
+    def _reap(self, proc, conn, *, grace: float) -> int | None:
+        """Collect a worker, SIGKILLing it if it outlives ``grace``.
 
-        Returns the signal that ended it, if one did.  A worker that
-        closed its pipe gets a moment to be reaped first, so the signal
-        reported is its own (SIGSEGV, the OOM killer's SIGKILL) rather
-        than ours.
+        Returns its exit code (negative: the signal that ended it).  A
+        worker that closed its pipe gets a moment to be reaped first,
+        so the signal reported is its own (SIGSEGV, the OOM killer's
+        SIGKILL) rather than ours.
         """
-        worker.proc.join(grace)
-        if worker.proc.exitcode is None:
-            worker.proc.kill()
-            worker.proc.join(5.0)
+        proc.join(grace)
+        if proc.exitcode is None:
+            proc.kill()
+            proc.join(5.0)
         try:
-            worker.conn.close()
+            conn.close()
         except OSError:  # pragma: no cover
             pass
-        code = worker.proc.exitcode
-        return -code if code is not None and code < 0 else None
+        return proc.exitcode
 
-    def _stop_worker(self, worker: _Worker) -> None:
+    def _died(self, wid: int) -> tuple:
+        """Reap the dead worker in ``wid``; the event that reports it."""
+        code = self._reap(*self._procs.pop(wid), grace=1.0)
+        signum = -code if code is not None and code < 0 else None
+        return ("worker_died", wid, signum, code)
+
+    def _feed(self, event: tuple, now: float) -> None:
+        """Decide on one event and perform what the core asks for."""
+        for kind, *args in self.decide(event, now):
+            if kind == "settle":
+                key, value = args
+                if isinstance(value, CandidateFailure):
+                    self.quarantine.add(value)
+                    self._outcome.failures[key] = value
+                else:
+                    self._outcome.results[key] = value
+            elif kind == "journal":
+                if self.journal is not None:
+                    self.journal.append(*args)
+            elif kind == "spawn":
+                self._procs[args[0]] = self._spawn_worker()
+            elif kind == "kill":
+                self._reap(*self._procs.pop(args[0]), grace=0.0)
+            else:
+                wid, key, attempt = args
+                try:
+                    self._procs[wid][1].send(
+                        ("task", key, self._tasks[key], attempt))
+                except (OSError, ValueError, BrokenPipeError):
+                    # Worker died between assignments.
+                    self._feed(self._died(wid), now)
+
+    def _wait(self, timeout: float) -> list[tuple]:
+        """Block for pipe traffic or ``timeout``; what arrived, as events."""
+        import multiprocessing.connection as mpc
+
+        wids = {conn: wid for wid, (_, conn) in self._procs.items()}
         try:
-            worker.conn.send(_STOP)
-        except (OSError, ValueError, BrokenPipeError):
-            pass
-        self._reap(worker, grace=1.0)
-
-    # -- the run -------------------------------------------------------
+            ready = mpc.wait(list(wids), timeout)
+        except OSError:  # pragma: no cover - torn-down conn
+            ready = []
+        events = []
+        for conn in ready:
+            try:
+                while conn.poll(0):
+                    events.append(("message", wids[conn], conn.recv()))
+            except (EOFError, OSError):
+                events.append(self._died(wids[conn]))
+        return events
 
     def run(self, tasks: dict[str, dict]) -> QueueOutcome:
         """Execute every task exactly once; blocks until all settle.
@@ -497,204 +712,23 @@ class TaskQueueCoordinator:
         key — in ``results`` or in ``failures`` — with zero losses and
         zero duplicates by construction.
         """
-        outcome = QueueOutcome()
-        policy = self.policy
-        pending: collections.deque[str] = collections.deque()
-        attempts: dict[str, int] = {key: 0 for key in tasks}
-        # Last observed (kind, detail, signal) per key, so the eventual
-        # CandidateFailure names the real reason, not a generic one.
-        last_cause: dict[str, tuple[str, str, int | None]] = {}
-        ready_at: dict[str, float] = {}
-
-        if self.journal is not None:
-            replay = self.journal.replay()
-            self.stats["journal_corrupt_lines"] += replay.corrupt_lines
-            self.stats["journal_duplicates"] += replay.duplicate_keys
-            for key in tasks:
-                if key in replay.results:
-                    outcome.results[key] = replay.results[key]
-                    self.stats["journal_replayed"] += 1
-        for key in tasks:
-            if key in outcome.results:
-                continue
-            known = self.quarantine.check(key)
-            if known is not None:
-                outcome.failures[key] = known
-                self.stats["quarantine_skips"] += 1
-                continue
-            pending.append(key)
-        self.stats["tasks_total"] += len(tasks)
-
-        if not pending:
-            outcome.stats = dict(self.stats)
-            return outcome
-
-        workers = [self._spawn_worker()
-                   for _ in range(min(self.workers, len(pending)))]
-
-        def settle_failed(key: str) -> None:
-            kind, detail, signum = last_cause[key]
-            failure = CandidateFailure(
-                kind=kind, plan_key=key, detail=detail, signal=signum,
-                attempts=attempts[key])
-            self.quarantine.add(failure)
-            outcome.failures[key] = failure
-            self.stats["poisoned"] += 1
-
-        def retry_or_poison(key: str) -> None:
-            if attempts[key] >= policy.max_attempts:
-                settle_failed(key)
-            else:
-                ready_at[key] = (time.monotonic()
-                                 + policy.backoff_s(attempts[key]))
-                pending.append(key)
-                self.stats["retries"] += 1
-
-        def reclaim(worker: _Worker, *, reason: str) -> None:
-            """Kill/reap ``worker``, settle or re-queue its task, replace it."""
-            signum = self._reap(worker,
-                                grace=1.0 if reason == "dead" else 0.0)
-            workers[workers.index(worker)] = self._spawn_worker()
-            key = worker.key
-            if key is None or key in outcome.results:
-                return
-            self.stats[f"reclaims_{reason}"] += 1
-            if reason == "dead":
-                how = (f"killed by signal {signum}" if signum is not None
-                       else f"exited with code {worker.proc.exitcode}")
-                last_cause[key] = ("crash", f"worker {how}", signum)
-                retry_or_poison(key)
-            else:
-                limit = (policy.timeout if reason == "wedged"
-                         else policy.heartbeat_timeout)
-                last_cause[key] = (
-                    "hang", f"worker {reason}: nothing within {limit:g}s",
-                    None)
-                settle_failed(key)
-
-        def drain(worker: _Worker) -> None:
-            """Consume every queued message from one worker pipe."""
-            while True:
-                try:
-                    if not worker.conn.poll(0):
-                        return
-                    message = worker.conn.recv()
-                except (EOFError, OSError):
-                    # Worker died: crash, chaos SIGKILL, rlimit, OOM.
-                    self.stats["worker_deaths"] += 1
-                    reclaim(worker, reason="dead")
-                    return
-                kind = message[0]
-                if kind == "beat":
-                    worker.last_beat = time.monotonic()
-                elif kind == "ready":
-                    if worker.key == message[1]:
-                        worker.leased_at = time.monotonic()
-                elif kind == "done":
-                    _, key, result = message
-                    if worker.key == key:
-                        worker.key = None
-                    if key in outcome.results:
-                        # A reclaimed lease finished anyway: keep the
-                        # first result, count the duplicate.
-                        self.stats["duplicates_ignored"] += 1
-                        continue
-                    if key not in attempts:
-                        continue  # stale message for an unknown key
-                    outcome.results[key] = result
-                    outcome.failures.pop(key, None)
-                    if self.journal is not None:
-                        self.journal.append(key, result)
-                    self.stats["completed"] += 1
-                elif kind == "fail":
-                    _, key, failure_kind, detail = message
-                    if worker.key == key:
-                        worker.key = None
-                    if key in outcome.results or key not in attempts:
-                        self.stats["duplicates_ignored"] += 1
-                        continue
-                    self.stats["task_errors"] += 1
-                    last_cause[key] = (failure_kind, detail, None)
-                    retry_or_poison(key)
-
-        def outstanding() -> int:
-            running = sum(1 for w in workers if not w.idle)
-            return len(pending) + running
-
-        import multiprocessing.connection as mpc
-
+        self._procs: dict[int, tuple] = {}
         try:
-            while outstanding() > 0:
-                now = time.monotonic()
-                # Assign ready tasks to idle workers.
-                for worker in list(workers):
-                    if not worker.idle or not pending:
-                        continue
-                    key = None
-                    for _ in range(len(pending)):
-                        candidate = pending.popleft()
-                        if now >= ready_at.get(candidate, 0.0):
-                            key = candidate
-                            break
-                        pending.append(candidate)
-                    if key is None:
-                        break  # everything pending is backing off
-                    attempts[key] += 1
-                    worker.key = key
-                    # With a prepare step the lease clock starts at the
-                    # worker's "ready"; until then only heartbeats watch.
-                    worker.leased_at = now if self.prepare is None \
-                        else math.inf
-                    worker.last_beat = now
-                    try:
-                        worker.conn.send(
-                            ("task", key, tasks[key], attempts[key]))
-                    except (OSError, ValueError, BrokenPipeError):
-                        # Worker died between assignments.
-                        self.stats["worker_deaths"] += 1
-                        reclaim(worker, reason="dead")
-                # Wait for messages or the next deadline.
-                timeout = self._poll_timeout(workers, pending, ready_at)
-                conns = [w.conn for w in workers]
-                try:
-                    ready = mpc.wait(conns, timeout)
-                except OSError:  # pragma: no cover - torn-down conn
-                    ready = []
-                for conn in ready:
-                    match = [w for w in workers if w.conn is conn]
-                    if match:
-                        drain(match[0])
-                # Lease and heartbeat enforcement.
-                now = time.monotonic()
-                for worker in list(workers):
-                    if worker.idle:
-                        continue
-                    over_lease = now - worker.leased_at > policy.timeout
-                    silent = (now - worker.last_beat
-                              > policy.heartbeat_timeout)
-                    if over_lease or silent:
-                        self.stats["workers_killed"] += 1
-                        reclaim(worker,
-                                reason="wedged" if over_lease else "silent")
+            for _, wid in self._begin(tasks):
+                self._procs[wid] = self._spawn_worker()
+            events: list[tuple] = []
+            while self._open:
+                now = time.monotonic()  # the loop's one clock read
+                for event in (*events, ("tick",)):
+                    self._feed(event, now)
+                events = (self._wait(self._poll_timeout(now))
+                          if self._open else [])
         finally:
-            for worker in workers:
-                self._stop_worker(worker)
-        outcome.stats = dict(self.stats)
-        return outcome
-
-    def _poll_timeout(self, workers: list[_Worker],
-                      pending: collections.deque,
-                      ready_at: dict[str, float]) -> float:
-        now = time.monotonic()
-        horizon = now + 0.5
-        for worker in workers:
-            if not worker.idle:
-                horizon = min(
-                    horizon,
-                    worker.leased_at + self.policy.timeout,
-                    worker.last_beat + self.policy.heartbeat_timeout,
-                )
-        for key in pending:
-            if key in ready_at:
-                horizon = min(horizon, ready_at[key])
-        return max(0.01, horizon - now)
+            for proc, conn in self._procs.values():
+                try:
+                    conn.send(_STOP)
+                except (OSError, ValueError, BrokenPipeError):
+                    pass
+                self._reap(proc, conn, grace=1.0)
+        self._outcome.stats = dict(self.stats)
+        return self._outcome

@@ -12,13 +12,7 @@ jittered-backoff policy with a retry budget.  See
 """
 
 from repro.serve.admission import AdmissionController, AdmissionStats
-from repro.serve.chaos import (
-    ChaosConfig,
-    ChaosInjector,
-    ChaosReport,
-    FleetProcess,
-    run_chaos,
-)
+from repro.serve.chaos import ChaosConfig, ChaosInjector
 from repro.serve.client import (
     AsyncSplClient,
     ResilientAsyncClient,
@@ -52,9 +46,7 @@ __all__ = [
     "BadRequest",
     "ChaosConfig",
     "ChaosInjector",
-    "ChaosReport",
     "DeadlineExceeded",
-    "FleetProcess",
     "Overloaded",
     "Plan",
     "PlanKey",
@@ -74,6 +66,5 @@ __all__ = [
     "Unavailable",
     "call_with_retry",
     "fork_supported",
-    "run_chaos",
     "run_worker",
 ]

@@ -52,7 +52,7 @@ import signal
 import socket
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.serve.chaos import injector_from_env
 from repro.serve.plans import PlanKey, PlanRegistry
@@ -306,7 +306,7 @@ class RestartBudget:
 
 
 # ---------------------------------------------------------------------------
-# The supervisor.
+# The supervisor: a decision core behind a thin I/O loop.
 # ---------------------------------------------------------------------------
 
 # Worker slot states.
@@ -315,11 +315,16 @@ READY = "ready"  # heartbeating
 DRAINING = "draining"  # SIGTERM sent (rolling restart / shutdown)
 DOWN = "down"  # dead, restart scheduled at slot.restart_at
 STOPPED = "stopped"  # shutdown complete
+_LIVE = (STARTING, READY, DRAINING)  # a process holds the slot
 
 
 @dataclass
 class WorkerSlot:
-    """Parent-side bookkeeping for one worker position."""
+    """Parent-side bookkeeping for one worker position.
+
+    ``pid`` and ``heartbeat_fd`` belong to the I/O loop (the core only
+    quotes the pid in log lines); everything else is core state.
+    """
 
     index: int
     pid: int | None = None
@@ -330,15 +335,35 @@ class WorkerSlot:
     restart_at: float = 0.0
     consecutive_failures: int = 0
     restarts: int = 0
-    rolling: bool = field(default=False)  # mid rolling-restart
+    rolling: bool = False  # mid rolling-restart
+    killed: bool = False  # SIGKILL already sent to this process
 
 
 class Supervisor:
     """Fork, watch, restart, drain.  Blocks in :meth:`run`.
 
-    Must run on the main thread of a process it owns (it installs
-    signal handlers and forks); tests and the chaos harness drive it
-    through the real CLI in a subprocess.
+    Two halves.  :meth:`decide` is the **decision core**: a function of
+    (this object's state, one event, ``now``) that updates the state
+    and returns plain-data effects; it never reads a clock, forks,
+    signals or waits, so every restart / backoff / heartbeat / rolling
+    rule runs under a simulated clock
+    (``tests/serve/test_supervisor_schedule.py``).
+
+    ==============================  ====================================
+    event                           effect
+    ==============================  ====================================
+    ``("exited", slot, code)``      ``("spawn", slot)``
+    ``("beat", slot)``              ``("signal", slot, SIGTERM)``
+    ``("spawn_failed", slot, why)``  ``("signal", slot, SIGKILL)``
+    ``("hup",)`` ``("stop",)``      ``("log", text)``
+    ``("tick",)``
+    ==============================  ====================================
+
+    :meth:`run` is the **I/O loop**: it reads the clock once per
+    iteration, turns pipes, ``waitpid`` and signal flags into events
+    and performs the effects.  It must run on the main thread of a
+    process it owns (it installs signal handlers and forks); the fleet
+    tests drive it through the real CLI in a subprocess.
     """
 
     def __init__(self, config: ServeConfig, *, workers: int,
@@ -368,26 +393,243 @@ class Supervisor:
         self._last_status_json: str | None = None
         self._rng = rng or random.Random()
         self.slots = [WorkerSlot(index=i) for i in range(workers)]
-        self._fd_slots: dict[int, WorkerSlot] = {}
         self._selector = selectors.DefaultSelector()
         self._reserve_sock: socket.socket | None = None
         self._wake_r, self._wake_w = -1, -1
         self._stop_requested = False
         self._hup_requested = False
+        self._now = 0.0  # the last clock reading the core was given
         self._stopping = False
+        self._stop_deadline = 0.0
         self._roll_queue: collections.deque[int] = collections.deque()
         self._roll_slot: int | None = None
         self._roll_deadline = 0.0
         self.wedge_kills = 0
         self.crashes = 0
 
-    # -- logging -------------------------------------------------------
+    # -- the decision core ---------------------------------------------
+
+    def decide(self, event: tuple, now: float) -> list[tuple]:
+        """Apply one event at time ``now``; return the effects to perform."""
+        self._now = now
+        return getattr(self, f"_on_{event[0]}")(now, *event[1:])
+
+    def _start(self, slot: WorkerSlot, now: float) -> tuple:
+        slot.state = STARTING
+        slot.started_at = slot.last_beat = now
+        slot.killed = False
+        return ("spawn", slot.index)
+
+    def _kill(self, slot: WorkerSlot) -> tuple:
+        slot.killed = True
+        return ("signal", slot.index, signal.SIGKILL)
+
+    def _back_off(self, slot: WorkerSlot, now: float,
+                  what: str) -> list[tuple]:
+        slot.consecutive_failures += 1
+        delay = self.backoff.delay(slot.consecutive_failures,
+                                   self._rng)
+        slot.state = DOWN
+        slot.restart_at = now + delay
+        return [("log", f"worker {slot.index} {what}; restart in "
+                        f"{delay:.2f}s (failure "
+                        f"#{slot.consecutive_failures})")]
+
+    def _on_exited(self, now: float, index: int,
+                   code: int) -> list[tuple]:
+        slot = self.slots[index]
+        if self._stopping:
+            slot.state = STOPPED
+            return []
+        if slot.state == DRAINING and slot.rolling:
+            # Deliberate rolling replacement: no backoff, no budget.
+            slot.rolling = False
+            slot.consecutive_failures = 0
+            return [("log", f"worker {index} drained for rolling "
+                            f"restart (code {code}); replacing"),
+                    self._start(slot, now)]
+        # Crash, wedge-kill, or an exit nobody asked for.
+        self.crashes += 1
+        alive_s = now - slot.started_at
+        if alive_s >= self.backoff.stable_after_s:
+            slot.consecutive_failures = 0
+        cause = f"signal {-code}" if code < 0 else f"code {code}"
+        return self._back_off(
+            slot, now, f"died ({cause}, up {alive_s:.1f}s)")
+
+    def _on_spawn_failed(self, now: float, index: int,
+                         why: str) -> list[tuple]:
+        # A failed fork is one more consecutive failure of the slot:
+        # normal backoff, and a budget already spent stays spent.
+        return self._back_off(self.slots[index], now,
+                              f"could not be forked ({why})")
+
+    def _on_beat(self, now: float, index: int) -> list[tuple]:
+        slot = self.slots[index]
+        slot.last_beat = now
+        if slot.state != STARTING:
+            return []
+        slot.state = READY
+        return [("log", f"worker {index} (pid {slot.pid}) ready")]
+
+    def _on_hup(self, now: float) -> list[tuple]:  # noqa: ARG002
+        if self._roll_queue or self._roll_slot is not None:
+            return []  # a roll is already in progress
+        self._roll_queue.extend(range(len(self.slots)))
+        return [("log",
+                 f"rolling restart of {len(self.slots)} worker(s)")]
+
+    def _on_stop(self, now: float) -> list[tuple]:
+        self._stopping = True
+        self._stop_deadline = now + self.config.drain_grace_s + 5.0
+        alive = [s for s in self.slots if s.state in _LIVE]
+        effects = [("log", f"shutting down: draining {len(alive)} "
+                           f"worker(s)")]
+        for slot in alive:
+            slot.state = DRAINING
+            effects.append(("signal", slot.index, signal.SIGTERM))
+        return effects
+
+    def _on_tick(self, now: float) -> list[tuple]:
+        if not self._stopping:
+            return (self._check_wedged(now) + self._advance_rolling(now)
+                    + self._process_restarts(now))
+        effects = []
+        for slot in self.slots:
+            if (now >= self._stop_deadline and slot.state in _LIVE
+                    and not slot.killed):
+                effects += [("log", f"worker {slot.index} ignored "
+                                    f"drain; killing"),
+                            self._kill(slot)]
+        return effects
+
+    def _check_wedged(self, now: float) -> list[tuple]:
+        effects = []
+        for slot in self.slots:
+            if slot.killed:
+                continue
+            silent = now - slot.last_beat
+            if slot.state == READY and silent > self.heartbeat_timeout:
+                why = f"silent for {silent:.1f}s: wedged, killing"
+            elif (slot.state == STARTING
+                    and now - slot.started_at > self.boot_grace_s):
+                why = "never became ready: killing"
+            else:
+                continue
+            self.wedge_kills += 1
+            effects += [("log", f"worker {slot.index} (pid {slot.pid}) "
+                                f"{why}"),
+                        self._kill(slot)]
+        return effects
+
+    def _advance_rolling(self, now: float) -> list[tuple]:
+        if self._roll_slot is not None:
+            slot = self.slots[self._roll_slot]
+            if slot.state == DRAINING:
+                if now <= self._roll_deadline or slot.killed:
+                    return []
+                return [("log", f"rolling: worker {slot.index} ignored "
+                                f"drain; killing"),
+                        self._kill(slot)]
+            if slot.state == STARTING:
+                return []  # the replacement is still booting
+            # READY: the replacement is heartbeating.  DOWN: it crashed
+            # at boot and the restart machinery owns the slot now — do
+            # not stall the roll behind it.  Either way, next slot.
+            self._roll_slot = None
+        while self._roll_queue:
+            slot = self.slots[self._roll_queue.popleft()]
+            if slot.state not in _LIVE:
+                continue  # already down; restart path owns it
+            slot.state = DRAINING
+            slot.rolling = True
+            self._roll_slot = slot.index
+            self._roll_deadline = now + self.config.drain_grace_s + 5.0
+            return [("log", f"rolling: draining worker {slot.index} "
+                            f"(pid {slot.pid})"),
+                    ("signal", slot.index, signal.SIGTERM)]
+        return []
+
+    def _process_restarts(self, now: float) -> list[tuple]:
+        effects = []
+        for slot in self.slots:
+            if slot.state != DOWN or now < slot.restart_at:
+                continue
+            if self.budget.try_spend(now):
+                slot.restarts += 1
+                effects.append(self._start(slot, now))
+            else:
+                retry = max(1.0, self.budget.retry_after(now))
+                slot.restart_at = now + retry
+                alive = sum(1 for s in self.slots if s.state in _LIVE)
+                effects.append(("log", (
+                    f"restart budget exhausted "
+                    f"({self.budget.budget}/{self.budget.window_s:g}s"
+                    f"); degraded to {alive} worker(s), retrying "
+                    f"slot {slot.index} in {retry:.1f}s")))
+        return effects
+
+    def _poll_timeout(self, now: float) -> float:
+        horizon = now + 1.0
+        for slot in self.slots:
+            if slot.state == DOWN:
+                horizon = min(horizon, slot.restart_at)
+            elif slot.state in _LIVE:
+                horizon = min(
+                    horizon, slot.last_beat + self.heartbeat_timeout)
+        if self._roll_slot is not None:
+            horizon = min(horizon, self._roll_deadline)
+        if self._stopping:
+            horizon = min(horizon, self._stop_deadline)
+        return max(0.05, horizon - now)
+
+    def status(self) -> dict:
+        return {
+            "workers": self.workers,
+            "alive": sum(1 for s in self.slots if s.state in _LIVE),
+            "ready": sum(1 for s in self.slots if s.state == READY),
+            "crashes": self.crashes,
+            "wedge_kills": self.wedge_kills,
+            "restarts": sum(s.restarts for s in self.slots),
+            "budget_tripped": self.budget.tripped(self._now),
+            "budget_spent": self.budget.spent,
+            "budget_refused": self.budget.refused,
+            "budget_remaining": self.budget.remaining(self._now),
+            "stopping": self._stopping or self._stop_requested,
+            "rolling": self._roll_slot is not None
+                       or bool(self._roll_queue),
+            "slots": [
+                {
+                    "index": s.index,
+                    "pid": s.pid,
+                    "state": s.state,
+                    "restarts": s.restarts,
+                    "consecutive_failures": s.consecutive_failures,
+                }
+                for s in self.slots
+            ],
+        }
+
+    # -- the I/O loop: events in, effects out --------------------------
 
     def _log(self, message: str) -> None:
         print(f"spl serve[supervisor]: {message}", file=sys.stderr,
               flush=True)
 
-    # -- address reservation -------------------------------------------
+    def _feed(self, event: tuple, now: float) -> None:
+        """Decide on one event and perform what the core asks for."""
+        for kind, *args in self.decide(event, now):
+            if kind == "log":
+                self._log(*args)
+            elif kind == "spawn":
+                self._spawn(self.slots[args[0]], now)
+            else:
+                pid = self.slots[args[0]].pid
+                if pid is not None:
+                    try:
+                        os.kill(pid, args[1])
+                    except ProcessLookupError:
+                        pass
 
     def _reserve_address(self) -> tuple[str, int]:
         """Bind a non-listening SO_REUSEPORT socket to pin the port.
@@ -406,12 +648,22 @@ class Supervisor:
         self._reserve_sock = sock
         return host, port
 
-    # -- child management ----------------------------------------------
-
-    def _spawn(self, slot: WorkerSlot) -> None:
-        rfd, wfd = os.pipe()
-        os.set_blocking(rfd, False)
-        pid = os.fork()
+    def _spawn(self, slot: WorkerSlot, now: float) -> None:
+        """Fork a worker into ``slot``; a failed fork is an event."""
+        rfd = wfd = -1
+        try:
+            rfd, wfd = os.pipe()
+            os.set_blocking(rfd, False)
+            pid = os.fork()
+        except OSError as exc:
+            # EAGAIN under a process limit, EMFILE: the host is under
+            # pressure, which is no time to orphan the live workers.
+            for fd in (rfd, wfd):
+                if fd >= 0:
+                    os.close(fd)
+            self._feed(("spawn_failed", slot.index,
+                        exc.strerror or str(exc)), now)
+            return
         if pid == 0:
             # Child: drop every parent-side resource, restore default
             # signal dispositions (the parent's flag-setting handlers
@@ -444,14 +696,9 @@ class Supervisor:
                 os._exit(code)
         # Parent.
         os.close(wfd)
-        now = time.monotonic()
         slot.pid = pid
         slot.heartbeat_fd = rfd
-        slot.state = STARTING
-        slot.started_at = now
-        slot.last_beat = now
-        self._fd_slots[rfd] = slot
-        self._selector.register(rfd, selectors.EVENT_READ)
+        self._selector.register(rfd, selectors.EVENT_READ, slot)
         self._log(f"worker {slot.index} started (pid {pid})")
 
     def _release_fd(self, slot: WorkerSlot) -> None:
@@ -462,225 +709,40 @@ class Supervisor:
             self._selector.unregister(fd)
         except KeyError:
             pass
-        self._fd_slots.pop(fd, None)
         try:
             os.close(fd)
         except OSError:
             pass
         slot.heartbeat_fd = None
 
-    def _reap(self) -> None:
+    def _reap(self) -> list[tuple]:
+        """Collect dead children as ``exited`` events."""
+        events = []
         while True:
             try:
                 pid, status = os.waitpid(-1, os.WNOHANG)
             except ChildProcessError:
-                return
+                return events
             if pid == 0:
-                return
+                return events
             slot = next((s for s in self.slots if s.pid == pid), None)
             if slot is None:
                 continue
-            self._on_exit(slot, os.waitstatus_to_exitcode(status))
+            self._release_fd(slot)
+            slot.pid = None
+            events.append(("exited", slot.index,
+                           os.waitstatus_to_exitcode(status)))
 
-    def _on_exit(self, slot: WorkerSlot, code: int) -> None:
-        now = time.monotonic()
-        alive_s = now - slot.started_at
-        self._release_fd(slot)
-        slot.pid = None
-        was_draining = slot.state == DRAINING
-        if self._stopping:
-            slot.state = STOPPED
-            return
-        if was_draining and slot.rolling:
-            # Deliberate rolling replacement: no backoff, no budget.
-            slot.rolling = False
-            slot.consecutive_failures = 0
-            self._log(f"worker {slot.index} drained for rolling "
-                      f"restart (code {code}); replacing")
-            self._spawn(slot)
-            return
-        # Crash, wedge-kill, or an exit nobody asked for.
-        self.crashes += 1
-        if alive_s >= self.backoff.stable_after_s:
-            slot.consecutive_failures = 0
-        slot.consecutive_failures += 1
-        delay = self.backoff.delay(slot.consecutive_failures,
-                                   self._rng)
-        slot.state = DOWN
-        slot.restart_at = now + delay
-        cause = (f"signal {-code}" if code < 0 else f"code {code}")
-        self._log(f"worker {slot.index} died ({cause}, up "
-                  f"{alive_s:.1f}s); restart in {delay:.2f}s "
-                  f"(failure #{slot.consecutive_failures})")
-
-    def _process_restarts(self, now: float) -> None:
-        for slot in self.slots:
-            if slot.state != DOWN or now < slot.restart_at:
-                continue
-            if self.budget.try_spend(now):
-                slot.restarts += 1
-                self._spawn(slot)
-            else:
-                retry = max(1.0, self.budget.retry_after(now))
-                slot.restart_at = now + retry
-                alive = sum(1 for s in self.slots
-                            if s.pid is not None)
-                self._log(
-                    f"restart budget exhausted "
-                    f"({self.budget.budget}/{self.budget.window_s:g}s"
-                    f"); degraded to {alive} worker(s), retrying "
-                    f"slot {slot.index} in {retry:.1f}s")
-
-    def _check_wedged(self, now: float) -> None:
-        for slot in self.slots:
-            if slot.pid is None:
-                continue
-            if slot.state == READY:
-                silent = now - slot.last_beat
-                if silent > self.heartbeat_timeout:
-                    self.wedge_kills += 1
-                    self._log(f"worker {slot.index} (pid {slot.pid}) "
-                              f"silent for {silent:.1f}s: wedged, "
-                              f"killing")
-                    self._kill(slot)
-            elif slot.state == STARTING:
-                if now - slot.started_at > self.boot_grace_s:
-                    self.wedge_kills += 1
-                    self._log(f"worker {slot.index} (pid {slot.pid}) "
-                              f"never became ready: killing")
-                    self._kill(slot)
-
-    def _kill(self, slot: WorkerSlot) -> None:
-        if slot.pid is None:
-            return
-        try:
-            os.kill(slot.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-
-    def _drain_heartbeats(self, slot: WorkerSlot) -> None:
-        fd = slot.heartbeat_fd
-        if fd is None:
-            return
-        got = False
-        while True:
-            try:
-                chunk = os.read(fd, 4096)
-            except BlockingIOError:
-                break
-            except OSError:
-                break
-            if not chunk:
-                break  # EOF: the reap will handle the exit
-            got = True
-        if got:
-            slot.last_beat = time.monotonic()
-            if slot.state == STARTING:
-                slot.state = READY
-                self._log(f"worker {slot.index} (pid {slot.pid}) "
-                          f"ready")
-
-    # -- rolling restart ----------------------------------------------
-
-    def _begin_rolling(self) -> None:
-        if self._roll_queue or self._roll_slot is not None:
-            return  # a roll is already in progress
-        self._roll_queue.extend(range(len(self.slots)))
-        self._log(f"rolling restart of {len(self.slots)} worker(s)")
-
-    def _advance_rolling(self, now: float) -> None:
-        if self._roll_slot is None:
-            while self._roll_queue:
-                index = self._roll_queue.popleft()
-                slot = self.slots[index]
-                if slot.pid is None:
-                    continue  # already down; restart path owns it
-                slot.state = DRAINING
-                slot.rolling = True
-                self._roll_slot = index
-                self._roll_deadline = (
-                    now + self.config.drain_grace_s + 5.0)
-                try:
-                    os.kill(slot.pid, signal.SIGTERM)
-                except ProcessLookupError:
-                    pass
-                self._log(f"rolling: draining worker {index} "
-                          f"(pid {slot.pid})")
-                return
-            return
-        slot = self.slots[self._roll_slot]
-        if slot.state == DRAINING and now > self._roll_deadline:
-            self._log(f"rolling: worker {slot.index} ignored drain; "
-                      f"killing")
-            self._kill(slot)
-            self._roll_deadline = now + 5.0
-        elif slot.state == READY:
-            # The replacement is heartbeating: move to the next slot.
-            self._roll_slot = None
-        elif slot.state == DOWN:
-            # Replacement crashed at boot; the restart machinery owns
-            # the slot now — do not stall the roll behind it.
-            self._roll_slot = None
-
-    # -- signals -------------------------------------------------------
-
-    def _install_signals(self) -> dict:
-        previous = {}
-
-        def request_stop(signum, frame):  # noqa: ARG001
-            self._stop_requested = True
-            self._wake()
-
-        def request_hup(signum, frame):  # noqa: ARG001
+    def _signalled(self, signum, frame) -> None:  # noqa: ARG002
+        """Signal handler: note the request, wake the loop's select."""
+        if signum == signal.SIGHUP:
             self._hup_requested = True
-            self._wake()
-
-        def on_chld(signum, frame):  # noqa: ARG001
-            self._wake()
-
-        for signum, handler in ((signal.SIGTERM, request_stop),
-                                (signal.SIGINT, request_stop),
-                                (signal.SIGHUP, request_hup),
-                                (signal.SIGCHLD, on_chld)):
-            previous[signum] = signal.signal(signum, handler)
-        return previous
-
-    def _wake(self) -> None:
-        if self._wake_w >= 0:
-            try:
-                os.write(self._wake_w, b"w")
-            except OSError:
-                pass
-
-    # -- the main loop -------------------------------------------------
-
-    def status(self) -> dict:
-        now = time.monotonic()
-        return {
-            "workers": self.workers,
-            "alive": sum(1 for s in self.slots if s.pid is not None),
-            "ready": sum(1 for s in self.slots if s.state == READY),
-            "crashes": self.crashes,
-            "wedge_kills": self.wedge_kills,
-            "restarts": sum(s.restarts for s in self.slots),
-            "budget_tripped": self.budget.tripped(now),
-            "budget_spent": self.budget.spent,
-            "budget_refused": self.budget.refused,
-            "budget_remaining": self.budget.remaining(now),
-            "stopping": self._stopping or self._stop_requested,
-            "rolling": self._roll_slot is not None
-                       or bool(self._roll_queue),
-            "slots": [
-                {
-                    "index": s.index,
-                    "pid": s.pid,
-                    "state": s.state,
-                    "restarts": s.restarts,
-                    "consecutive_failures": s.consecutive_failures,
-                }
-                for s in self.slots
-            ],
-        }
+        elif signum != signal.SIGCHLD:
+            self._stop_requested = True
+        try:
+            os.write(self._wake_w, b"w")
+        except OSError:
+            pass
 
     def _maybe_publish_status(self) -> None:
         """Atomically write :meth:`status` as JSON on every change.
@@ -718,38 +780,42 @@ class Supervisor:
         os.set_blocking(self._wake_r, False)
         os.set_blocking(self._wake_w, False)
         self._selector.register(self._wake_r, selectors.EVENT_READ)
-        previous = self._install_signals()
+        previous = {
+            signum: signal.signal(signum, self._signalled)
+            for signum in (signal.SIGTERM, signal.SIGINT, signal.SIGHUP,
+                           signal.SIGCHLD)}
         try:
             # Initial boot is not a restart: it never spends budget.
+            now = time.monotonic()
             for slot in self.slots:
-                self._spawn(slot)
+                self._start(slot, now)
+                self._spawn(slot, now)
             self._maybe_publish_status()
-            while True:
-                timeout = self._poll_timeout()
-                for key, _ in self._selector.select(timeout):
-                    if key.fd == self._wake_r:
-                        while True:
-                            try:
-                                if not os.read(self._wake_r, 4096):
-                                    break
-                            except (BlockingIOError, OSError):
-                                break
-                    else:
-                        slot = self._fd_slots.get(key.fd)
-                        if slot is not None:
-                            self._drain_heartbeats(slot)
-                self._reap()
+            while not self._stopping or (
+                    any(s.pid is not None for s in self.slots)
+                    and now < self._stop_deadline + 1.0):
+                ready = self._selector.select(self._poll_timeout(now))
+                now = time.monotonic()  # the loop's one clock read
+                events: list[tuple] = []
+                for key, _ in ready:
+                    # One read per readable pipe: the selector is level-
+                    # triggered, so leftovers wake the next select; b""
+                    # is EOF (the reap below handles that exit); the
+                    # wake pipe carries no slot.
+                    if os.read(key.fd, 4096) and key.data is not None:
+                        events.append(("beat", key.data.index))
+                events += self._reap()
                 if self._stop_requested:
-                    break
-                if self._hup_requested:
+                    if not self._stopping:
+                        events.append(("stop",))
+                elif self._hup_requested:
                     self._hup_requested = False
-                    self._begin_rolling()
-                now = time.monotonic()
-                self._check_wedged(now)
-                self._advance_rolling(now)
-                self._process_restarts(now)
+                    events.append(("hup",))
+                for event in (*events, ("tick",)):
+                    self._feed(event, now)
                 self._maybe_publish_status()
-            return self._shutdown()
+            self._log("fleet stopped")
+            return 0
         finally:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
@@ -762,48 +828,3 @@ class Supervisor:
                         pass
             if self._reserve_sock is not None:
                 self._reserve_sock.close()
-
-    def _poll_timeout(self) -> float:
-        now = time.monotonic()
-        horizon = now + 1.0
-        for slot in self.slots:
-            if slot.state == DOWN:
-                horizon = min(horizon, slot.restart_at)
-            elif slot.pid is not None:
-                horizon = min(
-                    horizon, slot.last_beat + self.heartbeat_timeout)
-        if self._roll_slot is not None:
-            horizon = min(horizon, self._roll_deadline)
-        return max(0.05, horizon - now)
-
-    def _shutdown(self) -> int:
-        self._stopping = True
-        alive = [s for s in self.slots if s.pid is not None]
-        self._log(f"shutting down: draining {len(alive)} worker(s)")
-        for slot in alive:
-            slot.state = DRAINING
-            try:
-                os.kill(slot.pid, signal.SIGTERM)
-            except ProcessLookupError:
-                pass
-        self._maybe_publish_status()
-        deadline = time.monotonic() + self.config.drain_grace_s + 5.0
-        while (any(s.pid is not None for s in self.slots)
-               and time.monotonic() < deadline):
-            self._selector.select(0.05)
-            self._reap()
-        for slot in self.slots:
-            if slot.pid is not None:
-                self._log(f"worker {slot.index} ignored drain; "
-                          f"killing")
-                self._kill(slot)
-                try:
-                    os.waitpid(slot.pid, 0)
-                except (ChildProcessError, OSError):
-                    pass
-                slot.pid = None
-                self._release_fd(slot)
-                slot.state = STOPPED
-        self._log("fleet stopped")
-        self._maybe_publish_status()
-        return 0

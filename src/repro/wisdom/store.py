@@ -13,9 +13,10 @@ Crash safety and concurrency:
 * **Atomic writes** — every save goes through :func:`atomic_write`
   (temp file plus ``rename``), so a writer killed mid-save leaves
   either the old file or the new one, never a truncated hybrid.  The
-  guarantee covers a killed *process*: nothing is ``fsync``ed, so a
-  power cut can still lose or tear the most recent save (which the
-  checksum below then catches).
+  temp file is ``fsync``ed before the rename and the directory after
+  it, so the guarantee covers a power cut as well as a killed process
+  (on a filesystem that cannot sync a directory, the rename itself may
+  still be lost — the old file then survives whole).
 * **Content checksum** — the payload carries a SHA-256 over its
   entries; a file whose bytes no longer match (bit rot, manual edits,
   a partial write from a non-atomic writer) is detected at load.
@@ -70,9 +71,13 @@ def atomic_write(path: str | os.PathLike, data: str | bytes) -> None:
 
     The bytes go to a sibling temp file (named with the pid, so
     concurrent writers never share one) that is then renamed over
-    ``path``; readers see the old content or the new, never a mix.  On
-    any failure the temp file is removed and the ``OSError`` propagates
-    to the caller, which handles it as it would a failed plain write.
+    ``path``; readers see the old content or the new, never a mix.  The
+    temp file is ``fsync``ed before the rename and the directory after
+    it, so what a power cut leaves is also the old content or the new.
+    On any failure up to the rename the temp file is removed and the
+    ``OSError`` propagates to the caller, which handles it as it would a
+    failed plain write; a directory that cannot be synced (some network
+    and FUSE filesystems refuse) is not a failure.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -81,6 +86,7 @@ def atomic_write(path: str | os.PathLike, data: str | bytes) -> None:
         if isinstance(data, str):
             data = data.encode("utf-8")
         tmp.write_bytes(data)
+        _fsync_path(tmp)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -88,6 +94,18 @@ def atomic_write(path: str | os.PathLike, data: str | bytes) -> None:
         except OSError:
             pass
         raise
+    try:
+        _fsync_path(path.parent)
+    except OSError:
+        pass
+
+
+def _fsync_path(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 @contextmanager

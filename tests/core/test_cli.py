@@ -37,19 +37,6 @@ class TestCli:
         assert "import numpy as np" in out
         assert "def fft4(y, x):" in out
 
-    def test_batch_timing(self, spl_file, capsys):
-        assert main([str(spl_file), "--language", "numpy",
-                     "--batch", "4", "--min-time", "0.001"]) == 0
-        captured = capsys.readouterr()
-        assert "batch=4" in captured.err
-        assert "backend=numpy" in captured.err
-        assert "vectors/sec" in captured.err
-        assert "def fft4(y, x):" in captured.out  # source still printed
-
-    def test_batch_rejects_nonpositive(self, spl_file, capsys):
-        assert main([str(spl_file), "--batch", "0"]) == 2
-        assert "positive" in capsys.readouterr().err
-
     def test_unroll_threshold_flag(self, spl_file, capsys):
         assert main([str(spl_file), "-B", "32", "--language", "c"]) == 0
         out = capsys.readouterr().out

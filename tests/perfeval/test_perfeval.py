@@ -319,12 +319,6 @@ class TestBatchExecution:
         np.testing.assert_allclose(executable.apply_many(X)[0],
                                    executable.apply(X[0]), atol=1e-12)
 
-    def test_timer_closure_many_runs(self):
-        executable = build_executable(self._routine(size=4),
-                                      prefer="numpy")
-        closure = executable.timer_closure_many(3)
-        closure()  # must not raise
-
     @requires_cc
     def test_batch_driver_source_and_load(self, tmp_path):
         import ctypes

@@ -137,6 +137,21 @@ class TestTaskJournal:
         assert not journal.append("a", 1)
         assert journal.append_errors == 1
 
+    def test_append_syncs_each_line_and_counts_a_failed_sync(
+            self, tmp_path, monkeypatch):
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        journal = TaskJournal(tmp_path / "journal.jsonl")
+        assert journal.append("a", 1) and journal.append("b", 2)
+        assert len(synced) == 2
+
+        def refuse(fd):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", refuse)
+        assert not journal.append("c", 3)  # counted, never raised
+        assert journal.append_errors == 1
+
 
 # ---------------------------------------------------------------------------
 # Coordinator behavior with real forked workers.
@@ -233,6 +248,10 @@ class TestCoordinator:
         assert failure.signal == signal.SIGKILL
         assert failure.attempts == FAST.max_attempts
         assert "poison" in quarantine
+        # Two to start with, one per retried death — and none for the
+        # death that poisoned the last open key: no fork for nothing.
+        assert outcome.stats["workers_spawned"] == 2 + (
+            FAST.max_attempts - 1)
         # A second run skips the poisoned key without forking for it.
         again = TaskQueueCoordinator(
             _crash_on_marked, policy=FAST, quarantine=quarantine)

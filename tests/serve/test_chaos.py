@@ -1,22 +1,20 @@
 """Chaos config parsing, injector draws, and a short real run.
 
-The full harness (`python -m repro.serve.chaos`) runs longer in CI's
-chaos-smoke job; here a compressed run — one worker SIGKILL plus
-server-side stall/truncate injection under open-loop load — asserts
-the two invariants that define the feature: **zero wrong answers**
-and recovery to a serving fleet.
+The real run is compressed — one worker SIGKILL plus server-side
+stall/truncate injection under open-loop load against a real fleet
+(``tests/serve/fleet.py``) — and asserts the invariants that define the
+feature: **zero wrong answers**, a landed kill, and recovery to a
+serving fleet.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.serve.chaos import (
-    ChaosConfig,
-    ChaosInjector,
-    run_chaos,
-)
+from repro.serve.chaos import ChaosConfig, ChaosInjector
 from repro.serve.supervisor import fork_supported
+
+from tests.serve.fleet import run_chaos
 
 needs_fleet = pytest.mark.skipif(
     not fork_supported(),

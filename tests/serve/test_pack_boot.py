@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro.serve.chaos import FleetProcess
 from repro.serve.plans import PlanRegistry
 from repro.serve.supervisor import (
     RestartBudget,
@@ -29,6 +28,8 @@ from repro.serve.supervisor import (
 )
 from repro.wisdom.pack import build_pack
 from repro.wisdom.store import WisdomStore
+
+from tests.serve.fleet import FleetProcess
 
 needs_fork = pytest.mark.skipif(
     not fork_supported(),

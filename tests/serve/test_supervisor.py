@@ -1,8 +1,10 @@
 """The supervised fleet: restart policy units + live-fleet behavior.
 
-Policy logic (backoff shape, restart-budget window) is tested pure.
-Fleet behavior — crash recovery, graceful SIGTERM drain, SIGHUP
-rolling restart — is tested against the *real CLI* in a subprocess
+Policy logic (backoff shape, restart-budget window) is tested pure, and
+every restart / backoff / heartbeat / rolling *decision* under a
+simulated clock in ``test_supervisor_schedule.py``.  OS behavior —
+crash recovery, graceful SIGTERM drain, SIGHUP rolling restart — is
+tested against the *real CLI* in a subprocess
 (fork from a threaded pytest process is unsafe, and the CLI path is
 exactly what production runs).  Fleet tests skip on hosts without
 fork/SO_REUSEPORT, mirroring the jit-smoke convention.
@@ -18,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.serve import RetryPolicy, SplClient
-from repro.serve.chaos import FleetProcess
 from repro.serve.supervisor import (
     BackoffPolicy,
     RestartBudget,
@@ -26,6 +27,7 @@ from repro.serve.supervisor import (
     fork_supported,
 )
 
+from tests.serve.fleet import FleetProcess
 from tests.serve.test_server import _complex_vec
 
 needs_fleet = pytest.mark.skipif(
@@ -167,39 +169,6 @@ class TestFleet:
                 time.sleep(0.1)
             assert len(after) == 2
             assert not (after & before), (before, after)
-            _oracle_roundtrips(fleet.host, fleet.port)
-
-    def test_restart_budget_refusal_degrades_then_recovers(self):
-        # A tiny budget/window so a couple of kills trip the breaker.
-        with FleetProcess(
-                workers=2, warm=("fft:16",),
-                extra_args=("--restart-budget", "1",
-                            "--restart-window-s", "4")) as fleet:
-            import os
-
-            pids = fleet.worker_pids()
-            assert len(pids) == 2
-            # Kill both workers: only one restart fits the budget.
-            for pid in sorted(pids):
-                os.kill(pid, signal.SIGKILL)
-                time.sleep(0.2)
-            deadline = time.monotonic() + 40
-            saw_refusal = False
-            while time.monotonic() < deadline:
-                if "restart budget exhausted" in fleet.stderr_text():
-                    saw_refusal = True
-                    break
-                time.sleep(0.1)
-            assert saw_refusal, fleet.stderr_text()
-            # Once the window slides, the fleet heals back to 2.
-            deadline = time.monotonic() + 60
-            healed = set()
-            while time.monotonic() < deadline:
-                healed = fleet.worker_pids()
-                if len(healed) == 2:
-                    break
-                time.sleep(0.2)
-            assert len(healed) == 2, fleet.stderr_text()
             _oracle_roundtrips(fleet.host, fleet.port)
 
 

@@ -2,16 +2,19 @@
 
 ``atomic_write`` is used by the wisdom store, the pack builder, the
 pack artifact installer, the serve port file and the supervisor status
-file.  Whatever fails — the write itself partway through, or the
-rename — each of them must leave the published file exactly as it was
-and no temp file beside it; the two callers that promise never to raise
-(``WisdomStore.save``, status publishing) must keep that promise.
+file.  Whatever fails — the write itself partway through, the
+``fsync`` of the temp file, or the rename — each of them must leave the
+published file exactly as it was and no temp file beside it; the two
+callers that promise never to raise (``WisdomStore.save``, status
+publishing) must keep that promise.  A directory that refuses
+``fsync`` is not a failure.
 """
 
 from __future__ import annotations
 
 import errno
 import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -78,7 +81,12 @@ def _failing_replace(src, dst):
     raise OSError(errno.EXDEV, "Invalid cross-device link")
 
 
-@pytest.mark.parametrize("fault", ["write-fails-midway", "rename-fails"])
+def _failing_fsync(fd):
+    raise OSError(errno.EIO, "Input/output error")
+
+
+@pytest.mark.parametrize(
+    "fault", ["write-fails-midway", "fsync-fails", "rename-fails"])
 @pytest.mark.parametrize("caller", sorted(CALLERS))
 def test_failed_publish_leaves_old_content_and_no_temp(
         caller, fault, tmp_path, monkeypatch):
@@ -92,6 +100,8 @@ def test_failed_publish_leaves_old_content_and_no_temp(
 
     if fault == "write-fails-midway":
         monkeypatch.setattr(Path, "write_bytes", _torn_write)
+    elif fault == "fsync-fails":
+        monkeypatch.setattr(store_module.os, "fsync", _failing_fsync)
     else:
         monkeypatch.setattr(store_module.os, "replace", _failing_replace)
     if raises:
@@ -107,6 +117,37 @@ def test_failed_publish_leaves_old_content_and_no_temp(
     # And the same call succeeds once the fault is gone.
     writer(path, 2)
     assert path.read_bytes() != old
+
+
+@pytest.mark.parametrize("caller", sorted(CALLERS))
+def test_publish_syncs_file_then_directory_and_survives_a_refusal(
+        caller, tmp_path, monkeypatch):
+    """Temp file synced before the rename, directory after it; a
+    filesystem that refuses to sync a directory still publishes."""
+    writer, name, _, _ = CALLERS[caller]
+    if caller == "publish-status" and not fork_supported():
+        pytest.skip("Supervisor needs fork + SO_REUSEPORT")
+    path = tmp_path / name
+    synced = []
+    real_replace = os.replace
+
+    def fsync(fd):
+        is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+        synced.append("dir" if is_dir else "file")
+        if is_dir:
+            raise OSError(errno.EINVAL, "Invalid argument")
+
+    def replace(src, dst):
+        synced.append("rename")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(store_module.os, "fsync", fsync)
+    monkeypatch.setattr(store_module.os, "replace", replace)
+    writer(path, 1)
+    monkeypatch.undo()
+    assert path.exists()
+    assert synced[-3:] == ["file", "rename", "dir"]
+    assert [p.name for p in tmp_path.iterdir() if ".tmp" in p.name] == []
 
 
 def test_atomic_write_takes_text_or_bytes_and_makes_parents(tmp_path):
