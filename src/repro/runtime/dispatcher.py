@@ -1,25 +1,33 @@
 """Dynamic request batching: coalesce concurrent ``apply`` calls.
 
 An inference-server-style batcher for transform execution.  Callers on
-many threads each submit one vector; the dispatcher gathers concurrent
-requests — bounded by a maximum batch size and a maximum added latency
-— and executes them as a single ``apply_many`` batch, which is the
-amortized fast path every backend provides (one ctypes crossing, one
-NumPy call, OpenMP over the batch axis).  Each caller gets back
-exactly the row it would have gotten from a serial ``apply``: batch
-rows are computed independently with identical per-row arithmetic, so
-results are bit-identical.
+many threads each submit one vector; the dispatcher gathers the
+requests that are waiting when its worker comes free — bounded by a
+maximum batch size — and executes them as a single ``apply_many``
+batch, which is the amortized fast path every backend provides (one
+ctypes crossing, one NumPy call, OpenMP over the batch axis).  Each
+caller gets back exactly the row it would have gotten from a serial
+``apply``: batch rows are computed independently with identical
+per-row arithmetic, so results are bit-identical.
 
-The flush policy is the standard one (size- and deadline-bounded):
+The flush policy is work-conserving: the worker never sits idle while
+a request is pending.
 
-* a batch is executed immediately once ``max_batch`` requests are
-  waiting;
-* otherwise it is executed ``max_delay`` seconds after the *oldest
-  pending* request arrived, so no request ever waits longer than
-  ``max_delay`` before its batch is taken — the latency bound is
-  per-request (each request carries its arrival time), not a property
-  of the queue, so a flush that leaves stragglers pending does not
-  restart their clock;
+* an idle worker takes whatever is pending at once, up to
+  ``max_batch`` requests; a lone request on an idle dispatcher runs
+  alone, immediately;
+* while that batch executes, new submissions queue behind it — the
+  queue behind a busy kernel *is* the next batch, so coalescing grows
+  with load and costs an unloaded request nothing.  The wait a request
+  can be charged for batching is bounded by the batch in execution,
+  not by a timer;
+* ``max_delay`` (default ``0.0``) is an optional library-level linger:
+  a positive value lets an idle worker hold a not-yet-full batch until
+  ``max_delay`` seconds after the *oldest pending* request arrived,
+  trading that much latency for larger batches.  The bound is
+  per-request (each request carries its arrival time), so a flush that
+  leaves stragglers pending does not restart their clock.  The server
+  does not set it;
 * ``close()`` flushes whatever is pending (``close(drain=False)``
   cancels it with :class:`DispatcherClosed` instead).
 
@@ -79,7 +87,7 @@ class DispatchStats:
     coalesced_requests: int = 0  # requests served in a shared batch >= 2
     max_batch: int = 0  # largest batch taken off the queue
     size_flushes: int = 0  # batches flushed because max_batch was hit
-    deadline_flushes: int = 0  # batches flushed by the latency bound
+    deadline_flushes: int = 0  # batches taken before they were full
     close_flushes: int = 0  # batches flushed during close()
     isolation_splits: int = 0  # failed batches retried request-by-request
     retried_requests: int = 0  # singleton retries issued by those splits
@@ -90,12 +98,13 @@ class DispatchStats:
 class _Request:
     """One submitted vector and its (eventual) resolution.
 
-    ``arrival`` is the ``time.monotonic()`` submission stamp that the
-    worker's latency bound is computed from.  ``on_done`` (optional)
+    ``arrival`` is the ``time.monotonic()`` submission stamp that a
+    ``max_delay`` linger is computed from.  ``on_done`` (optional)
     is invoked exactly once, after ``done`` is set, from whichever
     thread resolved the request — the hook the asyncio front-end uses
     to bridge back onto its event loop without burning a thread per
-    in-flight request.
+    in-flight request — and the request lets go of it there
+    (``on_done`` reads ``None`` afterwards).
     """
 
     __slots__ = ("x", "result", "error", "done", "arrival", "on_done")
@@ -119,7 +128,11 @@ class _Request:
 
     def _finish(self) -> None:
         self.done.set()
-        callback = self.on_done
+        # Called once, then dropped: a hook that holds the caller's
+        # future (whose result is this request) would otherwise close
+        # a reference cycle per request, which only the cyclic
+        # collector frees — in pauses, mid-traffic.
+        callback, self.on_done = self.on_done, None
         if callback is not None:
             try:
                 callback(self)
@@ -147,7 +160,7 @@ class BatchDispatcher:
     """
 
     def __init__(self, target, *, max_batch: int = 64,
-                 max_delay: float = 0.002,
+                 max_delay: float = 0.0,
                  threads: int | None = None,
                  dtype: np.dtype | str | None = None):
         if max_batch < 1:
@@ -199,8 +212,8 @@ class BatchDispatcher:
         ``result`` and ``error``; exactly one of the latter two is set
         by the time ``done`` fires.  ``on_done`` is called once, after
         resolution, from an internal thread — it must be cheap and
-        must not raise (the asyncio server passes
-        ``loop.call_soon_threadsafe`` bridges here).
+        must not raise (the asyncio server passes a hand-off here
+        that wakes its event loop once per resolved batch).
 
         Shape and dtype are validated *here*, before the request can
         join a batch: a wrong-shape or unsafely-typed vector raises
@@ -276,6 +289,9 @@ class BatchDispatcher:
             return True
 
     def _mark_resolved(self, count: int = 1) -> None:
+        """Count ``count`` requests as answered.  Always *after* their
+        ``resolve`` / ``fail``: a caller woken from :meth:`wait_idle`
+        must find every result published and every hook run."""
         with self._lock:
             self._mark_resolved_locked(count)
 
@@ -329,13 +345,12 @@ class BatchDispatcher:
     def _take_batch(self) -> tuple[list[_Request], str] | None:
         """Block until a batch is due; None when closed and drained.
 
-        The latency bound is per-request: the flush deadline is always
+        The worker calls this only when it is idle, so with the
+        default ``max_delay == 0`` whatever is pending is due now.  A
+        positive linger is per-request: the flush deadline is always
         ``oldest_pending_arrival + max_delay`` (pending is FIFO, so the
-        oldest request is ``_pending[0]``).  A flush that leaves
-        requests pending therefore does *not* restart their clock —
-        the old code reset a queue-level deadline to ``now +
-        max_delay`` after every flush, so stragglers could wait nearly
-        ``2 x max_delay`` under sustained load.
+        oldest request is ``_pending[0]``), and a flush that leaves
+        requests pending does *not* restart their clock.
         """
         with self._lock:
             while True:
@@ -372,11 +387,11 @@ class BatchDispatcher:
         except BaseException as exc:  # noqa: BLE001 - forwarded
             with self._lock:
                 self._stats.failed_requests += 1
-            self._mark_resolved()
             request.fail(exc)
+            self._mark_resolved()
             return
-        self._mark_resolved()
         request.resolve(Y[0].copy())
+        self._mark_resolved()
 
     def _execute(self, batch: list[_Request], reason: str) -> None:
         """Run one coalesced batch, isolating per-request failures."""
@@ -399,8 +414,8 @@ class BatchDispatcher:
             if len(batch) == 1:
                 with self._lock:
                     self._stats.failed_requests += 1
-                self._mark_resolved()
                 batch[0].fail(exc)
+                self._mark_resolved()
             else:
                 # One poisoned vector must not fail the whole batch:
                 # split and retry request-by-request so only the
@@ -410,12 +425,12 @@ class BatchDispatcher:
                 for request in batch:
                     self._apply_one(request)
             return
-        with self._lock:
-            if len(batch) >= 2:
+        if len(batch) >= 2:
+            with self._lock:
                 self._stats.coalesced_requests += len(batch)
-            self._mark_resolved_locked(len(batch))
         for i, request in enumerate(batch):
             request.resolve(Y[i].copy())
+        self._mark_resolved(len(batch))
 
     def _run(self) -> None:
         try:

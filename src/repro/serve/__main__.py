@@ -3,7 +3,7 @@
 Examples::
 
     spl serve --port 7462 --warm fft:64 fft:1024
-    spl serve --wisdom wisdom.json --warm fft:64 --max-delay-ms 1
+    spl serve --wisdom wisdom.json --warm fft:64
     spl serve --port 7462 --workers 4 --warm fft:64
 
 ``--warm`` prebuilds routes at boot; with ``--wisdom`` pointing at a
@@ -83,8 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "the in-process JIT is available, else c "
                              "if a compiler is available)")
     parser.add_argument("--max-batch", type=int, default=64)
-    parser.add_argument("--max-delay-ms", type=float, default=2.0,
-                        help="per-request coalescing latency bound")
     parser.add_argument("--queue-limit", type=int, default=256,
                         help="per-plan in-flight bound (overload "
                              "rejections beyond it)")
@@ -130,7 +128,6 @@ def main(argv: list[str] | None = None) -> int:
         pack_path=args.pack,
         prefer=args.prefer,
         max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1e3,
         queue_limit=args.queue_limit,
         threads=args.threads,
         drain_grace_s=args.drain_grace_s,

@@ -13,8 +13,9 @@ asyncio front-end over the length-prefixed protocol
 Each stage already existed; the server is their first joint consumer:
 
 * the **dispatcher** turns concurrent single-vector requests into
-  ``apply_many`` batches (the per-request latency bound fixed in this
-  package's PR is what makes its ``max_delay`` an honest SLO term);
+  ``apply_many`` batches, work-conserving: an idle worker takes what
+  is pending at once, so a request waits for batching only behind the
+  batch already executing;
 * the **circuit breakers** degrade a faulting backend in place, so a
   poisoned native driver costs the fleet a speed tier, not an error
   storm of ``internal`` responses;
@@ -26,8 +27,9 @@ Requests on one connection may be pipelined; responses carry the
 request ``id`` and complete out of order.  The event loop never
 blocks: plan builds (compiles) run in the default executor, and
 request completion crosses back from the dispatcher's worker thread
-via ``loop.call_soon_threadsafe`` — no thread is parked per in-flight
-request.
+through one hand-off queue that wakes the loop once per resolved
+batch (``loop.call_soon_threadsafe``) — no thread is parked per
+in-flight request, and no self-pipe write is paid per reply.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ import asyncio
 import os
 import threading
 import time
+from collections import deque
 from dataclasses import asdict
+from functools import partial
 
 from repro.core.errors import SplError
 from repro.runtime.dispatcher import BatchDispatcher, DispatcherClosed
@@ -61,12 +65,10 @@ class PlanService:
     """One routed plan: dispatcher + admission around an executable."""
 
     def __init__(self, plan: Plan, *, max_batch: int = 64,
-                 max_delay: float = 0.002, queue_limit: int = 256,
-                 threads: int | None = None):
+                 queue_limit: int = 256, threads: int | None = None):
         self.plan = plan
         self.dispatcher = BatchDispatcher(
-            plan.executable, max_batch=max_batch, max_delay=max_delay,
-            threads=threads,
+            plan.executable, max_batch=max_batch, threads=threads,
         )
         self.admission = AdmissionController(
             queue_limit=queue_limit, batch_hint=max_batch,
@@ -89,11 +91,10 @@ class Router:
     """Lazily builds one :class:`PlanService` per requested route."""
 
     def __init__(self, registry: PlanRegistry | None = None, *,
-                 max_batch: int = 64, max_delay: float = 0.002,
-                 queue_limit: int = 256, threads: int | None = None):
+                 max_batch: int = 64, queue_limit: int = 256,
+                 threads: int | None = None):
         self.registry = registry or PlanRegistry()
         self.max_batch = max_batch
-        self.max_delay = max_delay
         self.queue_limit = queue_limit
         self.threads = threads
         self._services: dict[PlanKey, PlanService] = {}
@@ -122,7 +123,6 @@ class Router:
             if existing is None:
                 existing = self._services[key] = PlanService(
                     plan, max_batch=self.max_batch,
-                    max_delay=self.max_delay,
                     queue_limit=self.queue_limit, threads=self.threads,
                 )
             return existing
@@ -175,11 +175,18 @@ class SplServer:
         self._inflight = 0
         self._quiescent: asyncio.Event | None = None
         self.connections_accepted = 0
+        # The reply hand-off: dispatcher workers append resolved
+        # requests, and whichever finds no drain scheduled wakes the
+        # loop — once per burst, however many requests the burst holds.
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._resolved: deque = deque()
+        self._handoff_lock = threading.Lock()
+        self._drain_scheduled = False
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> tuple[str, int]:
-        loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         self._quiescent = asyncio.Event()
         self._quiescent.set()
         if self.warm_keys:
@@ -405,7 +412,7 @@ class SplServer:
             deadline = arrival + float(deadline_ms) / 1e3
         x = bytes_to_vector(payload, key.n, resolve_dtype(key.dtype))
 
-        loop = asyncio.get_running_loop()
+        loop = self._loop
         service = self.router.try_service(key)
         if service is None:
             # First request for this route: build off the event loop.
@@ -425,12 +432,14 @@ class SplServer:
 
         service.admission.try_admit(time.monotonic(), deadline)
         future: asyncio.Future = loop.create_future()
-
-        def on_done(request) -> None:
-            loop.call_soon_threadsafe(_resolve_future, future, request)
-
+        # From here the admission slot belongs to the dispatcher's
+        # request, not to this task: it is released when the request
+        # resolves (in _drain_resolved), so a client that vanishes
+        # mid-flight cannot leak it, and its queued work keeps counting
+        # against queue_limit until it has actually run.
         try:
-            service.dispatcher.submit(x, on_done)
+            service.dispatcher.submit(x, partial(
+                self._hand_off, service.admission, arrival, future))
         except DispatcherClosed as exc:
             service.admission.complete(arrival, time.monotonic(),
                                        ok=False)
@@ -443,8 +452,6 @@ class SplServer:
         request = await future
         done_at = time.monotonic()
         error = request.error
-        service.admission.complete(arrival, done_at,
-                                   ok=error is None)
         if error is not None:
             if isinstance(error, DispatcherClosed):
                 raise Unavailable(str(error))
@@ -462,7 +469,40 @@ class SplServer:
             vector_to_bytes(result),
         )
 
+    # -- the reply hand-off --------------------------------------------------
 
-def _resolve_future(future: asyncio.Future, request) -> None:
-    if not future.done():
-        future.set_result(request)
+    def _hand_off(self, admission: AdmissionController, arrival: float,
+                  future: asyncio.Future, request) -> None:
+        """Dispatcher-worker side: queue one resolved request for the
+        loop, waking it only if no drain is already on its way."""
+        self._resolved.append((admission, arrival, future, request))
+        with self._handoff_lock:
+            if self._drain_scheduled:
+                return  # that drain has not started popping: it sees us
+            self._drain_scheduled = True
+        try:
+            self._loop.call_soon_threadsafe(self._drain_resolved)
+        except RuntimeError:
+            # The loop is closed (shutdown): nobody is left to answer.
+            # Clear the flag so the hand-off is not wedged shut.
+            with self._handoff_lock:
+                self._drain_scheduled = False
+
+    def _drain_resolved(self) -> None:
+        """Loop side: resolve every waiting future, release every
+        slot.  The flag drops *before* the first pop, so a request
+        appended after the last pop always schedules its own drain."""
+        with self._handoff_lock:
+            self._drain_scheduled = False
+        resolved = self._resolved
+        now = time.monotonic()
+        while resolved:
+            admission, arrival, future, request = resolved.popleft()
+            # A done future here is a cancelled one: its connection
+            # dropped.  The work ran, the slot is freed, but a reply
+            # nobody waited for is no service-time sample.
+            waiting = not future.done()
+            admission.complete(arrival, now,
+                               ok=waiting and request.error is None)
+            if waiting:
+                future.set_result(request)

@@ -88,7 +88,6 @@ class ServeConfig:
     pack_path: str | None = None
     prefer: str | None = None
     max_batch: int = 64
-    max_delay: float = 0.002
     queue_limit: int = 256
     threads: int | None = None
     drain_grace_s: float = 30.0
@@ -137,7 +136,6 @@ def build_server(config: ServeConfig, *, reuse_port: bool = False):
     router = Router(
         registry,
         max_batch=config.max_batch,
-        max_delay=config.max_delay,
         queue_limit=config.queue_limit,
         threads=config.threads,
     )

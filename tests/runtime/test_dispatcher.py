@@ -1,7 +1,9 @@
 """Tests for the dynamic request batcher (BatchDispatcher)."""
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -350,16 +352,73 @@ class TestFaultIsolation:
 
 
 class _GateTarget:
-    """Wraps an executable; holds every batch until released."""
+    """Wraps an executable; holds every batch until released.
+
+    ``entered`` fires when the first batch reaches ``apply_many``;
+    ``batches`` lists the sizes that did, in order."""
 
     def __init__(self, executable):
         self._inner = executable
         self.n = executable.n
         self.release = threading.Event()
+        self.entered = threading.Event()
+        self.batches = []
 
     def apply_many(self, X, threads=None):
+        self.batches.append(X.shape[0])
+        self.entered.set()
         assert self.release.wait(60), "gate never released"
         return self._inner.apply_many(X)
+
+
+class TestWorkConservation:
+    """Default construction: what is pending when the worker is idle
+    is the batch.  No timer is involved, so none of these sleeps."""
+
+    def test_lone_request_on_an_idle_dispatcher_runs_at_once(self):
+        executable = _executable()
+        gate = _GateTarget(executable)
+        x = _vectors(8, 1, seed=11)[0]
+        with BatchDispatcher(gate) as d:
+            assert d.max_delay == 0.0
+            request = d.submit(x)
+            # No second submit, no linger: the kernel is reached.
+            assert gate.entered.wait(30.0)
+            assert gate.batches == [1]
+            gate.release.set()
+            assert request.done.wait(30.0)
+            np.testing.assert_array_equal(request.result,
+                                          executable.apply(x))
+            stats = d.stats
+        assert stats.batches == stats.deadline_flushes == 1
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_the_queue_behind_a_busy_kernel_is_the_next_batch(self, k):
+        max_batch = 4
+        executable = _executable()
+        gate = _GateTarget(executable)
+        X = _vectors(8, 1 + k, seed=12)
+        with BatchDispatcher(gate, max_batch=max_batch) as d:
+            requests = [d.submit(X[0])]
+            assert gate.entered.wait(30.0)  # batch 1 holds the worker
+            requests += [d.submit(x) for x in X[1:]]
+            gate.release.set()
+            assert d.wait_idle(timeout=30.0) is True
+            stats = d.stats
+        first = min(k, max_batch)
+        rest = [k - first] if k > first else []
+        assert gate.batches == [1, first] + rest
+        assert stats.batches == 2 + len(rest)
+        assert stats.max_batch == first
+        assert stats.coalesced_requests == sum(
+            b for b in gate.batches if b >= 2)
+        assert stats.size_flushes == (1 if k >= max_batch else 0)
+        assert stats.batches == (stats.size_flushes
+                                 + stats.deadline_flushes
+                                 + stats.close_flushes)
+        for x, request in zip(X, requests):
+            np.testing.assert_array_equal(request.result,
+                                          executable.apply(x))
 
 
 class TestDrainHooks:
@@ -400,6 +459,69 @@ class TestDrainHooks:
             request = d.submit(_vectors(8, 1, seed=6)[0])
             assert d.wait_idle(timeout=30.0) is True
             assert isinstance(request.error, RuntimeError)
+
+    @pytest.mark.parametrize(
+        "path", ["batch-ok", "single-fail", "split-ok", "split-fail"])
+    def test_wait_idle_waits_for_the_result_and_its_hook(self, path):
+        """Publish first, count idle second — on every resolve path.
+        An ``on_done`` hook that is still running means the request is
+        not answered yet, so ``wait_idle`` must not return."""
+        executable = _executable()
+        gate = _GateTarget(TestFaultIsolation.Poisonable(executable))
+        good = _vectors(8, 1, seed=8)[0]
+        poison = good.copy()
+        poison[0] = np.nan
+        split, bad = path.startswith("split"), path.endswith("fail")
+        hook_entered, hook_release = threading.Event(), threading.Event()
+
+        def blocking_hook(request):
+            hook_entered.set()
+            hook_release.wait(30.0)
+
+        with BatchDispatcher(gate, max_batch=4) as d:
+            if split:
+                d.submit(good)  # holds the worker at the gate, so the
+                assert gate.entered.wait(30.0)  # next two share a batch
+                d.submit(good if bad else poison)  # which fails
+            # Last in, last retried: nothing else is left unresolved
+            # while the hook runs.
+            hooked = d.submit(poison if bad else good, blocking_hook)
+            gate.release.set()
+            assert hook_entered.wait(30.0)
+            try:
+                assert d.wait_idle(timeout=0.1) is False
+            finally:
+                hook_release.set()
+            assert d.wait_idle(timeout=30.0) is True
+            assert (hooked.error is not None) == bad
+            assert (hooked.result is None) == bad
+            assert d.stats.isolation_splits == (1 if split else 0)
+
+    def test_a_resolved_request_lets_go_of_its_hook(self):
+        """The usual hook holds the caller's future, and the future's
+        result is the request: kept, that is one reference cycle per
+        request for the cyclic collector to find — in pauses, under
+        traffic.  Dropped after its one call, plain reference counting
+        frees everything."""
+        class Caller:
+            request = None
+
+        caller = Caller()
+
+        def hook(request, caller=caller):
+            caller.request = request
+
+        died = weakref.ref(caller)
+        gc.disable()
+        try:
+            with BatchDispatcher(_executable(), max_batch=4) as d:
+                request = d.submit(_vectors(8, 1, seed=9)[0], hook)
+                assert d.wait_idle(timeout=30.0) is True
+            assert caller.request is request and request.on_done is None
+            del caller, hook, request
+            assert died() is None
+        finally:
+            gc.enable()
 
     def test_cancelled_requests_resolve_idleness(self):
         gate = _GateTarget(_executable())

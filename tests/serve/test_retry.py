@@ -10,6 +10,7 @@ dropped connection, and that the budget actually stops retry storms.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import random
 import socket
 import threading
@@ -34,6 +35,7 @@ from tests.serve.test_server import (
     FFT16,
     ServerHarness,
     _complex_vec,
+    _gate,
     numpy_router,
 )
 
@@ -299,12 +301,25 @@ class TestResilientAsyncClientRetryLoop:
         assert budget.spent == 1 and budget.denied == 1
 
 
+@contextlib.contextmanager
+def _held_server():
+    """A live server whose fft:16 plan holds every batch at the kernel
+    until the block exits, so a transform's reply never arrives while
+    pings (which bypass the dispatcher) still answer."""
+    router = numpy_router(max_batch=64)
+    with ServerHarness(router, warm=[FFT16]) as harness:
+        gate = _gate(router.try_service(FFT16))
+        try:
+            yield harness
+        finally:
+            gate.release.set()  # let the harness drain and shut down
+
+
 class TestClientTimeout:
     def test_slow_response_raises_typed_timeout(self):
-        # max_delay keeps the request parked in the coalescing window
-        # far longer than the client timeout.
-        router = numpy_router(max_delay=5.0, max_batch=64)
-        with ServerHarness(router, warm=[FFT16]) as harness:
+        # The gate keeps the request parked at the kernel far longer
+        # than the client timeout.
+        with _held_server() as harness:
             client = SplClient(harness.host, harness.port,
                                request_timeout=0.2)
             with client:
@@ -316,8 +331,7 @@ class TestClientTimeout:
             assert elapsed < 2.0
 
     def test_per_call_timeout_overrides_default(self):
-        router = numpy_router(max_delay=5.0, max_batch=64)
-        with ServerHarness(router, warm=[FFT16]) as harness:
+        with _held_server() as harness:
             client = SplClient(harness.host, harness.port,
                                request_timeout=60.0)
             with client:
@@ -326,8 +340,7 @@ class TestClientTimeout:
                                      timeout=0.2, retry=None)
 
     def test_timeout_poisons_the_connection_but_client_redials(self):
-        router = numpy_router(max_delay=5.0, max_batch=64)
-        with ServerHarness(router, warm=[FFT16]) as harness:
+        with _held_server() as harness:
             client = SplClient(harness.host, harness.port,
                                request_timeout=0.2)
             with client:
@@ -353,8 +366,7 @@ class TestClientTimeout:
             finally:
                 await client.close()
 
-        router = numpy_router(max_delay=5.0, max_batch=64)
-        with ServerHarness(router, warm=[FFT16]) as harness:
+        with _held_server() as harness:
             asyncio.run(scenario(harness.host, harness.port))
 
 
