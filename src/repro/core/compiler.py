@@ -434,8 +434,8 @@ class SplCompiler:
         # Phase 5: target code generation.  "cjit" is the C language
         # with an in-process execution plan: the machine-code emitter
         # (repro.perfeval.jit) lowers the *program*, not the source,
-        # so the C text is kept for inspection and for the gcc-tier
-        # background upgrade.
+        # so the C text is kept for inspection and for the C tier a
+        # non-codelet falls through to.
         if language in ("c", "cjit"):
             source = emit_c(program)
         elif language == "fortran":

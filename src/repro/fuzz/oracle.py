@@ -31,7 +31,6 @@ so although it is a typed ``SplError`` it counts as ``diverged``, not
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 from dataclasses import dataclass, field
 
@@ -110,25 +109,14 @@ def _run_native(routine, tier: str, x):
     ``build_executable`` is how every other caller reaches the native
     tiers, but it is forgiving where an oracle must not be: a build it
     cannot make falls through to NumPy, a call that faults degrades
-    onto the lower tiers, and the JIT tier starts a background gcc
-    build that swaps itself in whenever it finishes.  So the upgrade is
-    pinned off for the build (nothing outlives this call, and "cjit"
-    means the JIT's own machine code), and a result that did not come
-    from ``tier`` raises: the host said it had the tier, so that is a
-    crash, not a pass.  A gcc refusal of the generated C
-    (``CCompileError``) propagates the same way.
+    onto the lower tiers.  So a result that did not come from ``tier``
+    raises: the host said it had the tier, so that is a crash, not a
+    pass.  A gcc refusal of the generated C (``CCompileError``)
+    propagates the same way.
     """
     from repro.perfeval.runner import build_executable
 
-    pinned = os.environ.get("SPL_JIT_UPGRADE")
-    os.environ["SPL_JIT_UPGRADE"] = "0"
-    try:
-        executable = build_executable(routine, prefer=tier)
-    finally:
-        if pinned is None:
-            del os.environ["SPL_JIT_UPGRADE"]
-        else:
-            os.environ["SPL_JIT_UPGRADE"] = pinned
+    executable = build_executable(routine, prefer=tier)
     got = executable.apply(x)
     if executable.backend != tier:
         raise RuntimeError(

@@ -10,11 +10,13 @@ covers the full flag set (defaults + OpenMP + extra flags + caller
 flags) as well as the source, so artifacts never leak across flag sets.
 
 Extra flags: ``SPL_CFLAGS`` (e.g. ``SPL_CFLAGS=-march=native``) appends
-host-compiler flags to every compilation.  OpenMP: :func:`have_openmp` probes the toolchain once
-(compile a trivial ``#pragma omp`` program), and
-:func:`batch_driver_source` can emit a parallel ``spl_batch_omp_*``
+host-compiler flags to every compilation.  OpenMP: :func:`have_openmp`
+probes the toolchain once (compile a trivial ``#pragma omp`` program),
+and :func:`batch_driver_source` can emit a parallel ``spl_batch_omp_*``
 driver next to the serial one; callers fall back to single-threaded
-drivers when the probe fails.
+drivers when the probe fails.  :func:`have_openmp_simd` survives only
+for ``bench/layers.py`` l.52 until ROADMAP item 11(e); nothing here
+passes the flag it probes.
 """
 
 from __future__ import annotations
@@ -33,10 +35,7 @@ _DEFAULT_CFLAGS = ("-O3", "-fPIC", "-shared", "-fno-math-errno")
 
 _OPENMP_CFLAGS = ("-fopenmp",)
 
-#: Honors ``#pragma omp simd`` without the OpenMP runtime — the right
-#: flag for the codelet batch drivers, whose pragmas are vectorization
-#: hints, not parallelism.
-_OPENMP_SIMD_CFLAGS = ("-fopenmp-simd",)
+_OPENMP_SIMD_CFLAGS = ("-fopenmp-simd",)  # probed, never passed
 
 #: Stderr of the last failed OpenMP probe per (compiler, flags) — kept
 #: so callers can surface *why* OpenMP is off instead of silently
@@ -178,21 +177,14 @@ def _probe_openmp_simd(compiler: str, flags: tuple[str, ...]) -> bool:
 def have_openmp_simd() -> bool:
     """True when the toolchain accepts ``-fopenmp-simd``.
 
-    This enables ``#pragma omp simd`` as a pure vectorization hint (no
-    OpenMP runtime, no thread creation) for the codelet batch drivers.
-    The probe is cached per (compiler, extra flags), like the OpenMP
-    one; without the flag the pragma is ignored harmlessly, so callers
-    simply omit the flag rather than a whole code path.
+    Nothing compiles with that flag any more: the probe survives only
+    for ``bench/layers.py`` l.52 until ROADMAP item 11(e).  Cached per
+    (compiler, extra flags), like the OpenMP one.
     """
     compiler = _find_compiler()
     if compiler is None:
         return False
     return _probe_openmp_simd(compiler, extra_cflags())
-
-
-def simd_cflags() -> tuple[str, ...]:
-    """The ``#pragma omp simd`` enabling flags, empty if unsupported."""
-    return _OPENMP_SIMD_CFLAGS if have_openmp_simd() else ()
 
 
 def default_build_dir() -> Path:
@@ -206,8 +198,7 @@ def default_build_dir() -> Path:
 
 
 def shared_object_cache_key(source: str, *, cflags: tuple[str, ...] = (),
-                            openmp: bool = False,
-                            key_extra: tuple[str, ...] = ()) -> str:
+                            openmp: bool = False) -> str:
     """The cache digest :func:`compile_shared_object` would use.
 
     Exposed so wisdom packs can pre-seed the shared-object cache: an
@@ -222,15 +213,13 @@ def shared_object_cache_key(source: str, *, cflags: tuple[str, ...] = (),
     if openmp:
         flags += _OPENMP_CFLAGS
     return hashlib.sha256(
-        ("\x00".join(flags) + "\x02" + "\x00".join(key_extra)
-         + "\x01" + source).encode()
+        ("\x00".join(flags) + "\x01" + source).encode()
     ).hexdigest()[:24]
 
 
 def compile_shared_object(source: str, *, cflags: tuple[str, ...] = (),
                           build_dir: Path | None = None,
-                          openmp: bool = False,
-                          key_extra: tuple[str, ...] = ()) -> Path:
+                          openmp: bool = False) -> Path:
     """Compile C ``source`` into a cached shared object, returning its path.
 
     ``openmp=True`` adds the OpenMP flags (the caller is expected to
@@ -239,21 +228,12 @@ def compile_shared_object(source: str, *, cflags: tuple[str, ...] = (),
     and the source, so e.g. the threaded and serial builds of one
     routine never collide.
 
-    ``key_extra`` adds caller-chosen components to the cache key
-    without affecting compilation — for knobs that change how the
-    artifact will be *used* rather than its text (e.g. the codelet
-    driver mode, or the unroll threshold that produced the source).
-    Most such knobs already change the source and are covered
-    implicitly; ``key_extra`` makes the coverage explicit and survives
-    representations that happen to collide.
-
     The cache is consulted *before* the toolchain is located: a host
     without any C compiler still serves cache hits, which is what lets
     a replica boot hot from a wisdom pack's bundled artifacts.
     """
     build_dir = build_dir or default_build_dir()
-    digest = shared_object_cache_key(source, cflags=cflags,
-                                     openmp=openmp, key_extra=key_extra)
+    digest = shared_object_cache_key(source, cflags=cflags, openmp=openmp)
     so_path = build_dir / f"spl_{digest}.so"
     if so_path.exists():
         return so_path
@@ -358,8 +338,7 @@ def compile_c_program(source: str, name: str, *, strided: bool = False,
 
 
 def batch_driver_source(name: str, in_len: int, out_len: int, *,
-                        openmp: bool = False,
-                        codelet: bool = False) -> str:
+                        openmp: bool = False) -> str:
     """A C batch driver looping over the rows of a (B, len) workspace.
 
     ``spl_batch_<name>(y, x, batch)`` applies ``name`` to ``batch``
@@ -376,21 +355,6 @@ def batch_driver_source(name: str, in_len: int, out_len: int, *,
     stack and their tables ``static const``, so concurrent calls from
     several OpenMP threads are safe.
 
-    With ``codelet=True`` (straight-line routines only) the serial
-    driver gains an aligned fast path: when both bases are 64-byte
-    aligned — the runner allocates its result that way; the input is
-    the caller's memory — the batch
-    loop runs with ``__builtin_assume_aligned`` pointers and a
-    ``#pragma omp simd`` hint, letting the compiler vectorize across
-    the fully-inlined codelet body.  The alignment is *checked at
-    runtime*, never assumed: foreign buffers take the plain loop, so
-    an unaligned caller gets the same bits, just slower.  The pragma
-    needs ``-fopenmp-simd`` (see :func:`have_openmp_simd`) to be more
-    than a comment; without it the driver still compiles and runs
-    identically.  Rounding is unaffected either way — vectorizing the
-    batch axis reorders no within-row arithmetic, and rows are
-    independent.
-
     The serial driver is strength-reduced: the row pointers advance by
     ``out_len``/``in_len`` per iteration instead of recomputing
     ``y + b * out_len`` each trip.  The OpenMP driver must keep the
@@ -403,40 +367,7 @@ def batch_driver_source(name: str, in_len: int, out_len: int, *,
         f"        for (j = 0; j < {out_len}; j++) yrow[j] = 0.0;\n"
         f"        {name}(yrow, xrow);\n"
     )
-    fast_path = ""
-    if codelet:
-        fast_path = (
-            "    if ((((unsigned long)(const void *)y\n"
-            "          | (unsigned long)(const void *)x) & 63UL) == 0UL) {\n"
-            "        double *restrict ya = "
-            "(double *)SPL_ASSUME_ALIGNED(y);\n"
-            "        const double *restrict xa = "
-            "(const double *)SPL_ASSUME_ALIGNED(x);\n"
-            "        #pragma omp simd\n"
-            "        for (b = 0; b < batch; b++) {\n"
-            f"            double *yrow = ya + b * {out_len};\n"
-            f"            const double *xrow = xa + b * {in_len};\n"
-            "            int j;\n"
-            f"            for (j = 0; j < {out_len}; j++) yrow[j] = 0.0;\n"
-            f"            {name}(yrow, xrow);\n"
-            "        }\n"
-            "        return;\n"
-            "    }\n"
-        )
-    prelude = ""
-    if codelet:
-        prelude = (
-            "\n#ifndef SPL_ASSUME_ALIGNED\n"
-            "#if defined(__GNUC__) || defined(__clang__)\n"
-            "#define SPL_ASSUME_ALIGNED(p) "
-            "__builtin_assume_aligned((p), 64)\n"
-            "#else\n"
-            "#define SPL_ASSUME_ALIGNED(p) (p)\n"
-            "#endif\n"
-            "#endif\n"
-        )
     source = (
-        prelude +
         f"\nvoid spl_batch_{name}(double *restrict y, "
         f"const double *restrict x, int batch)\n"
         "{\n"
@@ -444,7 +375,6 @@ def batch_driver_source(name: str, in_len: int, out_len: int, *,
         "    int j;\n"
         "    double *yrow = y;\n"
         "    const double *xrow = x;\n"
-        + fast_path +
         "    for (b = 0; b < batch; b++) {\n"
         f"        for (j = 0; j < {out_len}; j++) yrow[j] = 0.0;\n"
         f"        {name}(yrow, xrow);\n"

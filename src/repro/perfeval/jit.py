@@ -24,17 +24,16 @@ programs are eligible (:func:`jit_supported` + :func:`can_jit`);
 anything else — looped programs, strided entry points, non-x86-64
 hosts, kernels past the size cap — falls back to the existing
 gcc+ctypes flow, which remains the steady-state optimum.  The runner
-(:mod:`repro.perfeval.runner`) therefore treats the JIT as the *cold
-tier* of the C backend: instant first execution, with an optional
-background upgrade to the gcc-optimized shared object once the
-subprocess finishes.
+(:mod:`repro.perfeval.runner`) builds this tier only for an explicit
+``prefer="cjit"`` (the fuzz oracle, the cold-start gate) and keeps
+the executable on it: nothing swaps in a gcc build behind the caller.
 
 Code shape: arithmetic is scalar SSE2 (``movsd``/``addsd``/...), one
 load-compute-store group per four-tuple, with every scalar, constant,
 table element and temp slot living in a per-routine data block whose
 base address is loaded into ``rax`` (``movabs``).  No register
-allocation — correctness and compile speed are the point; the gcc
-upgrade path owns peak throughput.  Generated code is called with the
+allocation — correctness and compile speed are the point; the C tier
+owns peak throughput.  Generated code is called with the
 exact ``void fn(double *y, const double *x)`` /
 ``void batch(double *y, const double *x, int batch)`` signatures of
 the C backend, so the runner plugs JIT entry points into the same
@@ -59,7 +58,6 @@ from repro.core.errors import SplSemanticError
 from repro.core.icode import (
     FConst,
     FVar,
-    Loop,
     Op,
     Program,
     VecRef,
@@ -84,13 +82,8 @@ def jit_supported() -> bool:
 
     Requires an x86-64 CPU and an OS that grants writable+executable
     anonymous mappings (hardened kernels may refuse PROT_EXEC; the
-    probe result is cached process-wide).  ``SPL_JIT=0`` force-disables
-    the JIT for A/B measurement and as an operational escape hatch.
+    probe result is cached process-wide).
     """
-    import os
-
-    if os.environ.get("SPL_JIT", "").strip() == "0":
-        return False
     global _PROBE_RESULT
     with _PROBE_LOCK:
         if _PROBE_RESULT is None:
@@ -132,14 +125,12 @@ def can_jit(program: Program) -> bool:
     subscripts everywhere and at most :data:`MAX_JIT_STATEMENTS`
     four-tuples.
     """
-    if program.strided:
+    if program.strided or not program.is_straight_line():
         return False
     if program.datatype == "complex" and program.element_width != 2:
         return False
     ops = 0
     for inst in program.body:
-        if isinstance(inst, Loop):
-            return False
         if not isinstance(inst, Op):
             continue  # comments
         ops += 1

@@ -16,10 +16,10 @@ apply_many` copy nothing.  The input is taken through
 array itself in the common case, one conversion for lists, strided
 views and other dtypes — and is only ever read (the kernels take
 ``const double *restrict x``; read-only arrays are fine).  The result
-is one fresh array of the logical dtype per call (64-byte aligned for
-a batch), which the kernel writes through a ``float64`` view and the
-caller then owns; the kernel's bits are returned as they are, signed
-zeros and infinities included.  There are no workspaces.
+is one fresh array of the logical dtype per call, which the kernel
+writes through a ``float64`` view and the caller then owns; the
+kernel's bits are returned as they are, signed zeros and infinities
+included.  There are no workspaces.
 
 Batching: ``apply`` transforms one vector per call and pays the full
 per-call crossing; ``apply_many`` amortizes it over a ``(B, n)``
@@ -45,31 +45,38 @@ one :class:`ExecutableRoutine` may be shared freely and concurrent
 workers write disjoint row ranges of the one result and allocate
 nothing.
 
-Fault tolerance: each backend has a one-strike circuit breaker.  If a
-backend call raises at runtime (a ``.so`` that no longer loads, a
-ctypes marshalling fault, a poisoned native driver), the failure is
-recorded, the breaker trips permanently for this executable, and the
-call is transparently retried on the next backend down the
-``c > numpy > python`` chain — callers see a slower answer, not an
-exception.  Only when the last backend fails does the error surface.
-Trips are visible in :meth:`ExecutableRoutine.stats`.
+Tiers: every backend is built into one frozen :class:`Tier` record —
+the per-vector call, the batch-rows call, the OpenMP rows call if
+there is one, and the native entry :meth:`ExecutableRoutine.
+timer_closure` times.  How a tier runs a batch (one ctypes crossing
+into ``spl_batch_<name>``, one NumPy batch call, or a Python loop over
+the rows) is decided once, when the tier is built.  An executable
+holds exactly one reference to its current tier; ``apply`` and
+``apply_many`` read it once per attempt (an atomic attribute load, no
+lock), so a call can never mix two tiers' callables.
+
+Fault tolerance: each tier has a one-strike circuit breaker.  If a
+call raises at runtime (a ``.so`` that no longer loads, a ctypes
+marshalling fault, a poisoned native driver), the failure is recorded,
+the breaker trips permanently for this executable, and the call is
+transparently retried on the next non-native tier down the chain —
+callers see a slower answer, not an exception.  Only when the last
+tier fails does the error surface.  Trips are visible in
+:meth:`ExecutableRoutine.stats`.
 
 Degradation is race-free under concurrent callers: the swap runs
-under a lock and is guarded by a generation counter, so when many
-threads fault on the same backend simultaneously exactly one of them
-trips the breaker and rebuilds — the others observe the generation
-change, skip their own (redundant) trip, and simply retry on the
-already-swapped tier.  Without the guard, concurrent faults would
-double-trip the breaker and exhaust the fallback chain, surfacing an
-exception even though a healthy fallback existed.  ``apply_many``
-snapshots the whole callable set under the same lock, so a shard can
-never mix (say) the old backend's ``batch_fn`` with the new one's
-``raw_call`` mid-swap.
+under a lock and compares the tier the faulting caller saw with the
+current one, so when many threads fault on the same tier
+simultaneously exactly one of them trips the breaker and rebuilds —
+the others see a different tier already in place, skip their own
+(redundant) trip, and simply retry on it.  Without the comparison,
+concurrent faults would double-trip the breaker and exhaust the
+fallback chain, surfacing an exception even though a healthy fallback
+existed.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -89,10 +96,11 @@ from repro.runtime.pool import (
 
 #: Backend preference chains: the requested backend first, then the
 #: fastest available fallback (c > numpy > python).  "cjit" is the
-#: tiered native backend: instant in-process machine code for codelet
-#: programs (with a background upgrade to the gcc-optimized shared
-#: object), falling through to the plain C path for everything the JIT
-#: cannot lower.
+#: in-process machine-code emitter for codelet programs; everything it
+#: cannot lower falls through to the plain C path.  Nothing asks for
+#: it by default: it builds in milliseconds but has no register
+#: allocator, so it is an explicit ``prefer="cjit"`` tier (the fuzz
+#: oracle, the cold-start gate), not a rung of the serving ladder.
 _PREFERENCE = {
     "cjit": ("cjit", "c", "numpy", "python"),
     "c": ("c", "numpy", "python"),
@@ -105,18 +113,20 @@ _COMPLEX128 = np.dtype(np.complex128)
 _FLOAT64 = np.dtype(np.float64)
 
 
-def _aligned_empty(shape: tuple[int, ...], dtype: np.dtype,
-                   align: int = 64) -> np.ndarray:
-    """An uninitialized array whose data pointer is ``align``-byte
-    aligned.
+@dataclass(frozen=True)
+class Tier:
+    """One built backend: everything a call needs, immutable.
 
-    The codelet batch drivers check alignment at runtime and only take
-    their ``__builtin_assume_aligned`` + ``#pragma omp simd`` fast path
-    when it holds for both pointers; this settles the result's half.
-    (numpy's default allocator gives 16, sometimes 64.)
+    All callables take *physical* buffers (see
+    :meth:`ExecutableRoutine._physical`).  ``call`` expects a zeroed
+    ``y``; ``rows`` and ``rows_omp`` zero each output row themselves.
     """
-    raw = np.empty(math.prod(shape) * dtype.itemsize + align, np.uint8)
-    return np.ndarray(shape, dtype, raw, -ccompile.address(raw) % align)
+
+    backend: str  # "cjit", "c", "numpy" or "python"
+    call: Callable  # call(y, x) on 1-D buffers
+    rows: Callable  # rows(Yp, Xp, lo, hi): rows lo..hi of a 2-D batch
+    rows_omp: Callable | None = None  # rows_omp(Yp, Xp, batch, nthreads)
+    native: Callable | None = None  # the ctypes entry, fn(y_ptr, x_ptr)
 
 
 @dataclass
@@ -124,7 +134,7 @@ class BackendFailure:
     """One circuit-breaker trip: which backend failed doing what."""
 
     backend: str
-    op: str  # "apply", "apply_many" or "build"
+    op: str  # "apply", "apply_many", "build" or "chaos" (injected trip)
     error: str
 
 
@@ -133,30 +143,26 @@ class ExecutableRoutine:
     """A runnable compiled routine; calls share no mutable state.
 
     ``fallback_chain`` lists the backends still available for runtime
-    degradation; a backend whose call raises trips its breaker (one
+    degradation; a tier whose call raises trips its breaker (one
     strike — native faults are not worth re-probing) and the routine
-    rebuilds itself on the next chain entry in place, so held
-    references keep working at the degraded tier.
+    swaps in the next chain entry in place, so held references keep
+    working at the degraded tier.
     """
 
     routine: CompiledRoutine
-    backend: str  # "cjit", "c", "numpy" or "python"
-    raw_call: Callable  # fn(y_buffer, x_buffer) on 1-D physical buffers
-    ctypes_fn: Callable | None = None  # underlying native entry (C backend)
-    batch_fn: Callable | None = None  # spl_batch_* ctypes driver (C backend)
-    batch_omp_fn: Callable | None = None  # spl_batch_omp_* OpenMP driver
-    batch_call: Callable | None = None  # fn(Y, X) on 2-D buffers (numpy)
+    _tier: Tier = field(repr=False)
     threads: int = 1  # default worker count for apply_many
     fallback_chain: tuple[str, ...] = ()  # degradation targets, in order
     backend_failures: list[BackendFailure] = field(default_factory=list)
-    promotions: list[str] = field(default_factory=list)  # upgrade history
-    # Serializes breaker trips and callable swaps; ``_generation``
-    # increments on every swap so concurrent faulters can tell whether
-    # someone else already degraded the tier they just saw fail.
+    # Serializes breaker trips; the fault-free path never takes it.
     _swap_lock: threading.Lock = field(default_factory=threading.Lock,
                                        repr=False, compare=False)
-    _generation: int = field(default=0, repr=False, compare=False)
     _exhausted: bool = field(default=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        program = self.routine.program
+        self._row_len = (max(program.in_size, program.out_size)
+                         * program.element_width)
 
     @property
     def name(self) -> str:
@@ -165,6 +171,12 @@ class ExecutableRoutine:
     @property
     def n(self) -> int:
         return self.routine.in_size
+
+    @property
+    def backend(self) -> str:
+        """The tier serving calls now: "cjit", "c", "numpy" or
+        "python"."""
+        return self._tier.backend
 
     def _dtype(self):
         program = self.routine.program
@@ -214,7 +226,6 @@ class ExecutableRoutine:
         return {
             "backend": self.backend,
             "degraded": self.degraded,
-            "promotions": list(self.promotions),
             "fallbacks_left": self.fallback_chain,
             "failures": [
                 {"backend": f.backend, "op": f.op, "error": f.error}
@@ -228,25 +239,24 @@ class ExecutableRoutine:
             },
         }
 
-    def _degrade(self, exc: BaseException, op: str,
-                 generation: int) -> bool:
-        """Trip the current backend and swap in the next chain entry.
+    def _degrade(self, exc: BaseException, op: str, seen: Tier) -> bool:
+        """Trip the current tier and swap in the next chain entry.
 
-        Rebuilds the fallback backend from ``routine`` and splices its
-        callables into *this* object, so every held reference degrades
-        together.  Returns False when the chain is exhausted (the
-        caller re-raises the original error).
+        Builds the fallback tier from ``routine`` and stores it in
+        *this* object, so every held reference degrades together.
+        Returns False when the chain is exhausted (the caller re-raises
+        the original error).
 
-        ``generation`` is the value of ``_generation`` the caller saw
-        when it picked up the callable that then failed.  The whole
-        trip runs under ``_swap_lock``, and a stale generation means
-        another thread already degraded the tier this caller faulted
-        on — in that case nothing is recorded (the breaker must trip
-        once per tier, not once per concurrent caller) and True is
-        returned so the caller simply retries on the new tier.
+        ``seen`` is the tier the caller read before the call that then
+        failed.  The whole trip runs under ``_swap_lock``, and a
+        different current tier means another thread already degraded
+        the one this caller faulted on — in that case nothing is
+        recorded (the breaker must trip once per tier, not once per
+        concurrent caller) and True is returned so the caller simply
+        retries on the new tier.
         """
         with self._swap_lock:
-            if generation != self._generation:
+            if self._tier is not seen:
                 return True  # lost the race: tier already swapped
             if self._exhausted:
                 # The chain already ran dry on this tier: the trip is
@@ -254,7 +264,7 @@ class ExecutableRoutine:
                 # just re-raises its own error.
                 return False
             self.backend_failures.append(BackendFailure(
-                backend=self.backend, op=op,
+                backend=seen.backend, op=op,
                 error=f"{type(exc).__name__}: {exc}",
             ))
             while self.fallback_chain:
@@ -262,68 +272,29 @@ class ExecutableRoutine:
                     self.fallback_chain[0], self.fallback_chain[1:]
                 )
                 try:
-                    if target == "numpy":
-                        replacement = _build_numpy(self.routine)
-                    elif target == "python":
-                        replacement = _build_python(self.routine)
-                    else:  # never degrade *to* the native tier
-                        continue
+                    self._tier = _FALLBACK_BUILDERS[target](self.routine)
+                    return True
                 except Exception as build_exc:  # noqa: BLE001 - keep walking
                     self.backend_failures.append(BackendFailure(
                         backend=target, op="build",
                         error=f"{type(build_exc).__name__}: {build_exc}",
                     ))
-                    continue
-                self.backend = replacement.backend
-                self.raw_call = replacement.raw_call
-                self.ctypes_fn = replacement.ctypes_fn
-                self.batch_fn = replacement.batch_fn
-                self.batch_omp_fn = replacement.batch_omp_fn
-                self.batch_call = replacement.batch_call
-                self._generation += 1
-                return True
             self._exhausted = True
             return False
 
-    def promote(self, replacement: "ExecutableRoutine") -> bool:
-        """Swap in a faster backend built in the background.
-
-        This is the upward counterpart of :meth:`_degrade`, used by the
-        JIT tier to upgrade to the gcc-optimized shared object once the
-        subprocess compile finishes.  The swap runs under the same lock
-        and bumps the same generation counter, so in-flight calls that
-        snapshot callables see a consistent backend and the breaker
-        never mis-attributes a fault across the swap.  Returns False —
-        leaving the routine untouched — when a breaker already tripped
-        (the degraded tier was chosen for a reason; a late upgrade must
-        not resurrect the native path the breaker walked away from).
-
-        Bit-identity across the swap is guaranteed by construction:
-        the JIT and the C backend execute the same four-tuples in the
-        same order with IEEE double arithmetic.
-        """
-        with self._swap_lock:
-            if self.backend_failures or self._exhausted:
-                return False
-            self.promotions.append(
-                f"{self.backend}->{replacement.backend}")
-            self.backend = replacement.backend
-            self.raw_call = replacement.raw_call
-            self.ctypes_fn = replacement.ctypes_fn
-            self.batch_fn = replacement.batch_fn
-            self.batch_omp_fn = replacement.batch_omp_fn
-            self.batch_call = replacement.batch_call
-            self._generation += 1
-            return True
+    def trip(self, exc: BaseException) -> bool:
+        """Trip the current tier's breaker as if a call on it had
+        raised ``exc`` (fault injection; recorded with op "chaos").
+        False when no tier is left to degrade onto."""
+        return self._degrade(exc, "chaos", self._tier)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply to a logical input vector; complex in, complex out.
 
         ``x`` is read in place when it already is a contiguous array
         of :attr:`dtype` and converted once otherwise; the result is a
-        fresh array.  A backend that raises mid-call trips its circuit
-        breaker and the call retries on the next backend down the
-        chain.
+        fresh array.  A tier that raises mid-call trips its circuit
+        breaker and the call retries on the next tier down the chain.
         """
         program = self.routine.program
         dtype = self.dtype
@@ -336,22 +307,15 @@ class ExecutableRoutine:
                 f"{self.name} expects a ({program.in_size},) vector, "
                 f"got shape {x.shape}"
             )
-        # Zeroed: the per-vector routines assume it.  (Not aligned: only
-        # the batch drivers ever test for that.)
-        y = np.zeros(program.out_size, dtype)
+        y = np.zeros(program.out_size, dtype)  # the routines assume zeros
         xp, yp = self._physical(x), self._physical(y)
         while True:
-            # Read the generation *before* the callable: if a swap
-            # lands in between, the stale generation makes _degrade a
-            # no-op retry instead of mis-attributing the new tier's
-            # failure to the old one.
-            generation = self._generation
-            call = self.raw_call
+            tier = self._tier
             try:
-                call(yp, xp)
+                tier.call(yp, xp)
                 return y
             except Exception as exc:  # noqa: BLE001 - breaker path
-                if not self._degrade(exc, "apply", generation):
+                if not self._degrade(exc, "apply", tier):
                     raise
                 y.fill(0)  # the failed attempt may have written some
 
@@ -363,39 +327,15 @@ class ExecutableRoutine:
         (:func:`repro.runtime.pool.effective_threads`) so parallel
         dispatch only happens when the batch can amortize it.
         """
-        program = self.routine.program
-        row_len = max(program.in_size, program.out_size) \
-            * program.element_width
         return effective_threads(
-            self.threads if threads is None else threads, batch, row_len
-        )
-
-    def _run_rows(self, Yp: np.ndarray, Xp: np.ndarray,
-                  lo: int, hi: int, batch_fn, batch_call,
-                  raw_call) -> None:
-        """The serial batch path over physical rows ``lo..hi`` (the
-        whole batch at ``threads=1``, one shard otherwise).
-
-        The callables are passed in — a snapshot taken under
-        ``_swap_lock`` by ``apply_many`` — so a concurrent breaker
-        swap can never hand one shard a mixed backend.
-        """
-        if batch_fn is not None:
-            batch_fn(ccompile.address(Yp) + lo * Yp.strides[0],
-                     ccompile.address(Xp) + lo * Xp.strides[0], hi - lo)
-        elif batch_call is not None:
-            Yp[lo:hi].fill(0)
-            batch_call(Yp[lo:hi], Xp[lo:hi])
-        else:
-            for b in range(lo, hi):
-                Yp[b].fill(0)
-                raw_call(Yp[b], Xp[b])
+            self.threads if threads is None else threads, batch,
+            self._row_len)
 
     def apply_many(self, X: np.ndarray,
                    threads: int | None = None) -> np.ndarray:
         """Apply to a ``(B, n)`` batch of logical vectors at once.
 
-        The whole batch crosses into the fastest available path with
+        The whole batch crosses into the tier's batch path with
         per-batch (not per-vector) overhead: a single ctypes call into
         the generated ``spl_batch_<name>`` C driver, one call of the
         NumPy batch function, or a Python loop over the rows.  ``X``
@@ -417,39 +357,27 @@ class ExecutableRoutine:
                 f"got shape {X.shape}"
             )
         batch = X.shape[0]
-        Y = _aligned_empty((batch, program.out_size), dtype)
+        Y = np.empty((batch, program.out_size), dtype)
         Xp, Yp = self._physical(X), self._physical(Y)
         while True:
-            with self._swap_lock:
-                # One consistent snapshot of the active backend: a
-                # breaker swap concurrent with this call can never mix
-                # (say) the old C batch driver with the new tier's
-                # raw_call across shards.
-                generation = self._generation
-                batch_fn = self.batch_fn
-                batch_omp_fn = self.batch_omp_fn
-                batch_call = self.batch_call
-                raw_call = self.raw_call
+            # One tier for the whole attempt, shards included: a
+            # breaker swap concurrent with this call cannot mix two.
+            tier = self._tier
             try:
                 nthreads = self._effective_threads(threads, batch)
-                if nthreads > 1 and batch_omp_fn is not None:
-                    batch_omp_fn(ccompile.address(Yp),
-                                 ccompile.address(Xp), batch, nthreads)
-                elif nthreads > 1:
-                    run_sharded(
-                        lambda lo, hi: self._run_rows(
-                            Yp, Xp, lo, hi,
-                            batch_fn, batch_call, raw_call),
-                        batch, nthreads,
-                    )
+                if nthreads <= 1:
+                    tier.rows(Yp, Xp, 0, batch)
+                elif tier.rows_omp is not None:
+                    tier.rows_omp(Yp, Xp, batch, nthreads)
                 else:
-                    self._run_rows(Yp, Xp, 0, batch,
-                                   batch_fn, batch_call, raw_call)
+                    run_sharded(
+                        lambda lo, hi: tier.rows(Yp, Xp, lo, hi),
+                        batch, nthreads)
                 return Y
             except Exception as exc:  # noqa: BLE001 - breaker path
                 # Partial rows are harmless: every retried path zeroes
                 # each output row before writing it.
-                if not self._degrade(exc, "apply_many", generation):
+                if not self._degrade(exc, "apply_many", tier):
                     raise
 
     def timer_closure(self) -> Callable[[], None]:
@@ -462,39 +390,57 @@ class ExecutableRoutine:
             dtype=np.float64,
         ).astype(self._dtype())
         y = np.zeros(program.out_size * width, dtype=self._dtype())
-        if self.backend in ("c", "cjit"):
-            fn = self.ctypes_fn
-            xp = ccompile.address(x)
-            yp = ccompile.address(y)
-
-            def call() -> None:
-                fn(yp, xp)
-
+        tier = self._tier
+        if tier.native is not None:
             # ctypes raw function: bypass the wrapper's numpy handling.
-            call._keepalive = (x, y)
-            return call
-
-        fn = self.raw_call
+            fn, yp, xp = tier.native, ccompile.address(y), ccompile.address(x)
+        else:
+            fn, yp, xp = tier.call, y, x
 
         def call() -> None:
-            fn(y, x)
+            fn(yp, xp)
 
         call._keepalive = (x, y)
         return call
 
 
-def _pointer_call(fn: Callable) -> Callable:
-    """``raw_call`` for a native entry: ``fn(y, x)`` on the data
-    pointers of two contiguous arrays."""
+def _native_tier(backend: str, fn: Callable, batch_fn: Callable | None,
+                 batch_omp_fn: Callable | None = None) -> Tier:
+    """A tier over native entries that take data pointers: ``fn(y, x)``
+    and the batch drivers ``batch_fn(y, x, batch)`` /
+    ``batch_omp_fn(y, x, batch, nthreads)`` (None when the routine has
+    none: strided programs get a Python loop over the rows)."""
     address = ccompile.address
 
     def call(y: np.ndarray, x: np.ndarray, *args) -> None:
         fn(address(y), address(x), *args)
 
-    return call
+    def rows(Yp: np.ndarray, Xp: np.ndarray, lo: int, hi: int) -> None:
+        batch_fn(address(Yp) + lo * Yp.strides[0],
+                 address(Xp) + lo * Xp.strides[0], hi - lo)
+
+    def rows_omp(Yp: np.ndarray, Xp: np.ndarray, batch: int,
+                 nthreads: int) -> None:
+        batch_omp_fn(address(Yp), address(Xp), batch, nthreads)
+
+    return Tier(backend, call,
+                rows if batch_fn is not None else _row_loop(call),
+                rows_omp if batch_omp_fn is not None else None,
+                native=fn)
 
 
-def _build_cjit(routine: CompiledRoutine) -> ExecutableRoutine:
+def _row_loop(call: Callable) -> Callable:
+    """``rows`` for a tier with no batch entry: one ``call`` per row."""
+
+    def rows(Yp: np.ndarray, Xp: np.ndarray, lo: int, hi: int) -> None:
+        for b in range(lo, hi):
+            Yp[b].fill(0)
+            call(Yp[b], Xp[b])
+
+    return rows
+
+
+def _build_cjit(routine: CompiledRoutine) -> Tier:
     """Build the in-process JIT tier for a codelet program.
 
     Raises :class:`~repro.perfeval.jit.JitError` for programs the
@@ -504,56 +450,21 @@ def _build_cjit(routine: CompiledRoutine) -> ExecutableRoutine:
     from repro.perfeval import jit
 
     jitted = jit.compile_jit(routine.program)
-    return ExecutableRoutine(routine=routine, backend="cjit",
-                             raw_call=_pointer_call(jitted.fn),
-                             ctypes_fn=jitted.fn,
-                             batch_fn=jitted.batch_fn)
-
-
-def _jit_upgrade_enabled() -> bool:
-    """True unless ``SPL_JIT_UPGRADE=0`` pins executables to the JIT
-    tier (used by the cold-latency benchmark and deterministic tests)."""
-    import os
-
-    return os.environ.get("SPL_JIT_UPGRADE", "").strip() != "0"
-
-
-def _upgrade_in_background(executable: ExecutableRoutine,
-                           routine: CompiledRoutine,
-                           cflags: tuple[str, ...]) -> threading.Thread:
-    """Compile the gcc-optimized tier off-thread and promote to it.
-
-    Any failure (no compiler after all, compile error, OOM) is
-    swallowed: the JIT tier keeps serving, exactly as it would have
-    without the upgrade attempt.  Returns the (daemon) thread so tests
-    can join it.
-    """
-
-    def work() -> None:
-        try:
-            executable.promote(_build_c(routine, cflags))
-        except Exception:  # noqa: BLE001 - upgrade is best-effort
-            pass
-
-    thread = threading.Thread(target=work, name=f"spl-jit-upgrade-"
-                              f"{routine.name}", daemon=True)
-    thread.start()
-    return thread
+    return _native_tier("cjit", jitted.fn, jitted.batch_fn)
 
 
 def c_build_spec(routine: CompiledRoutine,
                  cflags: tuple[str, ...] = (), *,
                  openmp: bool | None = None,
-                 simd: bool | None = None,
-                 ) -> tuple[str, tuple[str, ...], bool, tuple[str, ...]]:
+                 ) -> tuple[str, tuple[str, ...], bool]:
     """The exact ``compile_shared_object`` inputs for one C routine.
 
-    Returns ``(source, cflags, openmp, key_extra)``.  ``openmp`` /
-    ``simd`` default to the host probes (what :func:`build_executable`
-    does); passing ``False`` for both yields the *portable* variant —
-    the build a host with no toolchain at all would ask for, since its
-    probes report False — which is what wisdom packs bundle so their
-    artifacts cache-hit on a gcc-less replica.
+    Returns ``(source, cflags, openmp)``.  ``openmp`` defaults to the
+    host probe (what :func:`build_executable` does); passing ``False``
+    yields the *portable* variant — the build a host with no toolchain
+    at all would ask for, since its probe reports False — which is
+    what wisdom packs bundle so their artifacts cache-hit on a
+    gcc-less replica.
     """
     program = routine.program
     source = (
@@ -561,71 +472,66 @@ def c_build_spec(routine: CompiledRoutine,
         else emit_c(program)
     )
     use_openmp = False
-    codelet = False
     if not program.strided:
         use_openmp = ccompile.have_openmp() if openmp is None else openmp
-        codelet = program.is_straight_line()
         source += ccompile.batch_driver_source(
             routine.name,
             in_len=program.in_size * program.element_width,
             out_len=program.out_size * program.element_width,
             openmp=use_openmp,
-            codelet=codelet,
         )
-        if codelet:
-            use_simd = (simd is None) or simd
-            if use_simd:
-                cflags = cflags + ccompile.simd_cflags()
-    key_extra = (f"driver={'codelet' if codelet else 'loop'}",)
-    return source, tuple(cflags), use_openmp, key_extra
+    return source, tuple(cflags), use_openmp
 
 
 def _build_c(routine: CompiledRoutine,
-             cflags: tuple[str, ...]) -> ExecutableRoutine:
+             cflags: tuple[str, ...]) -> Tier:
     program = routine.program
-    source, cflags, openmp, key_extra = c_build_spec(routine, cflags)
-    batch_fn = None
-    batch_omp_fn = None
+    source, cflags, openmp = c_build_spec(routine, cflags)
     so_path = ccompile.compile_shared_object(
-        source, cflags=cflags, openmp=openmp, key_extra=key_extra,
-    )
+        source, cflags=cflags, openmp=openmp)
     fn = ccompile.load_function(so_path, routine.name,
                                 strided=program.strided)
+    batch_fn = batch_omp_fn = None
     if not program.strided:
         batch_fn = ccompile.load_batch_function(so_path, routine.name)
         if openmp:
             batch_omp_fn = ccompile.load_batch_omp_function(
                 so_path, routine.name)
-    return ExecutableRoutine(routine=routine, backend="c",
-                             raw_call=_pointer_call(fn), ctypes_fn=fn,
-                             batch_fn=batch_fn, batch_omp_fn=batch_omp_fn)
+    return _native_tier("c", fn, batch_fn, batch_omp_fn)
 
 
-def _build_numpy(routine: CompiledRoutine) -> ExecutableRoutine:
+def _build_numpy(routine: CompiledRoutine) -> Tier:
     batch_call = compile_numpy(routine.program)
 
-    def numpy_call(y: np.ndarray, x: np.ndarray) -> None:
+    def call(y: np.ndarray, x: np.ndarray) -> None:
         # Run the batch function on a degenerate B=1 batch (reshape on
         # contiguous 1-D buffers is a view, so y is written in place).
         batch_call(y.reshape(1, -1), x.reshape(1, -1))
 
-    return ExecutableRoutine(routine=routine, backend="numpy",
-                             raw_call=numpy_call, batch_call=batch_call)
+    def rows(Yp: np.ndarray, Xp: np.ndarray, lo: int, hi: int) -> None:
+        Yp[lo:hi].fill(0)
+        batch_call(Yp[lo:hi], Xp[lo:hi])
+
+    return Tier("numpy", call, rows)
 
 
-def _build_python(routine: CompiledRoutine) -> ExecutableRoutine:
+def _build_python(routine: CompiledRoutine) -> Tier:
     from repro.core.backend_python import compile_python
 
     python_fn = compile_python(routine.program)
 
     # The generated Python mutates any indexable in place: hand it the
     # numpy buffers directly (no per-call list round-trip).
-    def numpy_call(y: np.ndarray, x: np.ndarray) -> None:
+    def call(y: np.ndarray, x: np.ndarray) -> None:
         y.fill(0)
         python_fn(y, x)
 
-    return ExecutableRoutine(routine=routine, backend="python",
-                             raw_call=numpy_call)
+    return Tier("python", call, _row_loop(call))
+
+
+#: What a tripped breaker may degrade onto: never a native tier (a
+#: native fault is no reason to trust another native build).
+_FALLBACK_BUILDERS = {"numpy": _build_numpy, "python": _build_python}
 
 
 def build_executable(routine: CompiledRoutine,
@@ -640,10 +546,8 @@ def build_executable(routine: CompiledRoutine,
     express, falls through to the NumPy batch backend, then pure
     Python).  ``prefer="cjit"`` makes codelet programs executable
     immediately — machine code emitted in-process, no subprocess — and
-    then upgrades to the gcc-optimized shared object in a background
-    thread once the host compiler finishes (disable with
-    ``SPL_JIT_UPGRADE=0``); non-codelet programs fall through to the
-    plain C path unchanged.
+    keeps them there; non-codelet programs fall through to the plain C
+    path unchanged.
 
     ``cflags`` appends host-compiler flags (e.g. ``("-O0",)`` to model
     a weak back-end compiler in ablation experiments); ``SPL_CFLAGS``
@@ -660,27 +564,23 @@ def build_executable(routine: CompiledRoutine,
     resolve_threads(threads)  # validate early (0 and None are fine)
     last_error: Exception | None = None
     for position, backend in enumerate(chain):
-        executable: ExecutableRoutine | None = None
-        upgrade = False
         if backend == "cjit":
             from repro.perfeval import jit
 
             if not (jit.jit_supported() and jit.can_jit(routine.program)):
                 continue  # not a codelet — the plain C path is next
             try:
-                executable = _build_cjit(routine)
+                tier = _build_cjit(routine)
             except SplSemanticError as exc:
                 last_error = exc
                 continue
-            upgrade = (ccompile.have_c_compiler()
-                       and _jit_upgrade_enabled())
         elif backend == "c":
             # No upfront have_c_compiler() gate: the shared-object
             # cache is consulted before the toolchain, so a host
             # booting from a wisdom pack's bundled artifacts serves
             # the C tier with no compiler at all.
             try:
-                executable = _build_c(routine, cflags)
+                tier = _build_c(routine, cflags)
             except SplSemanticError as exc:
                 last_error = exc  # e.g. complex-native program
                 continue
@@ -689,22 +589,15 @@ def build_executable(routine: CompiledRoutine,
                     raise  # a real compile failure, not a missing cc
                 last_error = exc
                 continue
-        elif backend == "numpy":
-            executable = _build_numpy(routine)
         else:
-            executable = _build_python(routine)
-        executable.threads = threads
-        # The backends below the chosen one arm the runtime circuit
-        # breaker: a backend that faults mid-call degrades onto them.
-        # The JIT tier skips "c" on *degradation* (a native fault is
-        # no reason to trust another native build) but upgrades to it
-        # on the promote path below.
-        executable.fallback_chain = tuple(
-            b for b in chain[position + 1:] if b != "c"
-        ) if backend == "cjit" else tuple(chain[position + 1:])
-        if upgrade:
-            _upgrade_in_background(executable, routine, cflags)
-        return executable
+            tier = _FALLBACK_BUILDERS[backend](routine)
+        # The non-native backends below the chosen one arm the runtime
+        # circuit breaker: a tier that faults mid-call degrades onto
+        # them.
+        return ExecutableRoutine(
+            routine, tier, threads=threads,
+            fallback_chain=tuple(b for b in chain[position + 1:]
+                                 if b in _FALLBACK_BUILDERS))
     raise last_error if last_error is not None else SplSemanticError(
         f"no executable backend available for {routine.name}"
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.serve.plans import PlanKey
+from repro.serve.plans import PLAN_BACKENDS, PlanKey
 from repro.serve.protocol import DTYPES
 from repro.serve.supervisor import (
     BackoffPolicy,
@@ -78,10 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "--wisdom, degrades gracefully when the "
                              "pack is corrupt or foreign")
     parser.add_argument("--prefer", default=None,
-                        choices=["cjit", "c", "numpy", "python"],
-                        help="backend chain head (default: cjit when "
-                             "the in-process JIT is available, else c "
-                             "if a compiler is available)")
+                        choices=list(PLAN_BACKENDS),
+                        help="backend chain head (default: c, which "
+                             "falls through to numpy on a host with "
+                             "no compiler and no cached build)")
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--queue-limit", type=int, default=256,
                         help="per-plan in-flight bound (overload "

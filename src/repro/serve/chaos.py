@@ -138,12 +138,7 @@ class ChaosInjector:
 
     def force_trip(self, executable) -> None:
         """Trip ``executable``'s breaker as if its backend faulted."""
-        generation = getattr(executable, "_generation", None)
-        degrade = getattr(executable, "_degrade", None)
-        if degrade is None or generation is None:
-            return
-        degrade(RuntimeError("chaos: forced breaker trip"),
-                "chaos", generation)
+        executable.trip(RuntimeError("chaos: forced breaker trip"))
 
 
 def injector_from_env(environ=os.environ) -> ChaosInjector | None:

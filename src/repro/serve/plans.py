@@ -29,11 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.compiler import CompiledRoutine, CompilerOptions, SplCompiler
-from repro.core.errors import SplError
+from repro.core.errors import SplError, SplSemanticError
 from repro.core.nodes import Formula
 from repro.core.parser import parse_formula_text
 from repro.formulas.factorization import ct_multi, wht_multi
-from repro.perfeval.ccompile import have_c_compiler
 from repro.perfeval.runner import ExecutableRoutine, build_executable
 from repro.search.dp import SMALL_TRANSFORM, default_small_compiler
 from repro.search.measure import validate_fft_formula
@@ -50,6 +49,10 @@ MAX_DIRECT_FFT = 64
 #: the compile limits: one hostile header must not trigger a gigabyte
 #: codegen run.
 MAX_PLAN_SIZE = 1 << 16
+
+#: The backends a registry may be asked to head its chain with; each
+#: is also the language its plans are compiled under.
+PLAN_BACKENDS = ("c", "numpy", "python")
 
 
 @dataclass(frozen=True)
@@ -151,11 +154,11 @@ class PlanRegistry:
     default factorization; replayed entries are re-validated against
     ``numpy.fft`` via the interpreter and evicted on mismatch, so a
     stale or tampered store degrades to a cold build, never to wrong
-    answers.  ``prefer`` picks the backend chain head (default:
-    ``cjit`` when the in-process JIT runs on this host — codelet plans
-    serve their first request in milliseconds and upgrade to the
-    gcc-optimized tier in the background — else C when a compiler is
-    on PATH, NumPy otherwise).
+    answers.  ``prefer`` picks the backend chain head, one of
+    :data:`PLAN_BACKENDS` (default ``c``: ``build_executable``
+    consults the shared-object cache before the toolchain, so a
+    gcc-less host serves a pack's bundled artifacts, and falls through
+    to NumPy when it has neither).
     """
 
     def __init__(self, *, prefer: str | None = None,
@@ -163,13 +166,10 @@ class PlanRegistry:
                  wisdom_source: str | None = None,
                  cflags: tuple[str, ...] = (),
                  threads: int = 1):
-        if prefer is None:
-            from repro.perfeval.jit import jit_supported
-
-            if jit_supported():
-                prefer = "cjit"
-            else:
-                prefer = "c" if have_c_compiler() else "numpy"
+        prefer = "c" if prefer is None else prefer
+        if prefer not in PLAN_BACKENDS:
+            raise SplSemanticError(
+                f"prefer must be one of {PLAN_BACKENDS}, got {prefer!r}")
         self.prefer = prefer
         self.wisdom = wisdom
         # Provenance label for stats(): "pack" (integrity-verified
@@ -193,10 +193,6 @@ class PlanRegistry:
         self._wisdom_options = default_small_compiler().options
 
     # -- formula selection ------------------------------------------------
-
-    def _language(self) -> str:
-        return {"c": "c", "cjit": "cjit",
-                "numpy": "numpy"}.get(self.prefer, "python")
 
     def _fft_formula(self, n: int) -> tuple[Formula, bool, int | None]:
         """(formula, from_wisdom, unroll threshold) for an n-point DFT.
@@ -288,7 +284,7 @@ class PlanRegistry:
             routine = compile_plan(
                 self._sessions, formula, key.transform, key.n,
                 datatype=datatype, threshold=threshold,
-                language=self._language())
+                language=self.prefer)
             executable = build_executable(
                 routine, prefer=self.prefer, cflags=self.cflags,
                 threads=self.threads,

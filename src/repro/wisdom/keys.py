@@ -89,33 +89,25 @@ def platform_fingerprint() -> str:
     code speed: CPU model, cache sizes, OS and host C compiler (the
     Table 1 fields, minus total memory which does not affect codelet
     choice), plus the compilation mode — extra host-compiler flags
-    (``SPL_CFLAGS``, e.g. ``-march=native``), OpenMP availability, and
-    the execution tiers in play (``#pragma omp simd`` support and
-    whether the in-process JIT is enabled, since both change which
-    code actually gets timed) — so timings measured under one
-    configuration never validate a cache built under another.
+    (``SPL_CFLAGS``, e.g. ``-march=native``) and OpenMP availability —
+    so timings measured under one configuration never validate a cache
+    built under another.
     """
     return _digest(platform_description())
 
 
 def platform_description() -> str:
     """The human-readable string behind :func:`platform_fingerprint`."""
-    from repro.perfeval.ccompile import (
-        extra_cflags,
-        have_openmp,
-        have_openmp_simd,
-    )
-    from repro.perfeval.jit import jit_supported
+    from repro.perfeval.ccompile import extra_cflags, have_openmp
 
-    return _host_description(extra_cflags(), have_openmp(),
-                             have_openmp_simd(), jit_supported())
+    return _host_description(extra_cflags(), have_openmp())
 
 
 def hardware_fingerprint() -> str:
     """A short hash of the host *hardware* alone (CPU, caches, OS).
 
     Unlike :func:`platform_fingerprint` this deliberately excludes the
-    toolchain inventory (host compiler, OpenMP/SIMD/JIT availability,
+    toolchain inventory (host compiler, OpenMP availability,
     ``SPL_CFLAGS``): wisdom *packs* ship portable artifacts precisely
     so a replica without the producer's toolchain can boot hot, so a
     pack is acceptable anywhere the hardware matches even when the
@@ -134,9 +126,7 @@ def hardware_description() -> str:
 
 
 @lru_cache(maxsize=None)
-def _host_description(cflags: tuple[str, ...], openmp: bool,
-                      openmp_simd: bool = False,
-                      jit: bool = False) -> str:
+def _host_description(cflags: tuple[str, ...], openmp: bool) -> str:
     # The hardware inventory is immutable per process; only the flag
     # set varies, so cache one description per configuration tuple.
     from repro.perfeval.platform import host_platform
@@ -145,9 +135,7 @@ def _host_description(cflags: tuple[str, ...], openmp: bool,
     return "|".join((row.cpu, row.l1_cache, row.l2_cache,
                      row.os_name, row.compiler,
                      " ".join(cflags) or "-",
-                     "openmp" if openmp else "no-openmp",
-                     "simd" if openmp_simd else "no-simd",
-                     "jit" if jit else "no-jit"))
+                     "openmp" if openmp else "no-openmp"))
 
 
 def wisdom_key(transform: str, n: int, options: object | None = None,

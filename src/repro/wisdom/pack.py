@@ -26,10 +26,9 @@ Integrity is layered so damage degrades instead of spreading:
   diagnostics and counters, because a bad pack on disk must never
   turn into a crashed boot.
 
-Artifacts are bundled in their *portable* variant (no OpenMP, no SIMD
-flags — the build a host whose toolchain probes all report False would
-request), so they are exactly the digests a toolchain-less consumer
-computes.  Hosts with a full toolchain ignore them and compile their
+Artifacts are bundled in their *portable* variant (no OpenMP — the
+build a host whose toolchain probe reports False would request), so
+they are exactly the digests a toolchain-less consumer computes.  Hosts with a full toolchain ignore them and compile their
 own optimal variant; nothing is lost either way.
 """
 
@@ -111,7 +110,7 @@ class PackLoadResult:
 
 
 def _registry_build_inputs(entry: WisdomEntry):
-    """(source, cflags, openmp, key_extra) a booting registry will ask
+    """(source, cflags, openmp) a booting registry will ask
     the shared-object cache for — portable variant — or None.
 
     The routine comes from :func:`repro.serve.plans.compile_plan`, the
@@ -129,7 +128,7 @@ def _registry_build_inputs(entry: WisdomEntry):
         {}, parse_formula_text(entry.formula, {}), "fft", entry.n,
         datatype="complex", threshold=entry.meta.get("unroll_threshold"),
         language="c")
-    return c_build_spec(routine, (), openmp=False, simd=False)
+    return c_build_spec(routine, (), openmp=False)
 
 
 def build_pack(store: WisdomStore, out_path: str | os.PathLike, *,
@@ -156,14 +155,13 @@ def build_pack(store: WisdomStore, out_path: str | os.PathLike, *,
             spec = _registry_build_inputs(entry)
             if spec is None:
                 continue
-            source, cflags, openmp, key_extra = spec
+            source, cflags, openmp = spec
             digest = ccompile.shared_object_cache_key(
-                source, cflags=cflags, openmp=openmp, key_extra=key_extra)
+                source, cflags=cflags, openmp=openmp)
             if digest in artifacts:
                 continue
             data = ccompile.compile_shared_object(
-                source, cflags=cflags, openmp=openmp,
-                key_extra=key_extra).read_bytes()
+                source, cflags=cflags, openmp=openmp).read_bytes()
         except Exception:  # noqa: BLE001 - artifact optional
             artifacts_skipped += 1
             continue

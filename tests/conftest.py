@@ -6,6 +6,7 @@ Python backend, compiled C) must compute ``to_matrix(formula) @ x``.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -22,6 +23,17 @@ HAS_CC = have_c_compiler()
 requires_cc = pytest.mark.skipif(
     not HAS_CC, reason="no C compiler on PATH"
 )
+
+
+def sabotage_tier(executable, explode,
+                  fields=("call", "rows", "rows_omp", "native")) -> None:
+    """Swap ``executable``'s current tier for a copy whose named
+    callables (those the tier has) are ``explode``: the one way tests
+    make a backend fault."""
+    tier = executable._tier
+    executable._tier = dataclasses.replace(tier, **{
+        name: explode for name in fields
+        if getattr(tier, name) is not None})
 
 
 def inherited_mb() -> int:

@@ -9,7 +9,7 @@ build.
 """
 
 import dataclasses
-import os
+import threading
 
 import pytest
 
@@ -25,7 +25,7 @@ from repro.fuzz.oracle import (
     check_source,
     checked_languages,
 )
-from repro.perfeval import ccompile, runner
+from repro.perfeval import ccompile, jit, runner
 from repro.perfeval.jit import jit_supported
 from tests.conftest import requires_cc
 
@@ -52,7 +52,7 @@ def test_report_is_deterministic():
 
 def test_native_tiers_are_skipped_not_failed_without_a_toolchain(monkeypatch):
     monkeypatch.setattr(ccompile, "_find_compiler", lambda: None)
-    monkeypatch.setenv("SPL_JIT", "0")
+    monkeypatch.setattr(jit, "jit_supported", lambda: False)
     assert checked_languages() == ("python", "numpy")
     assert check_source("(compose (F 4) (L 4 2))").status == STATUS_OK
 
@@ -73,14 +73,10 @@ def test_a_native_check_that_ran_on_another_tier_is_a_crash(monkeypatch):
 
 
 @pytest.mark.skipif(not jit_supported(), reason="no in-process JIT here")
-def test_the_cjit_check_leaves_no_background_build(monkeypatch):
-    started = []
-    monkeypatch.setattr(runner, "_upgrade_in_background",
-                        lambda *args: started.append(args))
-    monkeypatch.delenv("SPL_JIT_UPGRADE", raising=False)
+def test_the_cjit_check_leaves_no_background_build():
+    before = set(threading.enumerate())
     assert check_source("(F 4)", languages=("cjit",)).status == STATUS_OK
-    assert not started
-    assert "SPL_JIT_UPGRADE" not in os.environ
+    assert set(threading.enumerate()) == before
 
 
 # Mutation checks: a printer that miscompiles must surface as a

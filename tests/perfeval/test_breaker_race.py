@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.compiler import CompilerOptions, SplCompiler
 from repro.perfeval.runner import build_executable
+from tests.conftest import sabotage_tier
 
 N_THREADS = 8
 ROUNDS = 5
@@ -43,8 +44,7 @@ def _sabotage_with_barrier(executable, parties):
         barrier.wait(timeout=30)
         raise OSError("simultaneous native fault")
 
-    executable.raw_call = explode
-    executable.batch_call = explode
+    sabotage_tier(executable, explode)
     return barrier
 
 
@@ -130,8 +130,8 @@ class TestConcurrentDegradation:
         def broken_build(routine):
             raise RuntimeError("python tier unavailable")
 
-        original = runner_mod._build_python
-        runner_mod._build_python = broken_build
+        original = runner_mod._FALLBACK_BUILDERS["python"]
+        runner_mod._FALLBACK_BUILDERS["python"] = broken_build
         try:
             x = np.arange(8) + 1j * np.arange(8)
             outcomes = [None] * N_THREADS
@@ -153,10 +153,63 @@ class TestConcurrentDegradation:
                 t.join(60)
                 assert not t.is_alive()
         finally:
-            runner_mod._build_python = original
+            runner_mod._FALLBACK_BUILDERS["python"] = original
         # Everyone faulted (the chain was exhausted)...
         assert all(kind == "fault" for kind in outcomes), outcomes
         # ...but the *trip* was still recorded only once per tier.
         numpy_trips = [f for f in executable.backend_failures
                        if f.backend == "numpy" and f.op == "apply"]
         assert len(numpy_trips) == 1
+
+    def test_thirty_two_simultaneous_faults_record_one_failure(self):
+        """More faulters than cores, a short switch interval: exactly
+        one ``BackendFailure`` for the tier, an answer for everyone."""
+        import sys
+
+        parties = 32
+        executable = _build(tag="w")
+        _sabotage_with_barrier(executable, parties)
+        x = np.arange(8) * (1 - 1j)
+        results = [None] * parties
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda i=i: results.__setitem__(
+                        i, executable.apply(x)))
+                for i in range(parties)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            np.testing.assert_allclose(result, np.fft.fft(x), atol=1e-9)
+        assert executable.backend == "python"
+        assert [(f.backend, f.op) for f in executable.backend_failures] \
+            == [("numpy", "apply")]
+
+    def test_swap_during_sharded_batch_keeps_every_row_on_one_tier(self):
+        """``apply_many(threads=2)`` reads the tier once: a breaker
+        trip that lands while its shards run does not move the later
+        shards onto the new tier."""
+        executable = _build(n=64, tag="s")
+        numpy_rows = executable._tier.rows
+        served = []
+
+        def rows(Yp, Xp, lo, hi):
+            if not served:  # the swap lands inside the first shard
+                assert executable.trip(RuntimeError("mid-call"))
+            served.append((lo, hi))
+            numpy_rows(Yp, Xp, lo, hi)
+
+        sabotage_tier(executable, rows, fields=("rows",))
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        Y = executable.apply_many(X, threads=2)
+        assert executable.backend == "python"  # the trip did happen
+        assert sorted(served) == [(0, 32), (32, 64)]  # ...and moved no shard
+        np.testing.assert_allclose(Y, np.fft.fft(X, axis=1), atol=1e-8)

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core.compiler import CompilerOptions, SplCompiler
-from repro.perfeval.runner import build_executable
-from tests.conftest import requires_cc
+from repro.perfeval.jit import jit_supported
+from repro.perfeval.runner import _PREFERENCE, build_executable
+from tests.conftest import HAS_CC, requires_cc, sabotage_tier
 
 
 def _build(n=8, prefer="numpy"):
@@ -27,13 +28,7 @@ def _sabotage(executable, *, message="native fault"):
     def explode(*args, **kwargs):
         raise OSError(message)
 
-    executable.raw_call = explode
-    if executable.batch_fn is not None:
-        executable.batch_fn = explode
-    if executable.batch_omp_fn is not None:
-        executable.batch_omp_fn = explode
-    if executable.batch_call is not None:
-        executable.batch_call = explode
+    sabotage_tier(executable, explode)
 
 
 class TestDegradation:
@@ -129,3 +124,60 @@ class TestNativeDegradation:
         Y = executable.apply_many(X)
         np.testing.assert_allclose(Y, np.fft.fft(X, axis=1), atol=1e-9)
         assert executable.backend in ("numpy", "python")
+
+
+class _CountingLock:
+    """Stands in for ``_swap_lock`` and counts how often it is taken."""
+
+    def __init__(self, lock):
+        self.lock, self.acquisitions = lock, 0
+
+    def __enter__(self):
+        self.acquisitions += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.lock.__exit__(*exc_info)
+
+
+class TestLadder:
+    def test_fault_free_calls_never_take_the_swap_lock(self):
+        executable = _build(prefer="numpy")
+        proxy = executable._swap_lock = _CountingLock(executable._swap_lock)
+        x = np.arange(8) + 0j
+        X = np.tile(x, (4, 1))
+        for _ in range(100):
+            executable.apply(x)
+            executable.apply_many(X)
+        assert proxy.acquisitions == 0
+        # The breaker path still goes through it, once per trip.
+        _sabotage(executable)
+        executable.apply(x)
+        assert proxy.acquisitions == 1
+
+    @pytest.mark.parametrize("prefer", list(_PREFERENCE))
+    def test_tiers_below_are_the_non_native_rest_of_the_chain(self, prefer):
+        if prefer in ("c", "cjit") and not HAS_CC:
+            pytest.skip("no C compiler on PATH")
+        compiler = SplCompiler(CompilerOptions(codetype="real",
+                                               unroll=True))
+        routine = compiler.compile_formula("(F 8)", f"lad{prefer}",
+                                           language="c")
+        executable = build_executable(routine, prefer=prefer)
+        if prefer != "cjit" or jit_supported():
+            assert executable.backend == prefer
+        chain = _PREFERENCE[prefer]
+        below = chain[chain.index(executable.backend) + 1:]
+        assert executable.fallback_chain == tuple(
+            b for b in below if b in ("numpy", "python"))
+
+    def test_trip_is_the_public_breaker_hook(self):
+        executable = _build(prefer="numpy")
+        assert executable.trip(RuntimeError("injected")) is True
+        assert executable.backend == "python"
+        assert [(f.backend, f.op) for f in executable.backend_failures] \
+            == [("numpy", "chaos")]
+        assert executable.trip(RuntimeError("again")) is False  # no tier left
+        x = np.arange(8) + 0j
+        np.testing.assert_allclose(executable.apply(x), np.fft.fft(x),
+                                   atol=1e-9)

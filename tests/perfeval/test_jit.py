@@ -1,7 +1,9 @@
 """Unit and integration tests for the in-process JIT backend tier:
-eligibility gating (``can_jit``), the ``SPL_JIT`` escape hatch, the
-``cjit`` preference chain in ``build_executable``, and the background
-promotion to the gcc-optimized tier."""
+eligibility gating (``can_jit``), the ``cjit`` preference chain in
+``build_executable`` (an explicit tier that stays where it was built:
+no background gcc build), and the cold-start gate."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -9,11 +11,7 @@ import pytest
 from repro.core.compiler import CompilerOptions, SplCompiler
 from repro.perfeval import jit
 from repro.perfeval.ccompile import have_c_compiler
-from repro.perfeval.runner import (
-    BackendFailure,
-    _upgrade_in_background,
-    build_executable,
-)
+from repro.perfeval.runner import build_executable
 
 needs_jit = pytest.mark.skipif(
     not jit.jit_supported(),
@@ -36,10 +34,6 @@ def _looped_routine(language="cjit"):
 
 
 class TestEligibility:
-    def test_spl_jit_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("SPL_JIT", "0")
-        assert not jit.jit_supported()
-
     def test_codelet_is_jittable(self):
         assert jit.can_jit(_codelet_routine().program)
 
@@ -64,8 +58,7 @@ class TestEligibility:
 
 @needs_jit
 class TestBuildExecutable:
-    def test_cjit_backend_selected(self, monkeypatch):
-        monkeypatch.setenv("SPL_JIT_UPGRADE", "0")
+    def test_cjit_backend_selected(self):
         executable = build_executable(_codelet_routine(), prefer="cjit")
         assert executable.backend == "cjit"
         x = np.random.default_rng(1).standard_normal(4) \
@@ -73,50 +66,29 @@ class TestBuildExecutable:
         np.testing.assert_allclose(executable.apply(x), np.fft.fft(x),
                                    atol=1e-10)
 
-    def test_degradation_chain_skips_c(self, monkeypatch):
+    def test_degradation_chain_skips_c(self):
         # A native fault in the JIT tier must not degrade onto another
         # native build: the chain below cjit is numpy/python only.
-        monkeypatch.setenv("SPL_JIT_UPGRADE", "0")
         executable = build_executable(_codelet_routine(), prefer="cjit")
         assert "c" not in executable.fallback_chain
         assert "cjit" not in executable.fallback_chain
 
-    def test_spl_jit_zero_falls_through(self, monkeypatch):
-        monkeypatch.setenv("SPL_JIT", "0")
-        executable = build_executable(_codelet_routine(), prefer="cjit")
-        assert executable.backend != "cjit"
-
-    def test_looped_program_falls_through(self, monkeypatch):
-        monkeypatch.setenv("SPL_JIT_UPGRADE", "0")
+    def test_looped_program_falls_through(self):
         executable = build_executable(_looped_routine(), prefer="cjit")
         assert executable.backend != "cjit"
 
-    @needs_cc
-    def test_background_promotion_to_c(self, monkeypatch):
-        monkeypatch.setenv("SPL_JIT_UPGRADE", "0")
-        routine = _codelet_routine()
-        executable = build_executable(routine, prefer="cjit")
+    def test_cjit_starts_no_thread_and_stays_put(self):
+        # Nothing builds behind the caller: the tier asked for is the
+        # tier that answers, on the first call and on every later one.
+        before = set(threading.enumerate())
+        executable = build_executable(_codelet_routine(), prefer="cjit")
+        x = np.arange(4) * (2 + 1j)
+        for _ in range(2):
+            np.testing.assert_allclose(executable.apply(x),
+                                       np.fft.fft(x), atol=1e-10)
+        assert set(threading.enumerate()) == before
         assert executable.backend == "cjit"
-        thread = _upgrade_in_background(executable, routine, ())
-        thread.join(timeout=120)
-        assert not thread.is_alive()
-        assert executable.backend == "c"
-        assert executable.stats()["promotions"] == ["cjit->c"]
-        x = np.random.default_rng(3).standard_normal(4) \
-            + 1j * np.random.default_rng(4).standard_normal(4)
-        np.testing.assert_allclose(executable.apply(x), np.fft.fft(x),
-                                   atol=1e-10)
-
-    def test_promotion_refused_after_breaker_trip(self, monkeypatch):
-        monkeypatch.setenv("SPL_JIT_UPGRADE", "0")
-        routine = _codelet_routine()
-        executable = build_executable(routine, prefer="cjit")
-        executable.backend_failures.append(BackendFailure(
-            backend="cjit", op="call", error="synthetic fault"))
-        other = build_executable(routine, prefer="numpy")
-        assert not executable.promote(other)
-        assert executable.backend == "cjit"
-        assert executable.stats()["promotions"] == []
+        assert "promotions" not in executable.stats()
 
 
 @needs_jit
@@ -141,7 +113,6 @@ class TestColdStart:
             executable.apply(x)
             return time.perf_counter() - start
 
-        monkeypatch.setenv("SPL_JIT_UPGRADE", "0")  # no gcc racing the JIT
         compiler = SplCompiler(CompilerOptions(codetype="real",
                                                unroll=True))
         routine = compiler.compile_formula(ct_multi(factors), "cold",

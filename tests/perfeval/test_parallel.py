@@ -202,7 +202,7 @@ class TestOpenMPDriver:
     def test_omp_driver_loaded_and_used(self):
         executable = _fft_executable(n=16, prefer="c", name="omp16")
         assert executable.backend == "c"
-        assert executable.batch_omp_fn is not None
+        assert executable._tier.rows_omp is not None
         X = _complex_batch(256, 16, seed=8)
         np.testing.assert_array_equal(
             executable.apply_many(X, threads=1),
@@ -227,7 +227,7 @@ class TestOpenMPDriver:
                                            language="c")
         executable = runner.build_executable(routine, prefer="c")
         assert executable.backend == "c"
-        assert executable.batch_omp_fn is None
+        assert executable._tier.rows_omp is None
         X = _complex_batch(256, 16, seed=10)
         np.testing.assert_array_equal(
             executable.apply_many(X, threads=1),

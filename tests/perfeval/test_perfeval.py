@@ -17,7 +17,11 @@ from repro.perfeval.memory import routine_memory
 from repro.perfeval.platform import format_table, host_platform
 from repro.perfeval.runner import build_executable
 from repro.perfeval.timing import pseudo_mflops, time_callable
-from tests.conftest import requires_cc
+from tests.conftest import requires_cc, sabotage_tier
+
+
+def _never_called(*args):
+    raise AssertionError("the per-vector call ran")
 
 
 class TestTiming:
@@ -185,10 +189,15 @@ class TestRunner:
         routine = compiler.compile_formula("(F 4)", "t4", language="numpy")
         executable = build_executable(routine, prefer="numpy")
         assert executable.backend == "numpy"
-        assert executable.batch_call is not None
         x = np.array([1 + 2j, 3 - 1j, 0.5j, -2.0])
         np.testing.assert_allclose(executable.apply(x), np.fft.fft(x),
                                    atol=1e-12)
+        # A batch is one NumPy batch call, not a loop over ``call``.
+        sabotage_tier(executable, _never_called, fields=("call",))
+        X = np.tile(x, (3, 1))
+        np.testing.assert_allclose(executable.apply_many(X),
+                                   np.fft.fft(X, axis=1), atol=1e-12)
+        assert not executable.degraded
 
     def test_complex_native_falls_back_from_c(self):
         # codetype complex keeps complex arithmetic the C backend
@@ -205,7 +214,7 @@ class TestRunner:
     @pytest.mark.parametrize("prefer", ["c", "cjit", "numpy", "python"])
     @pytest.mark.parametrize("shape", [(1,), (63,), (65,), (1, 64),
                                        (2, 32), (64, 1)])
-    def test_apply_rejects_wrong_shape(self, prefer, shape, monkeypatch):
+    def test_apply_rejects_wrong_shape(self, prefer, shape):
         # The kernel reads in_size elements from wherever x points: a
         # short x must be refused, not broadcast (the old wrapper turned
         # a length-1 x into the transform of a constant vector) and
@@ -214,7 +223,6 @@ class TestRunner:
 
         if prefer in ("c", "cjit") and not have_c_compiler():
             pytest.skip("no C compiler on PATH")
-        monkeypatch.setenv("SPL_JIT_UPGRADE", "0")
         compiler = SplCompiler(CompilerOptions(unroll=True,
                                                codetype="real"))
         language = "c" if prefer in ("c", "cjit") else prefer
@@ -278,10 +286,12 @@ class TestBatchExecution:
         executable = build_executable(self._routine(language="c"),
                                       prefer="c")
         assert executable.backend == "c"
-        assert executable.batch_fn is not None  # spl_batch_* loaded
+        # spl_batch_* loaded: a batch never loops over ``call``.
+        sabotage_tier(executable, _never_called, fields=("call",))
         X = self._batch(8, 7)
         np.testing.assert_allclose(
             executable.apply_many(X), np.fft.fft(X, axis=1), atol=1e-12)
+        assert not executable.degraded
 
     def test_apply_many_reuses_scratch(self):
         # What the reused workspaces must never have shown through:
@@ -338,6 +348,38 @@ class TestBatchExecution:
         dp = ctypes.POINTER(ctypes.c_double)
         batch_fn(y.ctypes.data_as(dp), x.ctypes.data_as(dp), 3)
         np.testing.assert_allclose(y, [[2.0], [4.0], [6.0]])
+
+    def test_there_is_one_plain_batch_driver(self):
+        # No aligned / ``omp simd`` variant: a straight-line routine
+        # and a looped one get the same driver text (names and lengths
+        # aside) and the same flags.
+        import re
+
+        from repro.perfeval.ccompile import batch_driver_source
+        from repro.perfeval.runner import c_build_spec
+
+        for openmp in (False, True):
+            text = batch_driver_source("f", in_len=8, out_len=8,
+                                       openmp=openmp)
+            assert "omp simd" not in text
+            assert "SPL_ASSUME_ALIGNED" not in text
+        drivers, flags = [], []
+        for unroll, formula in ((True, "(F 8)"),
+                                (False, "(tensor (I 4) (F 4))")):
+            compiler = SplCompiler(CompilerOptions(codetype="real",
+                                                   unroll=unroll))
+            routine = compiler.compile_formula(formula, f"drv{unroll:d}",
+                                               language="c")
+            assert routine.program.is_straight_line() == unroll
+            source, cflags, openmp = c_build_spec(routine, (),
+                                                  openmp=False)
+            assert source.startswith(routine.source)
+            driver = source[len(routine.source):]
+            drivers.append(re.sub(r"\d+", "N", driver.replace(
+                routine.name, "NAME")))
+            flags.append((cflags, openmp))
+        assert drivers[0] == drivers[1] and "spl_batch_NAME" in drivers[0]
+        assert flags[0] == flags[1] == ((), False)
 
     def test_openmp_batch_driver_source_and_load(self, tmp_path):
         import ctypes

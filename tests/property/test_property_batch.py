@@ -9,11 +9,9 @@ parent commit's copying runner gave."""
 import functools
 import hashlib
 import json
-import os
 import platform
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import hypothesis.strategies as st
@@ -222,10 +220,7 @@ def _executable(case: str, backend: str, codetype: str = "real"):
     routine = compiler.compile_formula(
         text, f"{case}_{backend}_{codetype}", datatype=datatype,
         language=language)
-    # The JIT tier's background promotion to gcc code is bit-identical
-    # by construction but would make "which tier ran" depend on timing.
-    with mock.patch.dict(os.environ, {"SPL_JIT_UPGRADE": "0"}):
-        return build_executable(routine, prefer=backend)
+    return build_executable(routine, prefer=backend)
 
 
 def _runner_input(executable, batch: int, seed: int = 20010620):
@@ -319,9 +314,9 @@ class TestRunnerRunsOnCallersMemory:
     @pytest.mark.parametrize("case", ["fft8_codelet", "wht8_codelet"])
     @pytest.mark.parametrize("batch", RUNNER_BATCHES)
     def test_codelet_driver_checks_alignment_at_runtime(self, case, batch):
-        # The gcc codelet driver's fast path assumes 64-byte alignment
-        # only after testing for it, so a caller's 8-byte-aligned rows
-        # must give the same bits as aligned ones (the plain loop).
+        # The batch driver assumes nothing about alignment, so a
+        # caller's 8-byte-aligned rows must give the same bits as
+        # 64-byte-aligned ones.
         executable = _executable(case, "c")
         assert executable.backend == "c"
         assert executable.routine.program.is_straight_line()

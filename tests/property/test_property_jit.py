@@ -180,8 +180,8 @@ class TestJitBitIdenticalToC:
         for row in X:
             x = np.ascontiguousarray(row)
             y = np.zeros(out_len)
-            executable.ctypes_fn(y.ctypes.data_as(c_double_p),
-                                 x.ctypes.data_as(c_double_p))
+            executable._tier.native(y.ctypes.data_as(c_double_p),
+                                    x.ctypes.data_as(c_double_p))
             c_rows.append(y)
         c_rows = np.array(c_rows)
         assert np.array_equal(_jit_rows(jitted, X, out_len), c_rows)
@@ -217,8 +217,7 @@ class TestIneligibleProgramsFallBack:
         assert routine.program.element_width == 1
         assert not jit.can_jit(routine.program)
 
-    def test_build_executable_falls_through(self, monkeypatch):
-        monkeypatch.setenv("SPL_JIT_UPGRADE", "0")
+    def test_build_executable_falls_through(self):
         compiler = SplCompiler(CompilerOptions(codetype="real"))
         routine = compiler.compile_formula(
             "(tensor (I 8) (F 4))", "jfall", language="cjit")
@@ -232,9 +231,7 @@ class TestIneligibleProgramsFallBack:
 
 @needs_cc
 class TestCodeletLoopParity:
-    """A codelet-unrolled plan is bit-identical to its looped form,
-    and the codelet driver's aligned fast path is bit-identical to its
-    unaligned fallback loop."""
+    """A codelet-unrolled plan is bit-identical to its looped form."""
 
     FORMULA = ("(compose (tensor (F 4) (I 4)) (T 16 4) "
                "(tensor (I 4) (F 4)) (L 16 4))")
@@ -256,34 +253,3 @@ class TestCodeletLoopParity:
             executable = build_executable(routine, prefer="c")
             results[unroll] = executable.apply_many(X)
         assert np.array_equal(results[False], results[True])
-
-    def test_aligned_fast_path_matches_unaligned_loop_bitwise(self):
-        compiler = SplCompiler(CompilerOptions(codetype="real",
-                                               unroll=True))
-        routine = compiler.compile_formula(self.FORMULA, "paralign",
-                                           language="c")
-        executable = build_executable(routine, prefer="c")
-        assert executable.batch_fn is not None
-        batch, row = 16, 32
-
-        def run(offset_doubles):
-            # Carve (mis)aligned views out of 64-byte aligned backing
-            # stores: offset 0 exercises the SIMD fast path, offset 1
-            # the plain fallback loop.
-            pad = 8
-            xb = np.zeros((batch * row + pad,))
-            yb = np.zeros((batch * row + pad,))
-            base = np.random.default_rng(3).standard_normal(batch * row)
-            for buf in (xb, yb):
-                shift = (-buf.ctypes.data % 64) // 8
-                assert (buf[shift:].ctypes.data % 64) == 0
-            xs = (-xb.ctypes.data % 64) // 8 + offset_doubles
-            ys = (-yb.ctypes.data % 64) // 8 + offset_doubles
-            X = xb[xs:xs + batch * row].reshape(batch, row)
-            Y = yb[ys:ys + batch * row].reshape(batch, row)
-            X[:] = base.reshape(batch, row)
-            executable.batch_fn(Y.ctypes.data_as(_DP),
-                                X.ctypes.data_as(_DP), batch)
-            return Y.copy()
-
-        assert np.array_equal(run(0), run(1))

@@ -15,9 +15,11 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
-from repro.serve.plans import PlanRegistry
+from repro.perfeval import ccompile, jit
+from repro.serve.plans import PlanKey, PlanRegistry
 from repro.serve.supervisor import (
     RestartBudget,
     ServeConfig,
@@ -26,9 +28,10 @@ from repro.serve.supervisor import (
     build_server,
     fork_supported,
 )
-from repro.wisdom.pack import build_pack
+from repro.wisdom.pack import build_pack, load_pack
 from repro.wisdom.store import WisdomStore
 
+from tests.conftest import requires_cc
 from tests.serve.fleet import FleetProcess
 
 needs_fork = pytest.mark.skipif(
@@ -122,6 +125,68 @@ class TestBootWisdom:
             prefer="numpy", wisdom=WisdomStore(None, autosave=False),
             wisdom_source="pack")
         assert registry.stats()["wisdom_source"] == "pack"
+
+
+class TestDefaultRegistryOnABareHost:
+    """No compiler and no JIT: the default registry must still open a
+    pack's installed artifacts (it used to pick NumPy without looking)
+    and fall through to NumPy only when there is nothing to open."""
+
+    N = 8
+
+    def _bare_host(self, tmp_path, monkeypatch):
+        build_dir = tmp_path / "consumer-build"
+        build_dir.mkdir()
+        monkeypatch.setenv("SPL_BUILD_DIR", str(build_dir))
+        monkeypatch.setattr(ccompile, "_find_compiler", lambda: None)
+        monkeypatch.setattr(jit, "jit_supported", lambda: False)
+        return build_dir
+
+    def _serve(self, registry):
+        plan = registry.get(PlanKey("fft", self.N, "complex128"))
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(self.N) + 1j * rng.standard_normal(self.N)
+        np.testing.assert_allclose(plan.executable.apply(x),
+                                   np.fft.fft(x), atol=1e-9)
+        return plan
+
+    @requires_cc
+    def test_installed_artifact_is_served_on_c(self, tmp_path,
+                                               monkeypatch):
+        from repro.core.compiler import CompilerOptions, SplCompiler
+        from repro.search.dp import SMALL_TRANSFORM
+
+        store = WisdomStore(tmp_path / "wisdom.json")
+        options = SplCompiler(CompilerOptions(
+            unroll=True, optimize="default", datatype="complex",
+            codetype="real", language="c")).options
+        store.record(SMALL_TRANSFORM, self.N, options,
+                     formula=f"(F {self.N})", seconds=1e-6, mflops=100.0)
+        pack_path = tmp_path / "wisdom.pack"
+        assert build_pack(store, pack_path)["artifacts"] >= 1
+
+        build_dir = self._bare_host(tmp_path, monkeypatch)
+        result = load_pack(pack_path, build_dir=build_dir)
+        assert result.ok and result.artifacts_installed >= 1
+        registry = PlanRegistry(wisdom=result.store, wisdom_source="pack")
+        assert registry.prefer == "c"
+        plan = self._serve(registry)
+        assert plan.from_wisdom
+        assert plan.executable.backend == "c"
+
+    def test_nothing_installed_falls_through_to_numpy(self, tmp_path,
+                                                      monkeypatch):
+        self._bare_host(tmp_path, monkeypatch)
+        registry = PlanRegistry()
+        assert registry.prefer == "c"
+        assert self._serve(registry).executable.backend == "numpy"
+
+    def test_cjit_is_refused_like_an_unknown_name(self):
+        from repro.core.errors import SplSemanticError
+
+        for name in ("cjit", "fortran"):
+            with pytest.raises(SplSemanticError, match="prefer must be"):
+                PlanRegistry(prefer=name)
 
 
 @needs_fork
