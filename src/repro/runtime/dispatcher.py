@@ -100,21 +100,23 @@ class _Request:
 
     ``arrival`` is the ``time.monotonic()`` submission stamp that a
     ``max_delay`` linger is computed from.  ``on_done`` (optional)
-    is invoked exactly once, after ``done`` is set, from whichever
+    is invoked exactly once, after ``resolved`` is set, from whichever
     thread resolved the request — the hook the asyncio front-end uses
     to bridge back onto its event loop without burning a thread per
     in-flight request — and the request lets go of it there
-    (``on_done`` reads ``None`` afterwards).
+    (``on_done`` reads ``None`` afterwards).  Nothing here blocks: a
+    caller that wants to wait passes a hook that wakes it.
     """
 
-    __slots__ = ("x", "result", "error", "done", "arrival", "on_done")
+    __slots__ = ("x", "result", "error", "resolved", "arrival",
+                 "on_done")
 
     def __init__(self, x: np.ndarray, arrival: float = 0.0,
                  on_done: Callable[["_Request"], None] | None = None):
         self.x = x
         self.result: np.ndarray | None = None
         self.error: BaseException | None = None
-        self.done = threading.Event()
+        self.resolved = False
         self.arrival = arrival
         self.on_done = on_done
 
@@ -127,7 +129,7 @@ class _Request:
         self._finish()
 
     def _finish(self) -> None:
-        self.done.set()
+        self.resolved = True
         # Called once, then dropped: a hook that holds the caller's
         # future (whose result is this request) would otherwise close
         # a reference cycle per request, which only the cyclic
@@ -197,8 +199,9 @@ class BatchDispatcher:
         :class:`DispatcherClosed` if the dispatcher shut down before
         the request ran.
         """
-        request = self.submit(x)
-        request.done.wait()
+        done = threading.Event()
+        request = self.submit(x, lambda _request: done.set())
+        done.wait()
         if request.error is not None:
             raise request.error
         return request.result
@@ -208,12 +211,13 @@ class BatchDispatcher:
                ) -> _Request:
         """Enqueue one vector without blocking; returns its handle.
 
-        The handle exposes ``done`` (a :class:`threading.Event`),
-        ``result`` and ``error``; exactly one of the latter two is set
-        by the time ``done`` fires.  ``on_done`` is called once, after
-        resolution, from an internal thread — it must be cheap and
-        must not raise (the asyncio server passes a hand-off here
-        that wakes its event loop once per resolved batch).
+        The handle exposes ``resolved``, ``result`` and ``error``;
+        exactly one of the latter two is set by the time ``resolved``
+        is.  ``on_done`` is called once, after resolution, with the
+        handle, from an internal thread — it must be cheap and must
+        not raise (the asyncio server passes a hand-off here that
+        wakes its event loop once per resolved batch; :meth:`apply`
+        one that sets the event it waits on).
 
         Shape and dtype are validated *here*, before the request can
         join a batch: a wrong-shape or unsafely-typed vector raises
@@ -327,7 +331,7 @@ class BatchDispatcher:
     def _cancel_locked(self, requests: list[_Request]) -> None:
         """Resolve ``requests`` with DispatcherClosed (lock held)."""
         for request in requests:
-            if not request.done.is_set():
+            if not request.resolved:
                 self._stats.cancelled_requests += 1
                 self._mark_resolved_locked()
                 request.fail(DispatcherClosed(

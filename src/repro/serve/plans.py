@@ -270,8 +270,8 @@ class PlanRegistry:
 
         Raises :class:`~repro.serve.errors.BadRequest` for unroutable
         keys; compile failures surface as
-        :class:`~repro.core.errors.SplError` (mapped to ``internal``
-        by the server).
+        :class:`~repro.core.errors.SplError` (which the router turns
+        into ``BadRequest``: the route is unplannable).
         """
         plan = self._plans.get(key)
         if plan is not None:

@@ -45,6 +45,7 @@ from repro.serve.errors import BadRequest
 
 #: 4-byte big-endian header length prefix.
 _PREFIX = struct.Struct(">I")
+PREFIX_BYTES = _PREFIX.size
 
 MAX_HEADER_BYTES = 64 * 1024
 MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
@@ -74,16 +75,22 @@ def resolve_dtype(name: str) -> np.dtype:
         ) from None
 
 
+def frame_head(header: dict) -> bytes:
+    """Length prefix + JSON header of a frame whose payload follows it
+    (``header`` already carries ``payload_bytes``)."""
+    raw = json.dumps(header, separators=(",", ":")).encode()
+    if len(raw) > MAX_HEADER_BYTES:
+        raise BadRequest(f"header too large ({len(raw)} bytes)")
+    return _PREFIX.pack(len(raw)) + raw
+
+
 def encode_frame(header: dict, payload: bytes = b"") -> bytes:
     """One wire frame: length prefix + JSON header + payload."""
     if payload:
         header = dict(header, payload_bytes=len(payload))
     else:
         header.setdefault("payload_bytes", 0)
-    raw = json.dumps(header, separators=(",", ":")).encode()
-    if len(raw) > MAX_HEADER_BYTES:
-        raise BadRequest(f"header too large ({len(raw)} bytes)")
-    return _PREFIX.pack(len(raw)) + raw + payload
+    return frame_head(header) + payload
 
 
 def decode_header(raw: bytes) -> dict:
@@ -96,7 +103,16 @@ def decode_header(raw: bytes) -> dict:
     return header
 
 
-def _checked_lengths(prefix: bytes, header: dict) -> int:
+def header_length(buffer, offset: int = 0) -> int:
+    """The header length the prefix at ``buffer[offset:]`` declares."""
+    (header_len,) = _PREFIX.unpack_from(buffer, offset)
+    if header_len == 0 or header_len > MAX_HEADER_BYTES:
+        raise BadRequest(f"bad header length {header_len}")
+    return header_len
+
+
+def payload_length(header: dict) -> int:
+    """The payload length ``header`` declares, within the cap."""
     payload_bytes = header.get("payload_bytes", 0)
     if not isinstance(payload_bytes, int) or payload_bytes < 0 \
             or payload_bytes > MAX_PAYLOAD_BYTES:
@@ -108,16 +124,13 @@ async def read_frame(reader: asyncio.StreamReader
                      ) -> tuple[dict, bytes] | None:
     """Read one frame; ``None`` on clean EOF before a frame starts."""
     try:
-        prefix = await reader.readexactly(_PREFIX.size)
+        prefix = await reader.readexactly(PREFIX_BYTES)
     except (asyncio.IncompleteReadError, ConnectionError):
         return None
-    (header_len,) = _PREFIX.unpack(prefix)
-    if header_len == 0 or header_len > MAX_HEADER_BYTES:
-        raise BadRequest(f"bad header length {header_len}")
+    header_len = header_length(prefix)
     try:
         header = decode_header(await reader.readexactly(header_len))
-        payload = await reader.readexactly(
-            _checked_lengths(prefix, header))
+        payload = await reader.readexactly(payload_length(header))
     except asyncio.IncompleteReadError:
         return None  # peer hung up mid-frame
     return header, payload
@@ -126,17 +139,15 @@ async def read_frame(reader: asyncio.StreamReader
 def read_frame_sync(recv_into) -> tuple[dict, bytes] | None:
     """Blocking twin of :func:`read_frame` over a ``makefile('rb')``
     style object with a ``read(n)`` method."""
-    prefix = recv_into.read(_PREFIX.size)
-    if len(prefix) < _PREFIX.size:
+    prefix = recv_into.read(PREFIX_BYTES)
+    if len(prefix) < PREFIX_BYTES:
         return None
-    (header_len,) = _PREFIX.unpack(prefix)
-    if header_len == 0 or header_len > MAX_HEADER_BYTES:
-        raise BadRequest(f"bad header length {header_len}")
+    header_len = header_length(prefix)
     raw = recv_into.read(header_len)
     if len(raw) < header_len:
         return None
     header = decode_header(raw)
-    payload_bytes = _checked_lengths(prefix, header)
+    payload_bytes = payload_length(header)
     payload = recv_into.read(payload_bytes) if payload_bytes else b""
     if len(payload) < payload_bytes:
         return None
@@ -147,14 +158,18 @@ def vector_to_bytes(x: np.ndarray) -> bytes:
     return np.ascontiguousarray(x).tobytes()
 
 
-def bytes_to_vector(payload: bytes, n: int, dtype: np.dtype
-                    ) -> np.ndarray:
+def bytes_to_vector(payload, n: int, dtype: np.dtype, start: int = 0,
+                    stop: int | None = None) -> np.ndarray:
+    """The vector in ``payload[start:stop]``, copied out once."""
+    size = (len(payload) if stop is None else stop) - start
     expected = n * dtype.itemsize
-    if len(payload) != expected:
+    if size != expected:
         raise BadRequest(
-            f"payload is {len(payload)} bytes, expected {expected} "
+            f"payload is {size} bytes, expected {expected} "
             f"({n} x {dtype})"
         )
     # frombuffer is read-only and zero-copy; copy so downstream code
-    # owns a writable, independent vector.
-    return np.frombuffer(payload, dtype=dtype).copy()
+    # owns a writable, independent vector (and a server's receive
+    # buffer is free to move on).
+    return np.frombuffer(payload, dtype=dtype, count=n,
+                         offset=start).copy()

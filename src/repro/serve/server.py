@@ -23,13 +23,26 @@ Each stage already existed; the server is their first joint consumer:
   sheds doomed-deadline work with typed rejections instead of letting
   latency collapse.
 
+The connection model: each connection is one :class:`asyncio.Protocol`
+(:class:`_Connection`), not a coroutine per request.
+``data_received`` appends to the connection's buffer and parses every
+complete frame in it in one pass; a ``transform`` goes from there,
+synchronously, through validation, admission and
+``dispatcher.submit``, its payload copied once, straight out of the
+receive buffer into the request's vector.  No task and no future is
+made per request; only a route's first request waits in the default
+executor for its plan to build.
+
 Requests on one connection may be pipelined; responses carry the
-request ``id`` and complete out of order.  The event loop never
-blocks: plan builds (compiles) run in the default executor, and
-request completion crosses back from the dispatcher's worker thread
-through one hand-off queue that wakes the loop once per resolved
-batch (``loop.call_soon_threadsafe``) — no thread is parked per
-in-flight request, and no self-pipe write is paid per reply.
+request ``id`` and complete out of order.  Completions cross back from
+the dispatcher's worker thread through one hand-off queue that wakes
+the loop once per burst (``loop.call_soon_threadsafe``), and that
+drain writes each connection's replies with one ``writelines`` — the
+JSON header, then a view of the result row.  Backpressure is the
+transport's: while a connection's unsent replies are above the
+transport's high-water mark, the server stops reading that
+connection's requests.  On shutdown, :meth:`SplServer.close` lets each
+connection's unsent replies reach the socket before it hangs up.
 """
 
 from __future__ import annotations
@@ -52,12 +65,15 @@ from repro.serve.errors import (
 )
 from repro.serve.plans import Plan, PlanKey, PlanRegistry
 from repro.serve.protocol import (
+    PREFIX_BYTES,
     bytes_to_vector,
+    decode_header,
     dtype_name,
     encode_frame,
-    read_frame,
+    frame_head,
+    header_length,
+    payload_length,
     resolve_dtype,
-    vector_to_bytes,
 )
 
 
@@ -73,9 +89,6 @@ class PlanService:
         self.admission = AdmissionController(
             queue_limit=queue_limit, batch_hint=max_batch,
         )
-
-    def close(self, drain: bool = True) -> None:
-        self.dispatcher.close(drain=drain)
 
     def stats(self) -> dict:
         return {
@@ -109,13 +122,17 @@ class Router:
         """The service for ``key``, building its plan on first use.
 
         May compile (blocking); the server calls this off the event
-        loop.  Raises ``BadRequest`` for unroutable keys and
-        ``Unavailable`` once the router is closed.
+        loop.  Raises ``BadRequest`` for unroutable or unplannable keys
+        and ``Unavailable`` once the router is closed.
         """
         existing = self._services.get(key)
         if existing is not None:
             return existing
-        plan = self.registry.get(key)  # outside _lock: builds overlap
+        try:
+            plan = self.registry.get(key)  # outside _lock: builds overlap
+        except SplError as exc:
+            raise BadRequest(f"unplannable route {key.describe()}: "
+                             f"{exc}") from exc
         with self._lock:
             if self._closed:
                 raise Unavailable("router is shut down")
@@ -127,9 +144,6 @@ class Router:
                 )
             return existing
 
-    def warm(self, keys: list[PlanKey]) -> list[PlanService]:
-        return [self.service(key) for key in keys]
-
     def services(self) -> list[PlanService]:
         with self._lock:
             return list(self._services.values())
@@ -139,7 +153,7 @@ class Router:
             self._closed = True
             services = list(self._services.values())
         for service in services:
-            service.close(drain=drain)
+            service.dispatcher.close(drain=drain)
 
     def stats(self) -> dict:
         return {
@@ -170,8 +184,10 @@ class SplServer:
         self.chaos = chaos  # a repro.serve.chaos.ChaosInjector, or None
         self._server: asyncio.base_events.Server | None = None
         self._started_at: float | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
         self._draining = False
+        # Transforms accepted on live connections whose reply is not
+        # written yet (drain waits for this to reach zero).
         self._inflight = 0
         self._quiescent: asyncio.Event | None = None
         self.connections_accepted = 0
@@ -187,26 +203,17 @@ class SplServer:
 
     async def start(self) -> tuple[str, int]:
         loop = self._loop = asyncio.get_running_loop()
-        self._quiescent = asyncio.Event()
-        self._quiescent.set()
-        if self.warm_keys:
-            await loop.run_in_executor(
-                None, self.router.warm, self.warm_keys)
+        for key in self.warm_keys:
+            await loop.run_in_executor(None, self.router.service, key)
         # reuse_port is how a supervised fleet shares one address:
         # every worker binds its own SO_REUSEPORT listener on the same
         # (host, port) and the kernel load-balances connections.
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
+        self._server = await loop.create_server(
+            partial(_Connection, self), self.host, self.port,
             reuse_port=self.reuse_port or None)
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
+        self.host, self.port = self._server.sockets[0].getsockname()[:2]
         self._started_at = time.monotonic()
         return self.host, self.port
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
 
     async def drain(self, grace: float = 30.0) -> bool:
         """Graceful drain: stop taking work, finish what was admitted.
@@ -225,25 +232,28 @@ class SplServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._quiescent is None:
-            return True
-        if self._inflight == 0:
-            self._quiescent.set()
-        try:
-            await asyncio.wait_for(self._quiescent.wait(), grace)
-            return True
-        except asyncio.TimeoutError:
-            return False
+        if self._inflight:
+            self._quiescent = asyncio.Event()
+            try:
+                await asyncio.wait_for(self._quiescent.wait(), grace)
+            except asyncio.TimeoutError:
+                return False
+        return True
 
-    async def close(self) -> None:
+    async def close(self, grace: float = 5.0) -> None:
+        """Hang up every connection once its written replies have
+        reached the socket (aborting any still unsent after ``grace``
+        seconds), then stop the dispatchers."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks,
-                                 return_exceptions=True)
+        for conn in list(self._connections):
+            conn.transport.close()
+        if self._connections:
+            await asyncio.wait([conn.closed for conn in self._connections],
+                               timeout=grace)
+        for conn in list(self._connections):
+            conn.transport.abort()  # still unflushed: its grace is up
         loop = asyncio.get_running_loop()
         # Dispatcher close joins worker threads: keep it off the loop.
         await loop.run_in_executor(None, self.router.close)
@@ -262,141 +272,32 @@ class SplServer:
             **self.router.stats(),
         }
 
-    # -- connection handling ------------------------------------------------
+    # -- requests ------------------------------------------------------------
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self.connections_accepted += 1
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        write_lock = asyncio.Lock()
-        request_tasks: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                except BadRequest as exc:
-                    # Framing is broken: report once, then hang up —
-                    # there is no way to resynchronize the stream.
-                    await self._send(writer, write_lock,
-                                     exc.to_header())
-                    break
-                if frame is None:
-                    break
-                header, payload = frame
-                op = header.get("op")
-                if op == "transform":
-                    # Pipelined: each request completes independently
-                    # and responds tagged with its id.
-                    req_task = asyncio.ensure_future(
-                        self._serve_transform(header, payload, writer,
-                                              write_lock))
-                    request_tasks.add(req_task)
-                    req_task.add_done_callback(request_tasks.discard)
-                elif op == "ping":
-                    await self._send(writer, write_lock, {
-                        "status": "ok", "op": "ping",
-                        "id": header.get("id"),
-                    })
-                elif op == "stats":
-                    await self._send(writer, write_lock, {
-                        "status": "ok", "op": "stats",
-                        "id": header.get("id"), "stats": self.stats(),
-                    })
-                else:
-                    await self._send(writer, write_lock, {
-                        "status": "error", "code": "bad_request",
-                        "id": header.get("id"),
-                        "message": f"unknown op {op!r}",
-                    })
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            for req_task in list(request_tasks):
-                req_task.cancel()
-            if request_tasks:
-                try:
-                    await asyncio.gather(*request_tasks,
-                                         return_exceptions=True)
-                except asyncio.CancelledError:
-                    pass
-            writer.close()
+    def _frame(self, conn: _Connection, header: dict, buffer: bytearray,
+               start: int, stop: int) -> None:
+        """Answer, or start answering, one complete request frame whose
+        payload is ``buffer[start:stop]``."""
+        op, request_id = header.get("op"), header.get("id")
+        if op == "transform":
             try:
-                # Swallow cancellation too: server close() cancels
-                # connection tasks that may already be in here, and a
-                # task ending "cancelled" makes asyncio's stream
-                # machinery log a spurious error.
-                await writer.wait_closed()
-            except (ConnectionError, OSError,
-                    asyncio.CancelledError):
-                pass
-            if task is not None:
-                self._conn_tasks.discard(task)
-
-    async def _send(self, writer: asyncio.StreamWriter,
-                    write_lock: asyncio.Lock, header: dict,
-                    payload: bytes = b"") -> None:
-        async with write_lock:
-            writer.write(encode_frame(header, payload))
-            await writer.drain()
-
-    async def _send_truncated(self, writer: asyncio.StreamWriter,
-                              write_lock: asyncio.Lock, header: dict,
-                              payload: bytes = b"") -> None:
-        """Chaos only: half a frame, then a dead connection."""
-        frame = encode_frame(header, payload)
-        async with write_lock:
-            writer.write(frame[:max(4, len(frame) // 2)])
-            await writer.drain()
-            writer.close()
-
-    async def _serve_transform(self, header: dict, payload: bytes,
-                               writer: asyncio.StreamWriter,
-                               write_lock: asyncio.Lock) -> None:
-        request_id = header.get("id")
-        self._inflight += 1
-        if self._quiescent is not None:
-            self._quiescent.clear()
-        try:
-            try:
-                response, result_payload = await self._execute(header,
-                                                               payload)
-            except ServeError as exc:
-                response, result_payload = exc.to_header(), b""
-            except asyncio.CancelledError:
-                raise
+                self._transform(conn, request_id, header, buffer, start,
+                                stop)
             except Exception as exc:  # noqa: BLE001 - typed for wire
-                response = {"status": "error", "code": "internal",
-                            "message": f"{type(exc).__name__}: {exc}"}
-                result_payload = b""
-            response["id"] = request_id
-            chaos = self.chaos
-            if chaos is not None and chaos.take_stall():
-                # Chaos: hold the finished response so clients must
-                # prove their per-request timeout fires.
-                await asyncio.sleep(chaos.stall_s)
-            try:
-                if chaos is not None and chaos.take_truncate():
-                    # Chaos: write a frame whose length prefix
-                    # promises more bytes than follow, then hang up
-                    # mid-frame.
-                    await self._send_truncated(writer, write_lock,
-                                               response,
-                                               result_payload)
-                else:
-                    await self._send(writer, write_lock, response,
-                                     result_payload)
-            except (ConnectionError, OSError):
-                pass  # client went away; work is already accounted
-        finally:
-            self._inflight -= 1
-            if (self._inflight == 0 and self._draining
-                    and self._quiescent is not None):
-                self._quiescent.set()
+                self._answer(conn, _error_header(exc, request_id))
+            return
+        if op == "ping":
+            reply = {"status": "ok", "op": "ping", "id": request_id}
+        elif op == "stats":
+            reply = {"status": "ok", "op": "stats", "id": request_id,
+                     "stats": self.stats()}
+        else:
+            reply = {"status": "error", "code": "bad_request",
+                     "id": request_id, "message": f"unknown op {op!r}"}
+        conn.replies.append(encode_frame(reply))
 
-    async def _execute(self, header: dict,
-                       payload: bytes) -> tuple[dict, bytes]:
+    def _transform(self, conn: _Connection, request_id, header: dict,
+                   buffer: bytearray, start: int, stop: int) -> None:
         arrival = time.monotonic()
         if self._draining:
             # Admitted work keeps running; *new* work is turned away
@@ -410,72 +311,111 @@ class SplServer:
                     or deadline_ms <= 0:
                 raise BadRequest(f"bad deadline_ms {deadline_ms!r}")
             deadline = arrival + float(deadline_ms) / 1e3
-        x = bytes_to_vector(payload, key.n, resolve_dtype(key.dtype))
-
-        loop = self._loop
+        x = bytes_to_vector(buffer, key.n, resolve_dtype(key.dtype),
+                            start, stop)
+        request = (conn, request_id, x, arrival, deadline)
         service = self.router.try_service(key)
-        if service is None:
-            # First request for this route: build off the event loop.
-            try:
-                service = await loop.run_in_executor(
-                    None, self.router.service, key)
-            except SplError as exc:
-                raise BadRequest(f"unplannable route "
-                                 f"{key.describe()}: {exc}") from exc
+        if service is not None:
+            self._submit(service, request)
+            return
+        # First request for this route: build off the event loop, the
+        # request counted in flight meanwhile.
+        self._owe(conn, 1)
+        self._loop.run_in_executor(
+            None, self.router.service, key).add_done_callback(
+                partial(self._built, request))
 
+    def _built(self, request: tuple, build: asyncio.Future) -> None:
+        """A cold route's plan build finished: submit its request."""
+        conn, request_id = request[:2]
+        if conn.transport.is_closing():
+            return  # its count leaves with the connection
+        try:
+            self._submit(build.result(), request)
+        except Exception as exc:  # noqa: BLE001 - typed for wire
+            self._answer(conn, _error_header(exc, request_id))
+        self._owe(conn, -1)
+        conn.flush()
+
+    def _submit(self, service: PlanService, request: tuple) -> None:
+        """Admit and enqueue ``(conn, id, x, arrival, deadline)``."""
+        conn, request_id, x, arrival, deadline = request
         chaos = self.chaos
         if chaos is not None and chaos.take_trip():
             # Chaos: force the plan's circuit breaker to walk one tier
             # down, mid-load.  The request itself still executes (on
             # the degraded backend) and must stay bit-correct.
             chaos.force_trip(service.plan.executable)
-
         service.admission.try_admit(time.monotonic(), deadline)
-        future: asyncio.Future = loop.create_future()
         # From here the admission slot belongs to the dispatcher's
-        # request, not to this task: it is released when the request
-        # resolves (in _drain_resolved), so a client that vanishes
-        # mid-flight cannot leak it, and its queued work keeps counting
-        # against queue_limit until it has actually run.
+        # request, not to the connection: it is released when the
+        # request resolves (in _drain_resolved), so a client that
+        # vanishes mid-flight cannot leak it, and its queued work keeps
+        # counting against queue_limit until it has actually run.
         try:
             service.dispatcher.submit(x, partial(
-                self._hand_off, service.admission, arrival, future))
-        except DispatcherClosed as exc:
+                self._hand_off, service.admission, arrival, conn,
+                request_id))
+        except (DispatcherClosed, ValueError) as exc:
             service.admission.complete(arrival, time.monotonic(),
                                        ok=False)
-            raise Unavailable(str(exc)) from exc
-        except ValueError as exc:
-            service.admission.complete(arrival, time.monotonic(),
-                                       ok=False)
-            raise BadRequest(str(exc)) from exc
+            if isinstance(exc, ValueError):
+                raise BadRequest(str(exc)) from exc
+            raise
+        self._owe(conn, 1)
 
-        request = await future
-        done_at = time.monotonic()
-        error = request.error
-        if error is not None:
-            if isinstance(error, DispatcherClosed):
-                raise Unavailable(str(error))
-            # The breakers already degraded through every tier; this
-            # is the chain-exhausted (or poisoned-request) case.
-            raise ServeError(f"{type(error).__name__}: {error}")
-        result = request.result
-        return (
-            {
-                "status": "ok",
-                "n": int(result.shape[0]),
-                "dtype": dtype_name(result.dtype),
-                "server_ms": (done_at - arrival) * 1e3,
-            },
-            vector_to_bytes(result),
-        )
+    def _owe(self, conn: _Connection, count: int) -> None:
+        """``conn`` is owed ``count`` more (or fewer) replies; a drain
+        waits for the server-wide total to reach zero."""
+        conn.pending += count
+        self._inflight += count
+        if self._inflight == 0 and self._quiescent is not None:
+            self._quiescent.set()
+
+    # -- replies -------------------------------------------------------------
+
+    def _answer(self, conn: _Connection, header: dict,
+                payload=b"") -> None:
+        """Queue one transform reply owed to ``conn`` for its next
+        flush.  An ``id`` too large to echo within the header cap gets
+        a ``bad_request`` that carries none."""
+        try:
+            head = frame_head(header)
+        except BadRequest as exc:
+            head, payload = frame_head(_error_header(exc, None)), b""
+        chaos = self.chaos
+        if chaos is not None:
+            stall, truncate = chaos.take_stall(), chaos.take_truncate()
+            if stall or truncate:
+                # Chaos: hold the reply for stall_s (the client's
+                # per-request timeout must fire), and/or write half of
+                # it and hang up (a connection lost mid-frame).
+                frame = b"".join((head, payload))
+                if truncate:
+                    frame = frame[:max(PREFIX_BYTES, len(frame) // 2)]
+                self._owe(conn, 1)
+                self._loop.call_later(chaos.stall_s if stall else 0.0,
+                                      self._late, conn, frame, truncate)
+                return
+        conn.replies += (head, payload)
+
+    def _late(self, conn: _Connection, frame: bytes,
+              hangup: bool) -> None:
+        if not conn.transport.is_closing():
+            self._owe(conn, -1)
+            conn.replies.append(frame)
+            conn.flush()
+            if hangup:
+                conn.transport.close()
 
     # -- the reply hand-off --------------------------------------------------
 
     def _hand_off(self, admission: AdmissionController, arrival: float,
-                  future: asyncio.Future, request) -> None:
+                  conn: _Connection, request_id, request) -> None:
         """Dispatcher-worker side: queue one resolved request for the
         loop, waking it only if no drain is already on its way."""
-        self._resolved.append((admission, arrival, future, request))
+        self._resolved.append((admission, arrival, conn, request_id,
+                               request))
         with self._handoff_lock:
             if self._drain_scheduled:
                 return  # that drain has not started popping: it sees us
@@ -489,20 +429,119 @@ class SplServer:
                 self._drain_scheduled = False
 
     def _drain_resolved(self) -> None:
-        """Loop side: resolve every waiting future, release every
-        slot.  The flag drops *before* the first pop, so a request
-        appended after the last pop always schedules its own drain."""
+        """Loop side: release every slot, queue every reply, then write
+        each connection's replies at once.  The flag drops *before* the
+        first pop, so a request appended after the last pop always
+        schedules its own drain."""
         with self._handoff_lock:
             self._drain_scheduled = False
         resolved = self._resolved
         now = time.monotonic()
+        answered: dict[_Connection, int] = {}
         while resolved:
-            admission, arrival, future, request = resolved.popleft()
-            # A done future here is a cancelled one: its connection
-            # dropped.  The work ran, the slot is freed, but a reply
-            # nobody waited for is no service-time sample.
-            waiting = not future.done()
-            admission.complete(arrival, now,
-                               ok=waiting and request.error is None)
-            if waiting:
-                future.set_result(request)
+            admission, arrival, conn, request_id, request = \
+                resolved.popleft()
+            # A closed connection's requests are settled when it
+            # drops.  The work ran, the slot is freed, but a reply
+            # nobody waits for is no service-time sample.
+            live = not conn.transport.is_closing()
+            error = request.error
+            admission.complete(arrival, now, ok=live and error is None)
+            if not live:
+                continue
+            answered[conn] = answered.get(conn, 0) + 1
+            if error is not None:
+                self._answer(conn, _error_header(error, request_id))
+                continue
+            result = request.result
+            self._answer(conn, {
+                "status": "ok",
+                "n": result.shape[0],
+                "dtype": dtype_name(result.dtype),
+                "server_ms": (now - arrival) * 1e3,
+                "id": request_id,
+                "payload_bytes": result.nbytes,
+            }, result.data.cast("B"))
+        for conn, count in answered.items():
+            self._owe(conn, -count)
+            conn.flush()
+
+
+def _error_header(exc: Exception, request_id) -> dict:
+    """The typed error reply header for ``exc``: ``unavailable`` for a
+    closed dispatcher, ``internal`` for anything else that is not a
+    :class:`ServeError` (for a failed transform, the breakers already
+    degraded through every tier — the chain-exhausted or
+    poisoned-request case)."""
+    if isinstance(exc, DispatcherClosed):
+        exc = Unavailable(str(exc))
+    elif not isinstance(exc, ServeError):
+        exc = ServeError(f"{type(exc).__name__}: {exc}")
+    return dict(exc.to_header(), id=request_id, payload_bytes=0)
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames parsed as their bytes arrive,
+    replies queued and written with one ``writelines`` per flush."""
+
+    def __init__(self, server: SplServer):
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        self.buffer = bytearray()
+        self.replies: list = []  # frame heads and payloads to write
+        self.pending = 0  # replies owed (transforms accepted)
+        self.closed = server._loop.create_future()  # done once lost
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+        self.server.connections_accepted += 1
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.closed.set_result(None)
+        self.server._connections.discard(self)
+        # Its requests still run and release their admission slots;
+        # the server just stops waiting to answer them.
+        self.server._owe(self, -self.pending)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self.buffer
+        buffer += data
+        end = len(buffer)
+        pos = 0
+        try:
+            while end - pos >= PREFIX_BYTES:
+                start = pos + PREFIX_BYTES + header_length(buffer, pos)
+                if start > end:
+                    break
+                header = decode_header(buffer[pos + PREFIX_BYTES:start])
+                stop = start + payload_length(header)
+                if stop > end:
+                    break
+                self.server._frame(self, header, buffer, start, stop)
+                pos = stop
+        except BadRequest as exc:
+            # Framing is broken: report once, then hang up — there is
+            # no way to resynchronize the stream.
+            self.replies.append(encode_frame(exc.to_header()))
+            self.flush()
+            self.transport.close()
+            return
+        del buffer[:pos]
+        self.flush()
+
+    def flush(self) -> None:
+        """Write every queued reply in one call.  Callers never flush a
+        closing transport: a truncated frame or a framing error was its
+        last word."""
+        if self.replies:
+            self.transport.writelines(self.replies)
+            self.replies.clear()
+
+    def pause_writing(self) -> None:
+        # The peer is not reading its replies: stop reading its
+        # requests until it does.
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()

@@ -205,12 +205,15 @@ async def _worker_amain(config: ServeConfig, *, reuse_port: bool,
 
     try:
         await stop.wait()
+        # One grace bounds both answering the admitted work and
+        # flushing its replies to slow readers.
+        deadline = time.monotonic() + config.drain_grace_s
         drained = await server.drain(grace=config.drain_grace_s)
         if not drained:
             print(f"{label}: pid {os.getpid()} drain grace expired "
                   f"with {server._inflight} in flight",
                   file=sys.stderr, flush=True)
-        await server.close()
+        await server.close(grace=deadline - time.monotonic())
     finally:
         if beat_task is not None:
             beat_task.cancel()

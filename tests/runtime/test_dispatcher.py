@@ -275,11 +275,13 @@ class TestShutdownSemantics:
         d = BatchDispatcher(executable, max_batch=64, max_delay=30.0)
         # Simulate requests stranded when the worker exits: inject them
         # behind the worker's back, then close with drain=False.
-        stranded = _Request(np.zeros(8, dtype=complex))
+        hooked = threading.Event()
+        stranded = _Request(np.zeros(8, dtype=complex),
+                            on_done=lambda _request: hooked.set())
         with d._lock:
             d._pending.append(stranded)
         d.close(drain=False)
-        assert stranded.done.is_set()
+        assert hooked.is_set() and stranded.resolved
         assert isinstance(stranded.error, DispatcherClosed)
 
 
@@ -381,12 +383,13 @@ class TestWorkConservation:
         x = _vectors(8, 1, seed=11)[0]
         with BatchDispatcher(gate) as d:
             assert d.max_delay == 0.0
-            request = d.submit(x)
+            done = threading.Event()
+            request = d.submit(x, lambda _request: done.set())
             # No second submit, no linger: the kernel is reached.
             assert gate.entered.wait(30.0)
             assert gate.batches == [1]
             gate.release.set()
-            assert request.done.wait(30.0)
+            assert done.wait(30.0)
             np.testing.assert_array_equal(request.result,
                                           executable.apply(x))
             stats = d.stats

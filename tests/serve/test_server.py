@@ -11,11 +11,15 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import gc
+import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
     AsyncSplClient,
@@ -29,7 +33,15 @@ from repro.serve import (
     SplClient,
     SplServer,
 )
-from repro.serve.protocol import dtype_name
+from repro.serve.protocol import (
+    MAX_HEADER_BYTES,
+    MAX_PAYLOAD_BYTES,
+    PREFIX_BYTES,
+    dtype_name,
+    encode_frame,
+    frame_head,
+    read_frame_sync,
+)
 from repro.wisdom.store import WisdomStore
 
 FFT16 = PlanKey("fft", 16, "complex128")
@@ -340,6 +352,42 @@ class TestOverloadAndIsolation:
                 np.testing.assert_allclose(y, _wht_matrix(8) @ x,
                                            atol=1e-9)
 
+    def test_an_id_too_large_to_echo_is_answered_without_it(self):
+        """A request header at the cap carries an ``id`` its reply
+        header cannot echo (the reply's fixed fields are longer): the
+        failed and the served request each get a ``bad_request``
+        without an id, the requests beside them are answered, and
+        nothing stays in flight."""
+        router = numpy_router()
+        with ServerHarness(router, warm=[WHT8]) as harness:
+            service = router.try_service(WHT8)
+            service.dispatcher.target = _PoisonDetector(
+                service.dispatcher.target)
+            x = _rng(1).standard_normal(8)
+
+            def frame(values, request_id):
+                return encode_frame(
+                    {"op": "transform", "transform": "wht", "n": 8,
+                     "dtype": "float64", "id": request_id},
+                    values.tobytes())
+
+            base = len(frame(x, "")) - PREFIX_BYTES - x.nbytes
+            huge = "x" * (MAX_HEADER_BYTES - base)
+            stream = b"".join([frame(np.full(8, np.nan), huge),
+                               frame(x, huge), frame(x, 1)])
+            with _raw_connect(harness) as sock, \
+                    sock.makefile("rb") as reader:
+                sock.sendall(stream)
+                replies = [read_frame_sync(reader) for _ in range(3)]
+            codes = sorted((header.get("code", "ok"), header.get("id"))
+                           for header, _ in replies)
+            assert codes == [("bad_request", None), ("bad_request", None),
+                             ("ok", 1)]
+            (payload,) = [p for header, p in replies if header.get("id")]
+            np.testing.assert_allclose(np.frombuffer(payload),
+                                       _wht_matrix(8) @ x, atol=1e-9)
+            _wait_for(lambda: harness.server._inflight == 0, timeout=5)
+
     def test_open_loop_overload_run_reports_typed_outcomes(self):
         router = numpy_router(queue_limit=2, max_batch=4)
         with ServerHarness(router, warm=[FFT16]) as harness:
@@ -441,6 +489,71 @@ class TestDrain:
             drained = asyncio.run(
                 asyncio.wait_for(_run_on(harness, drive), 60))
             assert drained is False
+
+    def test_close_flushes_replies_a_slow_reader_has_not_read(
+            self, monkeypatch):
+        """Every admitted reply is already written when the drain
+        quiesces, but most still sit in the transport's buffer behind a
+        reader that has not read: drain + close (a worker's SIGTERM
+        path) must deliver them all before hanging up."""
+        from repro.serve import server as server_module
+
+        requests, key = 512, PlanKey("fft", 1024, "complex128")
+        conn_type = server_module._Connection
+        real_made = conn_type.connection_made
+
+        def made(conn, transport):
+            # Never pause reading: every request is admitted before
+            # the drain, and its reply queues in the transport.
+            real_made(conn, transport)
+            transport.set_write_buffer_limits(high=1 << 30)
+
+        monkeypatch.setattr(conn_type, "connection_made", made)
+        router = numpy_router(queue_limit=requests)
+        xs = [_complex_vec(1024, seed=s) for s in range(4)]
+        stream = b"".join(
+            encode_frame({"op": "transform", "transform": "fft",
+                          "n": 1024, "dtype": "complex128", "id": i},
+                         xs[i % 4].tobytes()) for i in range(requests))
+        harness = ServerHarness(router, warm=[key]).__enter__()
+        # Exiting the harness closes the server and ends its loop, as
+        # a worker returns from asyncio.run after close().
+        closer = threading.Thread(target=harness.__exit__,
+                                  args=(None, None, None))
+        try:
+            with socket.socket() as sock:
+                # A small receive window keeps the kernel from
+                # absorbing the 8 MiB of replies on the server's behalf.
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF,
+                                32768)
+                sock.settimeout(30)
+                sock.connect((harness.host, harness.port))
+                sock.sendall(stream)
+                admission = router.try_service(key).admission
+                _wait_for(lambda: admission.stats().completed == requests
+                          and harness.server._inflight == 0)
+                (conn,) = harness.server._connections
+                assert conn.transport.get_write_buffer_size() > 0
+                assert asyncio.run_coroutine_threadsafe(
+                    harness.server.drain(grace=30.0),
+                    harness._loop).result(30) is True
+                closer.start()
+                expected = [np.fft.fft(x) for x in xs]
+                answered = set()
+                with sock.makefile("rb") as reader:
+                    for _ in range(requests):
+                        header, payload = read_frame_sync(reader)
+                        assert header["status"] == "ok"
+                        answered.add(header["id"])
+                        np.testing.assert_allclose(
+                            np.frombuffer(payload, dtype=complex),
+                            expected[header["id"] % 4], atol=1e-6)
+                    assert read_frame_sync(reader) is None  # hung up
+                assert answered == set(range(requests))
+        finally:
+            if closer.ident is None:
+                closer.start()
+            closer.join(60)
 
     def test_stats_expose_pid_and_drain_state(self):
         with ServerHarness(numpy_router(), warm=[FFT16]) as harness, \
@@ -595,7 +708,7 @@ class TestReplyHandoff:
                 await asyncio.gather(*futures, return_exceptions=True)
 
             asyncio.run(asyncio.wait_for(drive(), 60))
-            # The server has noticed: no request task is left ...
+            # The server has noticed: nothing is left in flight ...
             _wait_for(lambda: harness.server._inflight == 0)
             # ... but the queued work still counts against the limit
             # until it has run.
@@ -698,3 +811,329 @@ class TestWisdomHotBoot:
             x = _complex_vec(4, seed=9)
             np.testing.assert_allclose(
                 client.transform("fft", x), np.fft.fft(x), atol=1e-9)
+
+
+# -- the connection protocol, byte by byte -------------------------------
+
+_REPLY_FIELDS = ["status", "n", "dtype", "server_ms", "id",
+                 "payload_bytes"]
+#: The largest header an n=1024 reply carries, for sizing replies.
+_REPLY_HEAD = {"status": "ok", "n": 1024, "dtype": "complex128",
+               "server_ms": 0.123456789, "id": 99999,
+               "payload_bytes": 16384}
+
+
+def _raw_connect(harness: ServerHarness) -> socket.socket:
+    sock = socket.create_connection((harness.host, harness.port),
+                                    timeout=30)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def _request_frame(kind: str, request_id: int, seed: int = 0) -> bytes:
+    """One request frame of a drawn ``kind``."""
+    x = _complex_vec(16, seed=seed)
+    fft16 = {"op": "transform", "transform": "fft", "n": 16,
+             "dtype": "complex128", "id": request_id}
+    if kind == "fft":
+        return encode_frame(fft16, x.tobytes())
+    if kind == "short":  # a payload one element short: typed, in sync
+        return encode_frame(fft16, x[:-1].tobytes())
+    if kind == "ping":
+        return encode_frame({"op": "ping", "id": request_id})
+    # An unknown op with a payload: the payload must be skipped.
+    return encode_frame({"op": "frobnicate", "id": request_id},
+                        x.tobytes()[:seed * 8 + 1])
+
+
+def _exchange(harness: ServerHarness, chunks: list[bytes],
+              replies: int) -> dict:
+    """Send ``chunks`` one ``send`` each; the ``replies`` read back,
+    keyed by id, as (header items without ``server_ms``, payload)."""
+    with _raw_connect(harness) as sock, sock.makefile("rb") as stream:
+        for chunk in chunks:
+            sock.sendall(chunk)
+            if len(chunks) > 1:
+                time.sleep(0.0005)  # let each land as its own read
+        answered = {}
+        for _ in range(replies):
+            header, payload = read_frame_sync(stream)
+            if header.get("status") == "ok" and "n" in header:
+                assert list(header) == _REPLY_FIELDS
+            items = [(k, v) for k, v in header.items() if k != "server_ms"]
+            answered[header["id"]] = (items, payload)
+        return answered
+
+
+def _split(data: bytes, cuts: list[int]) -> list[bytes]:
+    bounds = [0, *sorted(set(cut % len(data) for cut in cuts) - {0}),
+              len(data)]
+    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+_KINDS = st.sampled_from(["fft", "fft", "ping", "unknown", "short"])
+
+
+@pytest.fixture(scope="module")
+def fft16_server():
+    with ServerHarness(numpy_router(), warm=[FFT16]) as harness:
+        yield harness
+
+
+class TestFraming:
+    """``data_received`` parses whatever bytes a read delivers: a frame
+    split anywhere, or many frames in one read, answer exactly as one
+    frame per send does."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kinds=st.lists(st.tuples(_KINDS, st.integers(0, 3)),
+                          min_size=1, max_size=8),
+           cuts=st.lists(st.integers(1, 1 << 20), max_size=12))
+    def test_any_split_answers_like_one_frame_per_send(
+            self, fft16_server, kinds, cuts):
+        frames = [_request_frame(kind, i, seed)
+                  for i, (kind, seed) in enumerate(kinds)]
+        stream = b"".join(frames)
+        baseline = _exchange(fft16_server, frames, len(frames))
+        assert sorted(baseline) == list(range(len(frames)))
+        assert _exchange(fft16_server, _split(stream, cuts),
+                         len(frames)) == baseline
+        assert _exchange(fft16_server, [stream],
+                         len(frames)) == baseline
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(broken=st.sampled_from(["zero", "oversize", "payload_cap"]),
+           pings=st.integers(0, 3),
+           cuts=st.lists(st.integers(1, 1 << 20), max_size=6))
+    def test_a_broken_length_gets_one_typed_error_then_a_hangup(
+            self, fft16_server, broken, pings, cuts):
+        if broken == "zero":
+            tail = struct.pack(">I", 0)
+        elif broken == "oversize":
+            tail = struct.pack(">I", MAX_HEADER_BYTES + 1)
+        else:
+            tail = encode_frame({"op": "transform", "id": "big",
+                                 "payload_bytes": MAX_PAYLOAD_BYTES + 1})
+        stream = b"".join(
+            [_request_frame("ping", i) for i in range(pings)] + [tail])
+        with _raw_connect(fft16_server) as sock, \
+                sock.makefile("rb") as reader:
+            for chunk in _split(stream, cuts):
+                sock.sendall(chunk)
+            for i in range(pings):
+                assert read_frame_sync(reader)[0]["id"] == i
+            header, payload = read_frame_sync(reader)
+            assert header["status"] == "error"
+            assert header["code"] == "bad_request"
+            assert "id" not in header and payload == b""
+            assert read_frame_sync(reader) is None  # and hung up
+
+    def test_an_unknown_op_with_a_payload_keeps_the_stream_in_sync(
+            self, fft16_server):
+        x = _complex_vec(16, seed=5)
+        frames = [_request_frame("unknown", 0, seed=3),
+                  encode_frame({"op": "transform", "transform": "fft",
+                                "n": 16, "dtype": "complex128",
+                                "id": 1}, x.tobytes())]
+        answered = _exchange(fft16_server, [b"".join(frames)], 2)
+        items, payload = answered[0]
+        assert dict(items)["code"] == "bad_request"
+        assert "frobnicate" in dict(items)["message"]
+        assert dict(answered[1][0])["status"] == "ok"
+        np.testing.assert_allclose(
+            np.frombuffer(answered[1][1], dtype=complex), np.fft.fft(x),
+            atol=1e-9)
+
+
+class TestNoPerRequestMachinery:
+    def test_pipelined_requests_make_no_task_or_future_each(
+            self, monkeypatch):
+        """1 000 pipelined warm-route transforms: a constant number of
+        tasks and futures (the accept path's and the connection's
+        ``closed``, none per request), and at most one socket write per
+        connection per reply drain."""
+        requests = 1000
+        with ServerHarness(numpy_router(queue_limit=requests),
+                           warm=[FFT16]) as harness:
+            self._count(harness, requests, monkeypatch)
+
+    @staticmethod
+    def _count(harness, requests, monkeypatch):
+        loop, server = harness._loop, harness.server
+        created = []
+        for name in ("create_task", "create_future"):
+            real = getattr(loop, name)
+            monkeypatch.setattr(loop, name, lambda *a, _real=real,
+                                _name=name, **k: (created.append(_name),
+                                                  _real(*a, **k))[1])
+        sends: dict[int, int] = {}
+        for name in ("send", "sendmsg"):
+            real = getattr(socket.socket, name)
+
+            def counted(sock, *args, _real=real, **kwargs):
+                sends[sock.fileno()] = sends.get(sock.fileno(), 0) + 1
+                return _real(sock, *args, **kwargs)
+
+            monkeypatch.setattr(socket.socket, name, counted)
+        most_per_drain = []
+        real_drain = server._drain_resolved
+
+        def drain():
+            served = {conn.transport.get_extra_info("socket").fileno()
+                      for conn in server._connections}
+            before = {fd: sends.get(fd, 0) for fd in served}
+            real_drain()
+            most_per_drain.append(max(
+                (sends.get(fd, 0) - count for fd, count in before.items()),
+                default=0))
+
+        monkeypatch.setattr(server, "_drain_resolved", drain)
+        x = _complex_vec(16, seed=7)
+        stream = b"".join(
+            encode_frame({"op": "transform", "transform": "fft",
+                          "n": 16, "dtype": "complex128", "id": i},
+                         x.tobytes()) for i in range(requests))
+        with _raw_connect(harness) as sock, \
+                sock.makefile("rb") as reader:
+            sock.sendall(stream)
+            ids = set()
+            for _ in range(requests):
+                header, payload = read_frame_sync(reader)
+                assert header["status"] == "ok"
+                ids.add(header["id"])
+                np.testing.assert_allclose(
+                    np.frombuffer(payload, dtype=complex), np.fft.fft(x),
+                    atol=1e-9)
+        assert ids == set(range(requests))
+        monkeypatch.undo()
+        assert len(created) <= 3, created
+        assert most_per_drain and max(most_per_drain) <= 1
+
+
+class _Flood:
+    """A thread that pipelines ``count`` n=1024 transforms on one raw
+    socket without reading a reply, until done or told to stop."""
+
+    n = 1024
+
+    def __init__(self, sock: socket.socket, count: int):
+        self.sock, self.count = sock, count
+        self.xs = [_complex_vec(self.n, seed=s) for s in range(4)]
+        self.sent = 0
+        self.stop = threading.Event()
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+
+    def _run(self) -> None:
+        self.sock.settimeout(0.1)
+        try:
+            for i in range(self.count):
+                view = memoryview(encode_frame(
+                    {"op": "transform", "transform": "fft", "n": self.n,
+                     "dtype": "complex128", "id": i},
+                    self.xs[i % 4].tobytes()))
+                while view:
+                    try:
+                        view = view[self.sock.send(view):]
+                    except socket.timeout:
+                        if self.stop.is_set():
+                            return
+                self.sent += 1
+        except OSError:
+            pass  # the socket was closed under us: the hang-up case
+
+    def settled(self, quiet_s: float = 0.3) -> bool:
+        """True once everything is sent or nothing went out for
+        ``quiet_s`` (the kernel's buffers are full)."""
+        before = self.sent
+        time.sleep(quiet_s)
+        return self.sent in (before, self.count)
+
+
+class TestBackpressure:
+    """A client that does not read its replies stops being read, and
+    what the server buffers for it is bounded: the transport's
+    high-water mark plus the replies of work already admitted (at most
+    ``queue_limit`` of them, however much the client pushed)."""
+
+    requests = 2048  # 32 MiB of n=1024 complex128 requests
+    key = PlanKey("fft", 1024, "complex128")
+
+    @staticmethod
+    def _watch(monkeypatch):
+        """Record every flush's write-buffer size and every pause."""
+        from repro.serve import server as server_module
+
+        seen = {"peak": 0, "pauses": 0, "high": 0}
+        conn_type = server_module._Connection
+        real_flush, real_pause = conn_type.flush, conn_type.pause_writing
+
+        def flush(conn):
+            real_flush(conn)
+            seen["peak"] = max(seen["peak"],
+                               conn.transport.get_write_buffer_size())
+            seen["high"] = conn.transport.get_write_buffer_limits()[1]
+
+        def pause(conn):
+            seen["pauses"] += 1
+            real_pause(conn)
+
+        monkeypatch.setattr(conn_type, "flush", flush)
+        monkeypatch.setattr(conn_type, "pause_writing", pause)
+        return seen
+
+    def test_an_unread_connection_pauses_and_then_gets_every_reply(
+            self, monkeypatch):
+        router = numpy_router()
+        seen = self._watch(monkeypatch)
+        with ServerHarness(router, warm=[self.key]) as harness, \
+                _raw_connect(harness) as sock:
+            flood = _Flood(sock, self.requests)
+            _wait_for(lambda: seen["pauses"] and flood.settled())
+            (conn,) = harness.server._connections
+            assert not conn.transport.is_reading()
+            reply_bytes = len(frame_head(_REPLY_HEAD)) + 16 * 1024
+            bound = seen["high"] + router.queue_limit * reply_bytes
+            assert seen["peak"] <= bound < self.requests * 16 * 1024 // 4
+            sock.settimeout(30)
+            expected = [np.fft.fft(x) for x in flood.xs]
+            answered, codes = set(), []
+            with sock.makefile("rb") as reader:
+                while len(answered) < self.requests:
+                    header, payload = read_frame_sync(reader)
+                    answered.add(header["id"])
+                    codes.append(header.get("code", header["status"]))
+                    if header["status"] == "ok":
+                        np.testing.assert_allclose(
+                            np.frombuffer(payload, dtype=complex),
+                            expected[header["id"] % 4], atol=1e-6)
+            flood.thread.join(30)
+            assert flood.sent == self.requests
+            assert answered == set(range(self.requests))
+            # Admission sheds what a full queue cannot take, typed.
+            assert set(codes) <= {"ok", "overload"} and "ok" in codes
+            assert seen["peak"] <= bound
+            _wait_for(lambda: harness.server._inflight == 0)
+
+    def test_a_client_hanging_up_mid_flight_leaks_no_slot(
+            self, monkeypatch):
+        router = numpy_router()
+        seen = self._watch(monkeypatch)
+        with ServerHarness(router, warm=[self.key]) as harness:
+            admission = router.try_service(self.key).admission
+            with _raw_connect(harness) as sock:
+                flood = _Flood(sock, self.requests)
+                _wait_for(lambda: seen["pauses"] and flood.settled(0.05))
+                flood.stop.set()
+                flood.thread.join(30)
+            _wait_for(lambda: harness.server._inflight == 0)
+            _wait_for(lambda: admission.inflight == 0)
+            stats = admission.stats()
+            assert stats.admitted > 0
+            assert stats.admitted == stats.completed + stats.failed
+            with harness.client() as client:
+                x = _complex_vec(1024, seed=3)
+                np.testing.assert_allclose(client.transform("fft", x),
+                                           np.fft.fft(x), atol=1e-6)

@@ -12,6 +12,7 @@ fork/SO_REUSEPORT, mirroring the jit-smoke convention.
 
 from __future__ import annotations
 
+import asyncio
 import random
 import signal
 import time
@@ -19,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import RetryPolicy, SplClient
+from repro.serve import AsyncSplClient, RetryPolicy, SplClient
 from repro.serve.supervisor import (
     BackoffPolicy,
     RestartBudget,
@@ -152,6 +153,40 @@ class TestFleet:
             assert code == 0, fleet.stderr_text()
             text = fleet.stderr_text()
             assert "fleet stopped" in text
+
+    def test_pipelined_connections_are_served_then_drained(self):
+        """Four connections, spread by the kernel over the workers'
+        SO_REUSEPORT listeners, each pipeline 64 transforms at once and
+        get every answer right; SIGTERM then drains the fleet to exit
+        0."""
+        per_connection = 64
+        xs = [_complex_vec(16, seed=s) for s in range(8)]
+
+        async def drive(host, port):
+            clients = [await AsyncSplClient.connect(host, port)
+                       for _ in range(4)]
+            try:
+                futures = [asyncio.ensure_future(
+                    client.transform("fft", xs[i % len(xs)]))
+                    for client in clients for i in range(per_connection)]
+                return await asyncio.gather(*futures)
+            finally:
+                for client in clients:
+                    await client.close()
+
+        with FleetProcess(workers=2, warm=("fft:16",)) as fleet:
+            assert len(fleet.worker_pids()) == 2
+            results = asyncio.run(asyncio.wait_for(
+                drive(fleet.host, fleet.port), 60))
+            assert len(results) == 4 * per_connection
+            for i, y in enumerate(results):
+                np.testing.assert_allclose(
+                    y, np.fft.fft(xs[i % per_connection % len(xs)]),
+                    atol=1e-9)
+            fleet.signal(signal.SIGTERM)
+            code = fleet.proc.wait(timeout=60)
+            assert code == 0, fleet.stderr_text()
+            assert "fleet stopped" in fleet.stderr_text()
 
     def test_sighup_rolls_every_worker_without_losing_service(self):
         with FleetProcess(workers=2, warm=("fft:16",)) as fleet:
