@@ -53,7 +53,6 @@ from __future__ import annotations
 import collections
 import faulthandler
 import hashlib
-import json
 import math
 import os
 import random
@@ -72,7 +71,7 @@ from repro.perfeval.sandbox import (
     default_quarantine,
     sandbox_supported,
 )
-from repro.wisdom.keys import canonical_sha256
+from repro.wisdom.store import append_journal, read_journal
 
 try:  # POSIX-only; without it workers simply run uncapped
     import resource
@@ -190,10 +189,6 @@ class SearchChaos:
 # ---------------------------------------------------------------------------
 
 
-def _record_checksum(key: str, result: Any) -> str:
-    return canonical_sha256({"key": key, "result": result})[:16]
-
-
 @dataclass
 class JournalReplay:
     """What :meth:`TaskJournal.replay` recovered from disk."""
@@ -206,15 +201,17 @@ class JournalReplay:
 class TaskJournal:
     """Append-only, per-line-checksummed completion log.
 
-    One JSON object per line: ``{"key", "result", "sha"}`` where
-    ``sha`` covers the canonical rendering of key+result.  Appends are
-    flushed and ``fsync``ed line-at-a-time, so a coordinator killed
-    mid-run — or a power cut — loses at most the line being written, and
-    that line fails its checksum (or does not parse) on replay and is
-    skipped, never trusted.  The file
-    is only ever appended to; dedup on replay keeps the *first* record
-    for a key, so a journal assembled across crashes and restarts
-    still yields exactly one result per key.
+    The wisdom store's journal format and code
+    (:func:`~repro.wisdom.store.read_journal`,
+    :func:`~repro.wisdom.store.append_journal`): one
+    ``{"key", "result", "sha"}`` line per completion, flushed and
+    ``fsync``ed line-at-a-time, so a coordinator killed mid-run — or a
+    power cut — loses at most the line being written, and that line
+    fails its checksum (or does not parse) on replay and is skipped,
+    never trusted; the next append starts a fresh line after it.  The
+    file is only ever appended to; dedup on replay keeps the *first*
+    record for a key, so a journal assembled across crashes and
+    restarts still yields exactly one result per key.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -224,57 +221,30 @@ class TaskJournal:
 
     def replay(self) -> JournalReplay:
         """Recover completed results; never raises for a damaged file."""
-        replay = JournalReplay()
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return replay
-        except (OSError, UnicodeDecodeError):
-            replay.corrupt_lines += 1
-            return replay
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                key = record["key"]
-                result = record["result"]
-                sha = record["sha"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                replay.corrupt_lines += 1
-                continue
-            if not isinstance(key, str) or sha != _record_checksum(
-                    key, result):
-                replay.corrupt_lines += 1
-                continue
+        lines, bad = read_journal(self.path)
+        replay = JournalReplay(corrupt_lines=bad)
+        for key, result in lines:
             if key in replay.results:
                 replay.duplicate_keys += 1
-                continue
-            replay.results[key] = result
+            else:
+                replay.results[key] = result
         return replay
 
     def append(self, key: str, result: Any) -> bool:
         """Record one completion so that it outlives this process and
-        a power cut (flushed, then ``fsync``ed); False on an unwritable
-        path or a failed sync.
+        a power cut; False on an unwritable path or a failed sync.
 
         Failure to journal must never lose the in-memory result or
         abort the run — it just means a crash after this point would
         re-measure the key.
         """
-        record = {"key": key, "result": result,
-                  "sha": _record_checksum(key, result)}
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            self.appends += 1
-            return True
+            append_journal(self.path, key, result)
         except (OSError, TypeError, ValueError):
             self.append_errors += 1
             return False
+        self.appends += 1
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ reproduction the same capability at three levels:
 
 * :mod:`repro.wisdom.keys` — cache-key construction (compile keys,
   options hashes, the host platform fingerprint);
-* :mod:`repro.wisdom.store` — :class:`WisdomStore`, a JSON-backed
-  table of best-found formulas/plans with hit/miss/bytes counters and
-  graceful fallback on corrupt or foreign files;
+* :mod:`repro.wisdom.store` — :class:`WisdomStore`, a table of
+  best-found formulas/plans backed by a checksummed append-only journal
+  (the search journal's format), with hit/miss/bytes counters and
+  graceful fallback on damaged lines or foreign files;
 * :mod:`repro.wisdom.parallel` — in-process concurrent candidate
   measurement with deterministic winner selection.
 

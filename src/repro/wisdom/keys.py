@@ -44,8 +44,9 @@ def _digest(text: str, length: int = 16) -> str:
 
 def canonical_sha256(obj: Any) -> str:
     """SHA-256 (hex) over the canonical JSON of ``obj`` (sorted keys, no
-    whitespace): the one rendering every on-disk checksum — wisdom
-    store, pack entry and whole pack, journal line — is taken over."""
+    whitespace): the one rendering every on-disk checksum — journal
+    line (wisdom store and search journal), pack entry and whole pack —
+    is taken over."""
     canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -142,9 +143,9 @@ def wisdom_key(transform: str, n: int, options: object | None = None,
                limits: object | None = None) -> str:
     """The persistent-store key: ``transform:n:options-hash``.
 
-    The platform fingerprint is *not* part of the per-entry key — it is
-    checked once per wisdom file (the whole file is discarded on a
-    platform mismatch), exactly like the format version.
+    The platform fingerprint is *not* part of the per-entry key — each
+    journal line carries it beside the entry, and a store loads only
+    the lines of its own platform.
 
     ``limits`` (a ``CompileLimits``-like object with a ``fingerprint()``
     method) is folded in only when it differs from the defaults, so

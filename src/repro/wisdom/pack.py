@@ -250,8 +250,7 @@ def _platform_mismatch(data: dict, platform: str | None,
     if data.get("platform") == local:
         return None
     local_hw = platform or hardware_fingerprint()
-    # Pre-hardware-field packs fall back to the strict fingerprint.
-    pack_hw = data.get("hardware", data.get("platform"))
+    pack_hw = data.get("hardware")
     if pack_hw == local_hw:
         return None
     return PackDiagnostic(
@@ -402,8 +401,7 @@ def load_pack(path: str | os.PathLike, *, platform: str | None = None,
     if data is None:
         result.diagnostics.append(fatal)
         return result
-    store = WisdomStore(None, platform=platform or platform_fingerprint(),
-                        autosave=False)
+    store = WisdomStore(None, platform=platform or platform_fingerprint())
     for item in _walk_manifest(data, platform, artifacts=install_artifacts):
         if isinstance(item, PackDiagnostic):
             result.diagnostics.append(item)

@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "build":
-        store = WisdomStore(args.wisdom, autosave=False)
+        store = WisdomStore(args.wisdom)
         if not store.entries:
             print(f"spl pack: no usable wisdom entries in {args.wisdom} "
                   f"(wrong platform, corrupt, or empty store?)",

@@ -1,44 +1,47 @@
-"""The persistent wisdom store.
+"""The persistent wisdom store, and the journal format it shares.
 
 Modeled on FFTW's *wisdom* mechanism (§4.2 of the paper describes the
 planner whose results wisdom caches): best-found formulas and plans are
-kept in a JSON file keyed by ``transform:n:options-hash`` and stamped
-with a format version plus a platform fingerprint.  A store loads
-gracefully — a corrupt, version-mismatched or foreign-platform file is
-*discarded*, never an error — so callers can always pass a path and let
-the store sort out whether its contents are usable.
+kept keyed by ``transform:n:options-hash``, each stamped with the
+platform fingerprint it was measured on.  On disk a store is a
+*journal* in exactly the line format of the search's
+:class:`~repro.search.queue.TaskJournal`, and one reader
+(:func:`read_journal`) and one writer (:func:`append_journal`) serve
+both:
 
-Crash safety and concurrency:
-
-* **Atomic writes** — every save goes through :func:`atomic_write`
-  (temp file plus ``rename``), so a writer killed mid-save leaves
-  either the old file or the new one, never a truncated hybrid.  The
-  temp file is ``fsync``ed before the rename and the directory after
-  it, so the guarantee covers a power cut as well as a killed process
-  (on a filesystem that cannot sync a directory, the rename itself may
-  still be lost — the old file then survives whole).
-* **Content checksum** — the payload carries a SHA-256 over its
-  entries; a file whose bytes no longer match (bit rot, manual edits,
-  a partial write from a non-atomic writer) is detected at load.
-* **Corruption quarantine** — an unparseable or checksum-failing file
-  is renamed to ``<name>.corrupt`` (kept for forensics) and the store
-  starts fresh; loading never raises.
-* **Advisory locking + merge** — saves take an advisory ``flock`` on a
-  sidecar ``<name>.lock`` and merge entries already on disk before
-  rewriting, so concurrent processes recording different keys do not
-  lose each other's updates (local entries win on key conflicts).
+* **One checksummed line per write** — ``{"key", "result", "sha"}``
+  where ``sha`` covers the canonical rendering of key+result.  A line
+  is appended under ``O_APPEND`` and a short advisory ``flock`` on a
+  sidecar ``<name>.lock``, then ``fsync``ed, so it outlives a killed
+  process and a power cut.  A writer killed mid-line leaves a torn
+  tail that fails its checksum and costs that line alone: the next
+  append starts a fresh line instead of gluing onto it.
+* **Replay** — the reader yields the verified lines in file order plus
+  a count of bad ones; the search journal keeps the first line per
+  key, the store the last.  A store line's result is
+  ``{"platform", "entry"}``, and ``entry: null`` is a tombstone
+  (eviction, :meth:`WisdomStore.invalidate`).  Lines of other
+  platforms stay on disk but are not loaded, so machines sharing a
+  file never erase each other, and concurrent writers never lose each
+  other's lines: nothing is rewritten on a write.
+* **Compaction** — when dead lines (superseded, tombstoned, bad)
+  outnumber live ones, :meth:`WisdomStore.load` publishes the live set
+  through :func:`atomic_write`.  A file in which no store line verifies
+  (some other program's file, a store from before the journal) is
+  never rewritten.
 * **Validated lookup** — :meth:`WisdomStore.validated_lookup` runs a
   caller-supplied check against an entry before trusting it, evicting
   entries that fail (stale plans, foreign tampering).
 
-Counters (hits / misses / stores / bytes written, load failures,
-quarantines, merges, evictions) are surfaced through
-:meth:`WisdomStore.stats` and :meth:`WisdomStore.describe` so
-benchmarks can report cache effectiveness.
+Counters (hits / misses / stores / bytes written, bad lines, foreign
+lines, evictions) are surfaced through :meth:`WisdomStore.stats` and
+:meth:`WisdomStore.describe` so benchmarks can report cache
+effectiveness.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 from contextlib import contextmanager
@@ -48,7 +51,6 @@ from typing import Any, Callable, Iterator
 
 from repro.wisdom.keys import (
     canonical_sha256,
-    platform_description,
     platform_fingerprint,
     wisdom_key,
 )
@@ -58,11 +60,8 @@ try:  # POSIX advisory locking; harmless no-op elsewhere
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-WISDOM_FORMAT = "spl-wisdom"
-#: Version 2 added the content checksum.  Version-1 files (no
-#: checksum) are *migrated*: their entries load, the migration is
-#: counted, and the next save rewrites the file as v2.  Versions we
-#: have never shipped are discarded as a (counted) mismatch.
+#: The version of the entry schema (:meth:`WisdomEntry.to_json`) that
+#: wisdom packs declare.
 WISDOM_VERSION = 2
 
 
@@ -109,14 +108,14 @@ def _fsync_path(path: Path) -> None:
 
 
 @contextmanager
-def _advisory_lock(path: Path | None):
+def _advisory_lock(path: Path):
     """Exclusive advisory lock on ``<path>.lock`` (no-op without fcntl).
 
-    Advisory only: it coordinates cooperating WisdomStore writers, not
+    Advisory only: it coordinates cooperating journal writers, not
     arbitrary programs.  The sidecar keeps the lock separate from the
-    data file, which is replaced by rename on every save.
+    data file, which compaction replaces by rename.
     """
-    if fcntl is None or path is None:
+    if fcntl is None:
         yield
         return
     lock_path = path.with_name(path.name + ".lock")
@@ -135,6 +134,75 @@ def _advisory_lock(path: Path | None):
         except OSError:  # pragma: no cover
             pass
         handle.close()
+
+
+def _line_sha(key: str, result: Any) -> str:
+    return canonical_sha256({"key": key, "result": result})[:16]
+
+
+def _journal_line(key: str, result: Any) -> bytes:
+    record = {"key": key, "result": result, "sha": _line_sha(key, result)}
+    return (json.dumps(record, sort_keys=True) + "\n").encode()
+
+
+def read_journal(path: str | os.PathLike,
+                 ) -> tuple[list[tuple[str, Any]], int]:
+    """The verified ``(key, result)`` lines of the journal at ``path``
+    in file order, and the number of bad lines; never raises.
+
+    A line is bad when it does not parse or fails its checksum (a torn
+    append, bit rot, an edit); a missing file is an empty journal and
+    an unreadable one counts as one bad line.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return [], 0
+    except (OSError, UnicodeDecodeError):
+        return [], 1
+    lines: list[tuple[str, Any]] = []
+    bad = 0
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            key, result = record["key"], record["result"]
+            if not isinstance(key, str) or (
+                    record["sha"] != _line_sha(key, result)):
+                raise ValueError("checksum mismatch")
+        except (ValueError, KeyError, TypeError):
+            bad += 1
+            continue
+        lines.append((key, result))
+    return lines, bad
+
+
+def append_journal(path: str | os.PathLike, key: str, result: Any) -> int:
+    """Append one checksummed line to the journal at ``path``; returns
+    the bytes written.
+
+    Under the advisory lock, through ``O_APPEND``, then ``fsync``ed.  A
+    file that ends mid-line (an append torn by a crash or a full disk)
+    gets a newline first, so the torn line costs itself alone.  Raises
+    ``OSError`` (or ``TypeError``/``ValueError`` for a result JSON
+    cannot hold); callers count it instead of propagating.
+    """
+    data = _journal_line(key, result)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with _advisory_lock(path):
+        fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            end = os.lseek(fd, 0, os.SEEK_END)
+            if end and os.pread(fd, 1, end - 1) != b"\n":
+                data = b"\n" + data
+            if os.write(fd, data) != len(data):
+                raise OSError(errno.ENOSPC, "short journal write")
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+    return len(data)
 
 
 @dataclass
@@ -178,197 +246,99 @@ class WisdomEntry:
 
 
 class WisdomStore:
-    """An in-memory wisdom table with optional JSON persistence.
+    """An in-memory wisdom table, journaled to ``path`` when given one.
 
-    ``path=None`` gives a purely in-process store (useful for tests and
-    one-shot searches); with a path the file is loaded on construction
-    and — when ``autosave`` is left on — rewritten after every
-    :meth:`record`, so interrupted searches lose at most the candidate
-    in flight.
+    ``path=None`` gives a purely in-process store (tests, one-shot
+    searches, the store a pack loads into); with a path the journal is
+    replayed on construction and every :meth:`record`, eviction and
+    invalidation appends one line to it, so an interrupted search loses
+    at most the candidate in flight.
     """
 
     def __init__(self, path: str | os.PathLike | None = None, *,
-                 platform: str | None = None, autosave: bool = True,
-                 autoload: bool = True):
+                 platform: str | None = None):
         self.path = Path(path) if path is not None else None
         self.platform = platform or platform_fingerprint()
-        self.autosave = autosave
         self.entries: dict[str, WisdomEntry] = {}
         # -- counters ---------------------------------------------------
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self.saves = 0
+        self.saves = 0  # lines appended + compactions written
         self.save_errors = 0
         self.bytes_written = 0
-        self.load_errors = 0
-        self.migrations = 0
-        self.version_mismatches = 0
-        self.platform_mismatches = 0
+        self.load_errors = 0  # bad lines skipped
+        self.platform_mismatches = 0  # live entries of other platforms
         self.invalidated = 0
-        self.quarantined = 0
-        self.merged = 0
         self.evictions = 0
-        if self.path is not None and autoload:
+        if self.path is not None:
             self.load()
 
     # -- persistence ----------------------------------------------------
 
-    def _read_payload(self) -> tuple[dict[str, WisdomEntry] | None, str]:
-        """Parse the file at ``path``: ``(entries, "ok")`` or
-        ``(None, reason)``.
-
-        Reasons distinguish *corruption* (``json``, ``checksum``,
-        ``entries`` — the file is ours but damaged) from benign
-        mismatches (``missing``, ``io``, ``format``, ``version``,
-        ``platform``) so the caller can quarantine only the former.
-        """
-        if self.path is None or not self.path.exists():
-            return None, "missing"
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            return None, "io"
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError:
-            return None, "json"
-        if not isinstance(data, dict) or data.get("format") != WISDOM_FORMAT:
-            # Some other program's JSON: not ours to quarantine.
-            return None, "format"
-        version = data.get("version")
-        if version not in (1, WISDOM_VERSION):
-            return None, "version"
-        if data.get("platform") != self.platform:
-            return None, "platform"
-        raw = data.get("entries")
-        if not isinstance(raw, dict):
-            return None, "entries"
-        if version == WISDOM_VERSION:
-            checksum = data.get("checksum")
-            if checksum != canonical_sha256(raw):
-                return None, "checksum"
-        loaded: dict[str, WisdomEntry] = {}
-        try:
-            for key, value in raw.items():
-                loaded[key] = WisdomEntry.from_json(value)
-        except (KeyError, TypeError, ValueError):
-            return None, "entries"
-        # Version-1 files predate the content checksum; their entries
-        # are usable as-is and the caller upgrades the file on save.
-        return loaded, ("migrated" if version == 1 else "ok")
-
-    def _quarantine_file(self) -> None:
-        """Move the damaged file aside as ``<name>.corrupt[.N]``.
-
-        Successive corruptions must each survive for forensics: the
-        first corpse takes ``.corrupt``, later ones ``.corrupt.1``,
-        ``.corrupt.2``, ... instead of clobbering the previous one.
-        """
-        if self.path is None:
-            return
-        corpse = self.path.with_name(self.path.name + ".corrupt")
-        suffix = 0
-        while corpse.exists():
-            suffix += 1
-            corpse = self.path.with_name(
-                f"{self.path.name}.corrupt.{suffix}")
-        try:
-            os.replace(self.path, corpse)
-            self.quarantined += 1
-        except OSError:  # pragma: no cover - unmovable file
-            pass
-
     def load(self) -> bool:
-        """(Re)load from ``path``; returns True iff entries were usable.
+        """Replay the journal at ``path``; True iff entries were usable.
 
-        Every failure mode — missing file, unreadable file, malformed
-        JSON, checksum mismatch, wrong format/version, foreign platform
-        — leaves the store empty and bumps the matching counter instead
-        of raising.  Corrupted files (bad JSON, failed checksum,
-        malformed entries) are additionally renamed to ``.corrupt`` so
-        the next save starts fresh and the evidence is preserved.
-        A version-1 file (pre-checksum) loads with its entries intact
-        and — when autosave is on — is immediately rewritten as v2.
+        The last line per ``(platform, key)`` wins and a tombstone
+        deletes; only this store's platform is loaded.  A bad line — it
+        does not verify, or its result is not a store record — is
+        skipped and counted in ``load_errors``: it costs that line, not
+        the store.  When dead lines outnumber live ones the live set is
+        compacted into place, unless no store line verified at all.
+        Never raises.
         """
-        entries, reason = self._read_payload()
-        if entries is not None:
-            self.entries = entries
-            if reason == "migrated":
-                self.migrations += 1
-                if self.autosave:
-                    # merge=False: the disk copy is the v1 file we just
-                    # loaded in full; re-merging it is pointless.
-                    self.save(merge=False)
-            return True
-        self.entries = {}
-        if reason == "missing":
-            return False
-        if reason == "version":
-            self.version_mismatches += 1
-        elif reason == "platform":
-            self.platform_mismatches += 1
-        else:
-            self.load_errors += 1
-            if reason in ("json", "checksum", "entries"):
-                self._quarantine_file()
-        return False
+        with _advisory_lock(self.path):
+            lines, bad = read_journal(self.path)
+            total = len(lines) + bad
+            live: dict[tuple[Any, str], tuple[Any, WisdomEntry]] = {}
+            for key, result in lines:
+                try:
+                    slot, raw = (result["platform"], key), result["entry"]
+                    if raw is None:
+                        live.pop(slot, None)
+                    else:
+                        live[slot] = (result, WisdomEntry.from_json(raw))
+                except (KeyError, TypeError, ValueError):
+                    bad += 1
+            self.load_errors += bad
+            self.entries = {key: entry
+                            for (platform, key), (_, entry) in live.items()
+                            if platform == self.platform}
+            self.platform_mismatches += len(live) - len(self.entries)
+            if bad < total and total > 2 * len(live):
+                self._compact(live)
+        return bool(self.entries)
 
-    def _merge_from_disk(self) -> None:
-        """Adopt on-disk entries recorded by concurrent writers.
-
-        Called under the advisory lock just before rewriting the file:
-        any key present on disk but not in memory is kept, so two
-        processes recording different keys both survive.  Keys we hold
-        locally win (ours is the most recent measurement).
-        """
-        entries, reason = self._read_payload()
-        if entries is None:
+    def _compact(self, live: dict) -> None:
+        """Publish the live set whole (caller holds the lock); a failed
+        write leaves the old journal whole and is counted."""
+        data = b"".join(_journal_line(key, result)
+                        for (_, key), (result, _) in live.items())
+        try:
+            atomic_write(self.path, data)
+        except OSError:
+            self.save_errors += 1
             return
-        for key, entry in entries.items():
-            if key not in self.entries:
-                self.entries[key] = entry
-                self.merged += 1
+        self.saves += 1
+        self.bytes_written += len(data)
 
-    def save(self, *, merge: bool = True) -> bool:
-        """Write the store to ``path`` (atomically, via a temp file).
+    def _append(self, key: str, entry: WisdomEntry | None) -> None:
+        """Journal ``entry`` under ``key`` (None: a tombstone).
 
-        Under an advisory file lock, on-disk entries from concurrent
-        writers are merged in first (``merge=False`` skips that and
-        overwrites), then the payload — entries plus their SHA-256
-        checksum — is written to a temp file and renamed into place, so
-        a writer killed mid-save can never leave a truncated store.
-
-        An unwritable path (missing permissions, path is a directory)
-        bumps ``save_errors`` and returns False instead of raising —
-        wisdom is an accelerator, and failing to persist it must never
-        kill the search that produced it.
+        A failure is counted in ``save_errors``, never raised — wisdom
+        is an accelerator, and failing to persist it must never kill
+        the search that produced it.
         """
         if self.path is None:
-            return False
-        with _advisory_lock(self.path):
-            if merge:
-                self._merge_from_disk()
-            raw_entries = {
-                key: entry.to_json() for key, entry in self.entries.items()
-            }
-            payload = {
-                "format": WISDOM_FORMAT,
-                "version": WISDOM_VERSION,
-                "platform": self.platform,
-                "platform_info": platform_description(),
-                "checksum": canonical_sha256(raw_entries),
-                "entries": raw_entries,
-            }
-            text = json.dumps(payload, indent=1, sort_keys=True)
-            try:
-                atomic_write(self.path, text)
-            except OSError:
-                self.save_errors += 1
-                return False
+            return
+        result = {"platform": self.platform,
+                  "entry": None if entry is None else entry.to_json()}
+        try:
+            self.bytes_written += append_journal(self.path, key, result)
+        except (OSError, TypeError, ValueError):
+            self.save_errors += 1
+            return
         self.saves += 1
-        self.bytes_written += len(text.encode())
-        return True
 
     # -- the table ------------------------------------------------------
 
@@ -389,10 +359,10 @@ class WisdomStore:
         """Fetch wisdom, but only if ``validate(entry)`` accepts it.
 
         An entry the validator rejects — or that makes it raise — is
-        *evicted* (removed and, when autosave is on, persisted away):
-        stale plans, entries for codelets that no longer exist, or a
-        tampered store never poison the caller twice.  Returns None as
-        if the entry had never existed.
+        *evicted* (removed, and a tombstone journaled): stale plans,
+        entries for codelets that no longer exist, or a tampered store
+        never poison the caller twice.  Returns None as if the entry
+        had never existed.
         """
         entry = self.lookup(transform, n, options)
         if entry is None:
@@ -403,33 +373,31 @@ class WisdomStore:
             accepted = False
         if accepted:
             return entry
-        self.entries.pop(wisdom_key(transform, n, options), None)
+        key = wisdom_key(transform, n, options)
+        del self.entries[key]
         self.evictions += 1
-        if self.autosave:
-            # merge=False: the evicted key must not be re-adopted from
-            # the on-disk copy we just rejected.
-            self.save(merge=False)
+        self._append(key, None)
         return None
 
     def record(self, transform: str, n: int, options: object | None = None,
                *, formula: str, seconds: float, mflops: float,
                **meta: Any) -> WisdomEntry:
-        """Remember a search outcome (and autosave when persistent)."""
+        """Remember a search outcome (one journal line when persistent)."""
         entry = WisdomEntry(transform=transform, n=n, formula=formula,
                             seconds=seconds, mflops=mflops, meta=dict(meta))
-        self.entries[wisdom_key(transform, n, options)] = entry
+        key = wisdom_key(transform, n, options)
+        self.entries[key] = entry
         self.stores += 1
-        if self.autosave:
-            self.save()
+        self._append(key, entry)
         return entry
 
     def invalidate(self, transform: str | None = None,
                    n: int | None = None) -> int:
         """Drop entries matching ``transform`` and/or ``n`` (None = all).
 
-        Returns the number of entries removed; the file (if any) is
-        rewritten when autosave is on (without merging, so concurrent
-        copies of the invalidated keys are dropped too).
+        Returns the number of entries removed; each gets a journaled
+        tombstone, so entries other writers added since this store
+        loaded survive.
         """
         doomed = [
             key for key, entry in self.entries.items()
@@ -438,9 +406,8 @@ class WisdomStore:
         ]
         for key in doomed:
             del self.entries[key]
+            self._append(key, None)
         self.invalidated += len(doomed)
-        if doomed and self.autosave:
-            self.save(merge=False)
         return len(doomed)
 
     def __len__(self) -> int:
@@ -462,12 +429,8 @@ class WisdomStore:
             "save_errors": self.save_errors,
             "bytes_written": self.bytes_written,
             "load_errors": self.load_errors,
-            "migrations": self.migrations,
-            "version_mismatches": self.version_mismatches,
             "platform_mismatches": self.platform_mismatches,
             "invalidated": self.invalidated,
-            "quarantined": self.quarantined,
-            "merged": self.merged,
             "evictions": self.evictions,
         }
 

@@ -112,6 +112,34 @@ class TestTaskJournal:
         assert replay.results == {"a": 1}
         assert replay.corrupt_lines == 1
 
+    def test_append_after_a_torn_tail_starts_a_fresh_line(self, tmp_path):
+        # Regression: the next append glued its record onto the torn
+        # line, so that record was lost on the next replay too.
+        path = tmp_path / "journal.jsonl"
+        journal = TaskJournal(path)
+        journal.append("a", 1)
+        journal.append("b", 2)
+        text = path.read_text()
+        path.write_text(text[: len(text) - 10])  # chop mid-b
+        assert TaskJournal(path).append("c", 3)
+        replay = TaskJournal(path).replay()
+        assert replay.results == {"a": 1, "c": 3}
+        assert replay.corrupt_lines == 1
+
+    def test_parent_written_journal_replays_byte_for_byte(self, tmp_path):
+        # The line format is unchanged: a journal written before the
+        # shared reader/writer replays, and new lines match it.
+        path = tmp_path / "journal.jsonl"
+        old = ('{"key": "a", "result": {"ok": true, "seconds": 1.5}, '
+               '"sha": "65b8e779164089f0"}\n')
+        path.write_text(old)
+        replay = TaskJournal(path).replay()
+        assert replay.results == {"a": {"ok": True, "seconds": 1.5}}
+        assert replay.corrupt_lines == 0
+        path.unlink()
+        TaskJournal(path).append("a", {"ok": True, "seconds": 1.5})
+        assert path.read_text() == old
+
     def test_tampered_line_fails_its_checksum(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         journal = TaskJournal(path)

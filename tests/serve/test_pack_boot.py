@@ -119,10 +119,10 @@ class TestBootWisdom:
         assert PlanRegistry(prefer="numpy").stats()[
             "wisdom_source"] == "none"
         registry = PlanRegistry(
-            prefer="numpy", wisdom=WisdomStore(None, autosave=False))
+            prefer="numpy", wisdom=WisdomStore(None))
         assert registry.stats()["wisdom_source"] == "store"
         registry = PlanRegistry(
-            prefer="numpy", wisdom=WisdomStore(None, autosave=False),
+            prefer="numpy", wisdom=WisdomStore(None),
             wisdom_source="pack")
         assert registry.stats()["wisdom_source"] == "pack"
 

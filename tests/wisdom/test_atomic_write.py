@@ -1,13 +1,15 @@
 """The one temp-file + rename helper, driven through every caller.
 
-``atomic_write`` is used by the wisdom store, the pack builder, the
-pack artifact installer, the serve port file and the supervisor status
-file.  Whatever fails — the write itself partway through, the
-``fsync`` of the temp file, or the rename — each of them must leave the
-published file exactly as it was and no temp file beside it; the two
-callers that promise never to raise (``WisdomStore.save``, status
-publishing) must keep that promise.  A directory that refuses
-``fsync`` is not a failure.
+``atomic_write`` is used by the wisdom store's compaction, the pack
+builder, the pack artifact installer, the serve port file and the
+supervisor status file.  Whatever fails — the write itself partway
+through, the ``fsync`` of the temp file, or the rename — each of them
+must leave the published file exactly as it was and no temp file
+beside it; the two callers that promise never to raise (compaction,
+status publishing) must keep that promise.  A directory that refuses
+``fsync`` is not a failure.  The store's other write, the journal
+append, gets the same faults: each is counted, never raised, and the
+next record still replays.
 """
 
 from __future__ import annotations
@@ -31,15 +33,21 @@ from repro.wisdom.pack import build_pack
 from repro.wisdom.store import WisdomStore, atomic_write
 
 
-def _store_save(path: Path, version: int) -> None:
+def _due_for_compaction(path: Path, version: int) -> None:
+    """A journal whose dead lines outnumber its live ones."""
     store = WisdomStore(path)
-    store.record("fft-small", 4 * version, formula="(F 4)",
-                 seconds=1.0, mflops=2.0)  # autosaves
+    for seconds in (3.0, 2.0, 1.0):
+        store.record("fft-small", 4 * version, formula="(F 4)",
+                     seconds=seconds, mflops=2.0)
+
+
+def _store_compact(path: Path, version: int) -> None:
+    store = WisdomStore(path)  # the load compacts
     assert store.save_errors == (0 if store.saves else 1)
 
 
 def _build_pack(path: Path, version: int) -> None:
-    store = WisdomStore(None, autosave=False)
+    store = WisdomStore(None)
     store.record("fft-small", 4 * version, formula="(F 4)",
                  seconds=1.0, mflops=2.0)
     build_pack(store, path, include_artifacts=False)
@@ -63,12 +71,15 @@ def _publish_status(path: Path, version: int) -> None:
 
 #: name -> (writer, file name, has old content, raises on failure)
 CALLERS = {
-    "store-save": (_store_save, "wisdom.json", True, False),
+    "store-compact": (_store_compact, "wisdom.json", False, False),
     "build-pack": (_build_pack, "wisdom.pack", True, True),
     "install-artifact": (_install_artifact, "spl_abc123.so", False, True),
     "publish-port": (_publish_port_file, "port", True, True),
     "publish-status": (_publish_status, "status.json", True, False),
 }
+
+#: What a caller's file must hold before its publish is due.
+PREPARE = {"store-compact": _due_for_compaction}
 
 
 def _torn_write(self: Path, data: bytes) -> int:
@@ -96,7 +107,8 @@ def test_failed_publish_leaves_old_content_and_no_temp(
     path = tmp_path / name
     if has_old:
         writer(path, 1)
-    old = path.read_bytes() if has_old else None
+    PREPARE.get(caller, lambda *args: None)(path, 2)
+    old = path.read_bytes() if path.exists() else None
 
     if fault == "write-fails-midway":
         monkeypatch.setattr(Path, "write_bytes", _torn_write)
@@ -128,6 +140,7 @@ def test_publish_syncs_file_then_directory_and_survives_a_refusal(
     if caller == "publish-status" and not fork_supported():
         pytest.skip("Supervisor needs fork + SO_REUSEPORT")
     path = tmp_path / name
+    PREPARE.get(caller, lambda *args: None)(path, 1)
     synced = []
     real_replace = os.replace
 
@@ -157,3 +170,34 @@ def test_atomic_write_takes_text_or_bytes_and_makes_parents(tmp_path):
     atomic_write(str(target), b"\x00\x01")
     assert target.read_bytes() == b"\x00\x01"
     assert os.listdir(target.parent) == ["file"]
+
+
+_real_os_write = os.write
+
+
+def _torn_os_write(fd, data):
+    _real_os_write(fd, data[:len(data) // 2])
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fault", ["write-torn-midway", "fsync-fails"])
+def test_failed_append_is_counted_and_the_next_record_replays(
+        fault, tmp_path, monkeypatch):
+    path = tmp_path / "wisdom.json"
+    store = WisdomStore(path)
+    store.record("fft-small", 2, formula="(F 2)", seconds=1.0, mflops=2.0)
+    if fault == "write-torn-midway":
+        monkeypatch.setattr(store_module.os, "write", _torn_os_write)
+    else:
+        monkeypatch.setattr(store_module.os, "fsync", _failing_fsync)
+    store.record("fft-small", 4, formula="(F 4)", seconds=1.0,
+                 mflops=2.0)  # counted, never raised
+    monkeypatch.undo()
+    assert store.save_errors == 1
+    assert len(store) == 2  # the in-memory table keeps it either way
+    store.record("fft-small", 8, formula="(F 8)", seconds=1.0, mflops=2.0)
+    fresh = WisdomStore(path)
+    # A torn line costs itself; an unsynced one is still on disk.
+    expected = [2, 8] if fault == "write-torn-midway" else [2, 4, 8]
+    assert sorted(entry.n for entry in fresh) == expected
+    assert fresh.load_errors == (fault == "write-torn-midway")

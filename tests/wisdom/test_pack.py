@@ -91,8 +91,8 @@ class TestLoadPackDegradation:
         assert result.entries_loaded == 2
         assert len(result.store) == 2
         assert result.store.lookup("fft-small", 8) is not None
-        # The pack store is read-only in spirit: autosave is off and
-        # there is no backing path to clobber.
+        # The pack store is read-only in spirit: there is no backing
+        # path to append to.
         assert result.store.path is None
 
     def test_damaged_entry_is_salvaged_around(self, tmp_path):

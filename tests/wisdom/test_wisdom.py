@@ -20,7 +20,7 @@ from repro.wisdom import (
     resolve_jobs,
     wisdom_key,
 )
-from repro.wisdom.store import WISDOM_VERSION
+from repro.search.queue import TaskJournal
 
 
 def fake_measurements(compiler, formulas, **kwargs):
@@ -117,16 +117,20 @@ class TestStore:
         assert len(store) == 0
         assert store.stats()["load_errors"] == 1
 
-    def test_version_mismatch_falls_back_empty(self, tmp_path):
+    def test_verified_lines_of_another_shape_fall_back_empty(self,
+                                                            tmp_path):
+        # A search journal is the same line format with other results:
+        # every line verifies, none is a store record, and the file is
+        # not ours to rewrite.
         path = tmp_path / "wisdom.json"
-        good = WisdomStore(path)
-        good.record("fft-small", 8, formula="(F 8)", seconds=1.0, mflops=1.0)
-        data = json.loads(path.read_text())
-        data["version"] = WISDOM_VERSION + 1
-        path.write_text(json.dumps(data))
+        journal = TaskJournal(path)
+        journal.append("fft-small:8:x", {"ok": True, "seconds": 1.0})
+        journal.append("fft-small:4:x", {"ok": True, "seconds": 2.0})
+        before = path.read_bytes()
         store = WisdomStore(path)
         assert len(store) == 0
-        assert store.stats()["version_mismatches"] == 1
+        assert store.stats()["load_errors"] == 2
+        assert path.read_bytes() == before
 
     def test_platform_mismatch_falls_back_empty(self, tmp_path):
         path = tmp_path / "wisdom.json"
@@ -143,13 +147,12 @@ class TestStore:
     def test_unwritable_path_degrades_gracefully(self, tmp_path):
         # Pointing wisdom at a directory must not kill the search that
         # produced the entry: record() keeps the in-memory table and
-        # save() reports the failure through a counter.
+        # reports the failed append through a counter.
         store = WisdomStore(tmp_path)  # tmp_path is a directory
         entry = store.record("fft-small", 8, formula="(F 8)", seconds=1.0,
                              mflops=1.0)
         assert entry is not None
         assert len(store) == 1
-        assert store.save() is False
         assert store.stats()["save_errors"] >= 1
         assert store.stats()["saves"] == 0
 
