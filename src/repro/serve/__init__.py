@@ -28,7 +28,7 @@ from repro.serve.errors import (
 )
 from repro.serve.plans import Plan, PlanKey, PlanRegistry
 from repro.serve.retry import RetryBudget, RetryPolicy, call_with_retry
-from repro.serve.server import PlanService, Router, SplServer
+from repro.serve.server import PlanService, SplServer
 from repro.serve.supervisor import (
     BackoffPolicy,
     RestartBudget,
@@ -56,7 +56,6 @@ __all__ = [
     "RestartBudget",
     "RetryBudget",
     "RetryPolicy",
-    "Router",
     "ServeConfig",
     "ServeError",
     "SplClient",

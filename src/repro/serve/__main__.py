@@ -25,8 +25,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.serve.errors import BadRequest
 from repro.serve.plans import PLAN_BACKENDS, PlanKey
-from repro.serve.protocol import DTYPES
 from repro.serve.supervisor import (
     BackoffPolicy,
     RestartBudget,
@@ -37,27 +37,6 @@ from repro.serve.supervisor import (
 )
 
 
-def _parse_warm_spec(spec: str) -> PlanKey:
-    parts = spec.split(":")
-    if len(parts) not in (2, 3):
-        raise argparse.ArgumentTypeError(
-            f"bad warm spec {spec!r} (want transform:n[:dtype])")
-    transform, n_text = parts[0], parts[1]
-    try:
-        n = int(n_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad size in warm spec {spec!r}") from None
-    if len(parts) == 3:
-        dtype = parts[2]
-    else:
-        dtype = "float64" if transform == "wht" else "complex128"
-    if dtype not in DTYPES:
-        raise argparse.ArgumentTypeError(
-            f"bad dtype in warm spec {spec!r}")
-    return PlanKey(transform=transform, n=n, dtype=dtype)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spl serve",
@@ -66,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7462,
                         help="0 picks an ephemeral port")
-    parser.add_argument("--warm", nargs="*", type=_parse_warm_spec,
-                        default=[], metavar="TRANSFORM:N[:DTYPE]",
+    parser.add_argument("--warm", nargs="*", default=[],
+                        metavar="TRANSFORM:N[:DTYPE]",
                         help="routes to prebuild before accepting "
                              "connections, e.g. fft:64 wht:256")
     parser.add_argument("--wisdom", default=None, metavar="PATH",
@@ -116,14 +95,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.workers < 1:
         print("spl serve: --workers must be >= 1", file=sys.stderr)
         return 2
+    try:
+        warm = tuple(PlanKey.parse(spec) for spec in args.warm)
+    except BadRequest as exc:
+        parser.error(f"argument --warm: {exc}")
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        warm=tuple(args.warm),
+        warm=warm,
         wisdom_path=args.wisdom,
         pack_path=args.pack,
         prefer=args.prefer,

@@ -3,13 +3,11 @@
 A *plan* is the executable behind one ``(transform, n, dtype)`` route:
 a compiled :class:`~repro.perfeval.runner.ExecutableRoutine` on the
 fastest available backend, with its circuit-breaker fallback chain
-armed.  The registry builds each plan at most once (per-key locks, so
-two concurrent first requests for the same route compile once while
-different routes compile in parallel) and can *boot hot* from a
-wisdom store: when the store holds a search winner for an FFT size,
-its formula is re-validated and compiled instead of the default
-factorization — first-request latency pays one compile, never a
-search.
+armed.  The registry caches each plan it builds (the server asks it
+once per route) and can *boot hot* from a wisdom store: when the
+store holds a search winner for an FFT size, its formula is
+re-validated and compiled instead of the default factorization —
+first-request latency pays one compile, never a search.
 
 Supported routes:
 
@@ -23,10 +21,7 @@ Supported routes:
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.core.compiler import CompiledRoutine, CompilerOptions, SplCompiler
 from repro.core.errors import SplError, SplSemanticError
@@ -67,7 +62,9 @@ class PlanKey:
     def from_header(cls, header: dict) -> "PlanKey":
         transform = header.get("transform")
         n = header.get("n")
-        dtype = header.get("dtype", "complex128")
+        # A route without a dtype is the one its transform serves.
+        dtype = header.get("dtype",
+                           "float64" if transform == "wht" else "complex128")
         if not isinstance(transform, str):
             raise BadRequest("missing or non-string 'transform'")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -78,6 +75,18 @@ class PlanKey:
                 f"{sorted(DTYPES)})"
             )
         return cls(transform=transform, n=n, dtype=dtype)
+
+    @classmethod
+    def parse(cls, spec: str) -> "PlanKey":
+        """The route ``transform:n[:dtype]`` names (``fft:64``,
+        ``wht:8``), under the same rules as a request header."""
+        parts = spec.split(":")
+        if len(parts) not in (2, 3) or not parts[1].isdecimal():
+            raise BadRequest(
+                f"bad route {spec!r} (want transform:n[:dtype])")
+        header = dict(zip(("transform", "n", "dtype"), parts))
+        header["n"] = int(parts[1])
+        return cls.from_header(header)
 
     def describe(self) -> str:
         return f"{self.transform}:{self.n}:{self.dtype}"
@@ -90,11 +99,6 @@ class Plan:
     key: PlanKey
     executable: ExecutableRoutine
     from_wisdom: bool = False
-    formula_spl: str = ""
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.executable.dtype
 
 
 def fft_factors(n: int) -> list[int] | None:
@@ -163,9 +167,7 @@ class PlanRegistry:
 
     def __init__(self, *, prefer: str | None = None,
                  wisdom: WisdomStore | None = None,
-                 wisdom_source: str | None = None,
-                 cflags: tuple[str, ...] = (),
-                 threads: int = 1):
+                 wisdom_source: str | None = None):
         prefer = "c" if prefer is None else prefer
         if prefer not in PLAN_BACKENDS:
             raise SplSemanticError(
@@ -177,13 +179,7 @@ class PlanRegistry:
         if wisdom_source is None:
             wisdom_source = "store" if wisdom is not None else "none"
         self.wisdom_source = wisdom_source
-        self.cflags = tuple(cflags)
-        self.threads = threads
         self._plans: dict[PlanKey, Plan] = {}
-        self._locks: dict[PlanKey, threading.Lock] = {}
-        self._registry_lock = threading.Lock()
-        self._builds = 0
-        self._wisdom_boots = 0
         # Compiler sessions live as long as the registry, so
         # re-building a route after a restart-less eviction is free.
         self._sessions: dict[int, SplCompiler] = {}
@@ -258,63 +254,39 @@ class PlanRegistry:
 
     # -- the cache --------------------------------------------------------
 
-    def _lock_for(self, key: PlanKey) -> threading.Lock:
-        with self._registry_lock:
-            lock = self._locks.get(key)
-            if lock is None:
-                lock = self._locks[key] = threading.Lock()
-            return lock
-
     def get(self, key: PlanKey) -> Plan:
         """The plan for ``key``, building it on first use.
 
-        Raises :class:`~repro.serve.errors.BadRequest` for unroutable
-        keys; compile failures surface as
-        :class:`~repro.core.errors.SplError` (which the router turns
-        into ``BadRequest``: the route is unplannable).
+        Lock-free: two threads racing on one cold key both compile,
+        and both get the plan stored first.  Raises
+        :class:`~repro.serve.errors.BadRequest` for unroutable keys;
+        compile failures surface as :class:`~repro.core.errors.SplError`
+        (which the server turns into ``BadRequest``: the route is
+        unplannable).
         """
         plan = self._plans.get(key)
         if plan is not None:
             return plan
-        with self._lock_for(key):
-            plan = self._plans.get(key)
-            if plan is not None:
-                return plan
-            formula, from_wisdom, datatype, threshold = self._formula(key)
-            routine = compile_plan(
-                self._sessions, formula, key.transform, key.n,
-                datatype=datatype, threshold=threshold,
-                language=self.prefer)
-            executable = build_executable(
-                routine, prefer=self.prefer, cflags=self.cflags,
-                threads=self.threads,
+        formula, from_wisdom, datatype, threshold = self._formula(key)
+        routine = compile_plan(
+            self._sessions, formula, key.transform, key.n,
+            datatype=datatype, threshold=threshold, language=self.prefer)
+        executable = build_executable(routine, prefer=self.prefer)
+        if executable.dtype != DTYPES[key.dtype]:
+            raise SplError(
+                f"route {key.describe()} compiled to dtype "
+                f"{executable.dtype}"
             )
-            if executable.dtype != DTYPES[key.dtype]:
-                raise SplError(
-                    f"route {key.describe()} compiled to dtype "
-                    f"{executable.dtype}"
-                )
-            plan = Plan(key=key, executable=executable,
-                        from_wisdom=from_wisdom,
-                        formula_spl=formula.to_spl())
-            with self._registry_lock:
-                self._plans[key] = plan
-                self._builds += 1
-                if from_wisdom:
-                    self._wisdom_boots += 1
-            return plan
-
-    def warm(self, keys: list[PlanKey]) -> list[Plan]:
-        """Prebuild routes (boot-time warm-up); returns their plans."""
-        return [self.get(key) for key in keys]
+        return self._plans.setdefault(key, Plan(
+            key=key, executable=executable, from_wisdom=from_wisdom))
 
     def stats(self) -> dict:
-        with self._registry_lock:
-            return {
-                "plans": len(self._plans),
-                "builds": self._builds,
-                "wisdom_boots": self._wisdom_boots,
-                "prefer": self.prefer,
-                "wisdom_attached": self.wisdom is not None,
-                "wisdom_source": self.wisdom_source,
-            }
+        plans = list(self._plans.values())  # one step: no torn read
+        return {
+            "plans": len(plans),
+            "builds": len(plans),
+            "wisdom_boots": sum(plan.from_wisdom for plan in plans),
+            "prefer": self.prefer,
+            "wisdom_attached": self.wisdom is not None,
+            "wisdom_source": self.wisdom_source,
+        }

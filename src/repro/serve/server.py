@@ -1,14 +1,16 @@
-"""The asyncio transform service: router, per-plan services, server.
+"""The asyncio transform service: the route table and the server.
 
 This is the first component that speaks to the outside world: an
 asyncio front-end over the length-prefixed protocol
 (:mod:`repro.serve.protocol`) that routes each request by
-``(transform, n, dtype)`` to a per-plan pipeline::
+``(transform, n, dtype)`` through the server's one route table to a
+per-plan pipeline::
 
-    socket -> admission control -> BatchDispatcher -> ExecutableRoutine
-              (bounded queue,       (coalesces          (c > numpy >
-               deadline sheds)       concurrent          python circuit
-                                     requests)           breakers)
+    socket -> routes[key] -> admission -> BatchDispatcher -> ExecutableRoutine
+              (a cold key    (bounded     (coalesces         (c > numpy >
+               builds once)   queue,       concurrent         python circuit
+                              deadline     requests)          breakers)
+                              sheds)
 
 Each stage already existed; the server is their first joint consumer:
 
@@ -30,8 +32,17 @@ complete frame in it in one pass; a ``transform`` goes from there,
 synchronously, through validation, admission and
 ``dispatcher.submit``, its payload copied once, straight out of the
 receive buffer into the request's vector.  No task and no future is
-made per request; only a route's first request waits in the default
-executor for its plan to build.
+made per request.
+
+A cold route is built once.  Its first request starts the one
+default-executor job that builds its plan; every request for the
+route that arrives meanwhile parks in a per-key list on the loop.
+When the build succeeds, the route enters the table and the parked
+requests are submitted; when it fails, each gets the typed error and
+nothing is cached, so the next request builds again.  The table and
+the parked lists are touched only on the loop thread, so neither
+needs a lock, and a burst of requests on a cold route holds one
+executor thread, not one per request.
 
 Requests on one connection may be pipelined; responses carry the
 request ``id`` and complete out of order.  Completions cross back from
@@ -100,88 +111,38 @@ class PlanService:
         }
 
 
-class Router:
-    """Lazily builds one :class:`PlanService` per requested route."""
-
-    def __init__(self, registry: PlanRegistry | None = None, *,
-                 max_batch: int = 64, queue_limit: int = 256,
-                 threads: int | None = None):
-        self.registry = registry or PlanRegistry()
-        self.max_batch = max_batch
-        self.queue_limit = queue_limit
-        self.threads = threads
-        self._services: dict[PlanKey, PlanService] = {}
-        self._lock = threading.Lock()
-        self._closed = False
-
-    def try_service(self, key: PlanKey) -> PlanService | None:
-        """The already-built service for ``key`` (non-blocking)."""
-        return self._services.get(key)
-
-    def service(self, key: PlanKey) -> PlanService:
-        """The service for ``key``, building its plan on first use.
-
-        May compile (blocking); the server calls this off the event
-        loop.  Raises ``BadRequest`` for unroutable or unplannable keys
-        and ``Unavailable`` once the router is closed.
-        """
-        existing = self._services.get(key)
-        if existing is not None:
-            return existing
-        try:
-            plan = self.registry.get(key)  # outside _lock: builds overlap
-        except SplError as exc:
-            raise BadRequest(f"unplannable route {key.describe()}: "
-                             f"{exc}") from exc
-        with self._lock:
-            if self._closed:
-                raise Unavailable("router is shut down")
-            existing = self._services.get(key)
-            if existing is None:
-                existing = self._services[key] = PlanService(
-                    plan, max_batch=self.max_batch,
-                    queue_limit=self.queue_limit, threads=self.threads,
-                )
-            return existing
-
-    def services(self) -> list[PlanService]:
-        with self._lock:
-            return list(self._services.values())
-
-    def close(self, drain: bool = True) -> None:
-        with self._lock:
-            self._closed = True
-            services = list(self._services.values())
-        for service in services:
-            service.dispatcher.close(drain=drain)
-
-    def stats(self) -> dict:
-        return {
-            "registry": self.registry.stats(),
-            "plans": [service.stats() for service in self.services()],
-        }
-
-
 class SplServer:
     """The asyncio front-end.
 
     ``await start()`` binds (``port=0`` picks an ephemeral port,
     exposed as ``.port``); ``warm`` prebuilds routes at boot — paired
     with a wisdom-backed registry this is the hot-boot path: the first
-    request hits a compiled, search-tuned plan.
+    request hits a compiled, search-tuned plan.  ``max_batch``,
+    ``queue_limit`` and ``threads`` shape every route's
+    :class:`PlanService`.
     """
 
-    def __init__(self, router: Router | None = None, *,
+    def __init__(self, registry: PlanRegistry | None = None, *,
                  host: str = "127.0.0.1", port: int = 0,
                  warm: list[PlanKey] | None = None,
+                 max_batch: int = 64, queue_limit: int = 256,
+                 threads: int | None = None,
                  reuse_port: bool = False,
                  chaos=None):
-        self.router = router or Router()
+        self.registry = registry or PlanRegistry()
         self.host = host
         self.port = port
         self.warm_keys = list(warm or [])
+        self.max_batch = max_batch
+        self.queue_limit = queue_limit
+        self.threads = threads
         self.reuse_port = reuse_port
         self.chaos = chaos  # a repro.serve.chaos.ChaosInjector, or None
+        # The route table, and the requests parked behind each cold
+        # route's build: loop thread only, so no lock.
+        self.routes: dict[PlanKey, PlanService] = {}
+        self._parked: dict[PlanKey, list[tuple]] = {}
+        self._closing = False
         self._server: asyncio.base_events.Server | None = None
         self._started_at: float | None = None
         self._connections: set[_Connection] = set()
@@ -204,7 +165,10 @@ class SplServer:
     async def start(self) -> tuple[str, int]:
         loop = self._loop = asyncio.get_running_loop()
         for key in self.warm_keys:
-            await loop.run_in_executor(None, self.router.service, key)
+            try:
+                await self._build(key)
+            except SplError as exc:
+                raise _unplannable(key, exc) from exc
         # reuse_port is how a supervised fleet shares one address:
         # every worker binds its own SO_REUSEPORT listener on the same
         # (host, port) and the kernel load-balances connections.
@@ -243,7 +207,9 @@ class SplServer:
     async def close(self, grace: float = 5.0) -> None:
         """Hang up every connection once its written replies have
         reached the socket (aborting any still unsent after ``grace``
-        seconds), then stop the dispatchers."""
+        seconds), then stop the dispatchers.  A build still running
+        routes nothing once this has begun."""
+        self._closing = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -255,8 +221,10 @@ class SplServer:
         for conn in list(self._connections):
             conn.transport.abort()  # still unflushed: its grace is up
         loop = asyncio.get_running_loop()
-        # Dispatcher close joins worker threads: keep it off the loop.
-        await loop.run_in_executor(None, self.router.close)
+        for service in list(self.routes.values()):
+            # Dispatcher close joins its worker thread: keep it off
+            # the loop.
+            await loop.run_in_executor(None, service.dispatcher.close)
 
     # -- stats -------------------------------------------------------------
 
@@ -269,7 +237,8 @@ class SplServer:
             "draining": self._draining,
             "inflight": self._inflight,
             "connections_accepted": self.connections_accepted,
-            **self.router.stats(),
+            "registry": self.registry.stats(),
+            "plans": [service.stats() for service in self.routes.values()],
         }
 
     # -- requests ------------------------------------------------------------
@@ -314,28 +283,51 @@ class SplServer:
         x = bytes_to_vector(buffer, key.n, resolve_dtype(key.dtype),
                             start, stop)
         request = (conn, request_id, x, arrival, deadline)
-        service = self.router.try_service(key)
+        service = self.routes.get(key)
         if service is not None:
             self._submit(service, request)
             return
-        # First request for this route: build off the event loop, the
-        # request counted in flight meanwhile.
+        # A cold route: park behind its one build, counted in flight.
+        if key not in self._parked:
+            self._build(key)
+        self._parked[key].append(request)
         self._owe(conn, 1)
-        self._loop.run_in_executor(
-            None, self.router.service, key).add_done_callback(
-                partial(self._built, request))
 
-    def _built(self, request: tuple, build: asyncio.Future) -> None:
-        """A cold route's plan build finished: submit its request."""
-        conn, request_id = request[:2]
-        if conn.transport.is_closing():
-            return  # its count leaves with the connection
-        try:
-            self._submit(build.result(), request)
-        except Exception as exc:  # noqa: BLE001 - typed for wire
-            self._answer(conn, _error_header(exc, request_id))
-        self._owe(conn, -1)
-        conn.flush()
+    def _build(self, key: PlanKey) -> asyncio.Future:
+        """Start the one off-loop build of cold route ``key``."""
+        self._parked[key] = []
+        build = self._loop.run_in_executor(None, self.registry.get, key)
+        build.add_done_callback(partial(self._built, key))
+        return build
+
+    def _built(self, key: PlanKey, build: asyncio.Future) -> None:
+        """``key``'s build finished: route it and submit every request
+        parked behind it, or answer each with the build's error."""
+        parked = self._parked.pop(key)
+        error = build.exception()
+        if isinstance(error, SplError):
+            error = _unplannable(key, error)
+        elif error is None and self._closing:
+            error = Unavailable("server is shut down")
+        elif error is None:
+            service = self.routes[key] = PlanService(
+                build.result(), max_batch=self.max_batch,
+                queue_limit=self.queue_limit, threads=self.threads)
+        for request in parked:
+            conn, request_id = request[:2]
+            if conn.transport.is_closing():
+                continue  # its count left with the connection
+            if error is not None:
+                self._answer(conn, _error_header(error, request_id))
+            else:
+                try:
+                    self._submit(service, request)
+                except Exception as exc:  # noqa: BLE001 - typed for wire
+                    self._answer(conn, _error_header(exc, request_id))
+            self._owe(conn, -1)
+        for conn in {request[0] for request in parked}:
+            if not conn.transport.is_closing():
+                conn.flush()
 
     def _submit(self, service: PlanService, request: tuple) -> None:
         """Admit and enqueue ``(conn, id, x, arrival, deadline)``."""
@@ -465,6 +457,10 @@ class SplServer:
         for conn, count in answered.items():
             self._owe(conn, -count)
             conn.flush()
+
+
+def _unplannable(key: PlanKey, exc: SplError) -> BadRequest:
+    return BadRequest(f"unplannable route {key.describe()}: {exc}")
 
 
 def _error_header(exc: Exception, request_id) -> dict:

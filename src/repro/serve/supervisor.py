@@ -128,19 +128,15 @@ def _boot_wisdom(config: ServeConfig):
 
 def build_server(config: ServeConfig, *, reuse_port: bool = False):
     """A fresh :class:`SplServer` from one :class:`ServeConfig`."""
-    from repro.serve.server import Router, SplServer
+    from repro.serve.server import SplServer
 
     wisdom, wisdom_source = _boot_wisdom(config)
     registry = PlanRegistry(prefer=config.prefer, wisdom=wisdom,
                             wisdom_source=wisdom_source)
-    router = Router(
-        registry,
-        max_batch=config.max_batch,
-        queue_limit=config.queue_limit,
-        threads=config.threads,
-    )
-    return SplServer(router, host=config.host, port=config.port,
-                     warm=list(config.warm), reuse_port=reuse_port,
+    return SplServer(registry, host=config.host, port=config.port,
+                     warm=list(config.warm), max_batch=config.max_batch,
+                     queue_limit=config.queue_limit,
+                     threads=config.threads, reuse_port=reuse_port,
                      chaos=injector_from_env())
 
 
@@ -185,7 +181,7 @@ async def _worker_amain(config: ServeConfig, *, reuse_port: bool,
     if port_file is not None:
         _publish_port(port_file, host, port)
     print(f"{label}: pid {os.getpid()} listening on {host}:{port} "
-          f"(prefer={server.router.registry.prefer})",
+          f"(prefer={server.registry.prefer})",
           file=sys.stderr, flush=True)
 
     beat_task = None

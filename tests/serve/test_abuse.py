@@ -22,12 +22,7 @@ import pytest
 from repro.serve import AsyncSplClient, SplClient
 from repro.serve.protocol import MAX_HEADER_BYTES, encode_frame
 
-from tests.serve.test_server import (
-    FFT16,
-    ServerHarness,
-    _complex_vec,
-    numpy_router,
-)
+from tests.serve.test_server import FFT16, ServerHarness, _complex_vec
 
 
 class _GoodTraffic:
@@ -106,7 +101,7 @@ def _recv_frame_header(sock: socket.socket) -> dict:
 
 class TestAbuseIsolation:
     def _harness(self):
-        return ServerHarness(numpy_router(), warm=[FFT16])
+        return ServerHarness(warm=[FFT16])
 
     def test_disconnect_mid_request_leaves_others_undisturbed(self):
         with self._harness() as harness, \

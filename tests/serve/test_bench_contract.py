@@ -57,6 +57,14 @@ class TestReplayCalls:
             np.testing.assert_allclose(request.result, np.fft.fft(x),
                                        atol=1e-9)
 
+    def test_a_built_key_is_one_cached_plan(self):
+        # The replay times registry.get on a built key per request: it
+        # must stay a cache hit.
+        registry = PlanRegistry(prefer="numpy")
+        header = {"transform": "fft", "n": 16, "dtype": "complex128"}
+        plan = registry.get(PlanKey.from_header(header))
+        assert registry.get(PlanKey.from_header(header)) is plan
+
     def test_admission_as_the_replay_drives_it(self):
         admission = AdmissionController(queue_limit=256, batch_hint=64)
         now = time.monotonic()

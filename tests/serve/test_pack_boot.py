@@ -111,7 +111,7 @@ class TestBootWisdom:
                 path.write_text(text)
             server = build_server(ServeConfig(
                 pack_path=str(path), prefer="numpy"))
-            stats = server.router.registry.stats()
+            stats = server.registry.stats()
             assert stats["wisdom_source"] == "none", name
             assert not stats["wisdom_attached"], name
 

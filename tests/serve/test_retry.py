@@ -36,7 +36,6 @@ from tests.serve.test_server import (
     ServerHarness,
     _complex_vec,
     _gate,
-    numpy_router,
 )
 
 
@@ -306,9 +305,8 @@ def _held_server():
     """A live server whose fft:16 plan holds every batch at the kernel
     until the block exits, so a transform's reply never arrives while
     pings (which bypass the dispatcher) still answer."""
-    router = numpy_router(max_batch=64)
-    with ServerHarness(router, warm=[FFT16]) as harness:
-        gate = _gate(router.try_service(FFT16))
+    with ServerHarness(warm=[FFT16], max_batch=64) as harness:
+        gate = _gate(harness.server.routes[FFT16])
         try:
             yield harness
         finally:
@@ -376,7 +374,7 @@ class TestClientRetryIntegration:
         x = _complex_vec(16, seed=5)
         policy = RetryPolicy(attempts=8, base_backoff_s=0.05,
                              max_backoff_s=0.2)
-        first = ServerHarness(numpy_router(), warm=[FFT16])
+        first = ServerHarness(warm=[FFT16])
         first.__enter__()
         client = None
         try:
@@ -388,7 +386,7 @@ class TestClientRetryIntegration:
 
         # A replacement server comes up; point the dead client at it.
         # What matters is the dropped-then-redialed retry path.
-        with ServerHarness(numpy_router(), warm=[FFT16]) as second:
+        with ServerHarness(warm=[FFT16]) as second:
             client.host, client.port = second.host, second.port
             try:
                 np.testing.assert_allclose(
@@ -410,7 +408,7 @@ class TestClientRetryIntegration:
             finally:
                 await client.close()
 
-        with ServerHarness(numpy_router(), warm=[FFT16]) as harness:
+        with ServerHarness(warm=[FFT16]) as harness:
             asyncio.run(scenario(harness.host, harness.port))
 
     def test_resilient_client_shares_one_redial_across_waiters(self):
@@ -432,7 +430,7 @@ class TestClientRetryIntegration:
                 await client.close()
             return client.reconnects
 
-        with ServerHarness(numpy_router(), warm=[FFT16]) as harness:
+        with ServerHarness(warm=[FFT16]) as harness:
             reconnects = asyncio.run(
                 scenario(harness.host, harness.port))
         assert reconnects == 1  # the initial dial, shared by all 8

@@ -13,14 +13,17 @@ import contextlib
 import gc
 import socket
 import struct
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import SplError
 from repro.serve import (
     AsyncSplClient,
     BadRequest,
@@ -28,7 +31,6 @@ from repro.serve import (
     Overloaded,
     PlanKey,
     PlanRegistry,
-    Router,
     ServeError,
     SplClient,
     SplServer,
@@ -65,12 +67,14 @@ def _wht_matrix(n: int) -> np.ndarray:
 
 
 class ServerHarness:
-    """A live server on an ephemeral port, run in its own thread."""
+    """A live server on an ephemeral port, run in its own thread.  The
+    registry defaults to the NumPy backend (fast to build, CI-safe);
+    keyword arguments go to :class:`SplServer`."""
 
-    def __init__(self, router: Router | None = None,
-                 warm: list[PlanKey] | None = None):
-        self._router = router
-        self._warm = warm or []
+    def __init__(self, registry: PlanRegistry | None = None,
+                 **server_kwargs):
+        self._registry = registry or PlanRegistry(prefer="numpy")
+        self._server_kwargs = server_kwargs
         self._ready = threading.Event()
         self._boot_error: BaseException | None = None
         self._thread = threading.Thread(target=self._thread_main,
@@ -89,7 +93,7 @@ class ServerHarness:
     async def _amain(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        self.server = SplServer(self._router, warm=self._warm)
+        self.server = SplServer(self._registry, **self._server_kwargs)
         self.host, self.port = await self.server.start()
         self._ready.set()
         await self._stop.wait()
@@ -129,21 +133,16 @@ async def _pipelined_burst(harness: ServerHarness,
         await client.close()
 
 
-def numpy_router(**kwargs) -> Router:
-    """A router on the NumPy backend: fast to build, CI-safe."""
-    return Router(PlanRegistry(prefer="numpy"), **kwargs)
-
-
 class TestRoundtrips:
     def test_fft_matches_numpy(self):
-        with ServerHarness(numpy_router(), warm=[FFT16]) as harness, \
+        with ServerHarness(warm=[FFT16]) as harness, \
                 harness.client() as client:
             x = _complex_vec(16, seed=3)
             y = client.transform("fft", x)
             np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-9)
 
     def test_wht_matches_dense_semantics(self):
-        with ServerHarness(numpy_router(), warm=[WHT8]) as harness, \
+        with ServerHarness(warm=[WHT8]) as harness, \
                 harness.client() as client:
             x = _rng(4).standard_normal(8)
             y = client.transform("wht", x)
@@ -151,7 +150,7 @@ class TestRoundtrips:
                                        atol=1e-9)
 
     def test_cold_route_builds_on_first_request(self):
-        with ServerHarness(numpy_router()) as harness, \
+        with ServerHarness() as harness, \
                 harness.client() as client:
             x = _complex_vec(32, seed=5)
             y = client.transform("fft", x)
@@ -159,7 +158,7 @@ class TestRoundtrips:
             assert client.stats()["registry"]["plans"] == 1
 
     def test_ping_and_stats(self):
-        with ServerHarness(numpy_router(), warm=[FFT16]) as harness, \
+        with ServerHarness(warm=[FFT16]) as harness, \
                 harness.client() as client:
             client.ping()
             stats = client.stats()
@@ -171,7 +170,7 @@ class TestRoundtrips:
     def test_pipelined_responses_match_their_requests(self):
         # Many concurrent requests on one connection; each response is
         # matched back by id, so every caller must get *its own* row.
-        with ServerHarness(numpy_router(), warm=[FFT16]) as harness:
+        with ServerHarness(warm=[FFT16]) as harness:
             async def drive():
                 client = await AsyncSplClient.connect(harness.host,
                                                       harness.port)
@@ -191,26 +190,26 @@ class TestRoundtrips:
 
 class TestTypedErrors:
     def test_unknown_transform(self):
-        with ServerHarness(numpy_router()) as harness, \
+        with ServerHarness() as harness, \
                 harness.client() as client:
             with pytest.raises(BadRequest, match="unknown transform"):
                 client.transform("dct", _complex_vec(16))
 
     def test_wht_rejects_complex_dtype_route(self):
-        with ServerHarness(numpy_router()) as harness, \
+        with ServerHarness() as harness, \
                 harness.client() as client:
             with pytest.raises(BadRequest, match="float64"):
                 client.transform("wht", _complex_vec(8))
 
     def test_unplannable_size(self):
-        with ServerHarness(numpy_router()) as harness, \
+        with ServerHarness() as harness, \
                 harness.client() as client:
             # 3 * 257: not smooth, larger than the direct-DFT cap.
             with pytest.raises(BadRequest, match="not plannable"):
                 client.transform("fft", _complex_vec(771))
 
     def test_payload_length_mismatch(self):
-        with ServerHarness(numpy_router()) as harness, \
+        with ServerHarness() as harness, \
                 harness.client() as client:
             x = _complex_vec(16)
             header = {"op": "transform", "transform": "fft", "n": 16,
@@ -219,13 +218,13 @@ class TestTypedErrors:
                 client._roundtrip(header, x.tobytes()[:-8])
 
     def test_unknown_op(self):
-        with ServerHarness(numpy_router()) as harness, \
+        with ServerHarness() as harness, \
                 harness.client() as client:
             with pytest.raises(BadRequest, match="unknown op"):
                 client._roundtrip({"op": "frobnicate"})
 
     def test_expired_deadline_is_shed(self):
-        with ServerHarness(numpy_router(), warm=[FFT16]) as harness, \
+        with ServerHarness(warm=[FFT16]) as harness, \
                 harness.client() as client:
             # A 1ns budget has always expired by admission time; the
             # request must be shed, not executed.
@@ -277,9 +276,9 @@ class TestOverloadAndIsolation:
     def test_bounded_queue_rejects_with_typed_overload(self):
         queue_limit = 4
         extra = 3
-        router = numpy_router(queue_limit=queue_limit, max_batch=64)
-        with ServerHarness(router, warm=[FFT16]) as harness:
-            service = router.try_service(FFT16)
+        with ServerHarness(warm=[FFT16], queue_limit=queue_limit,
+                           max_batch=64) as harness:
+            service = harness.server.routes[FFT16]
             gate = _gate(service)
 
             async def drive():
@@ -320,9 +319,8 @@ class TestOverloadAndIsolation:
 
     def test_poisoned_request_fails_alone(self):
         batch = 5
-        router = numpy_router(max_batch=batch)
-        with ServerHarness(router, warm=[WHT8]) as harness:
-            service = router.try_service(WHT8)
+        with ServerHarness(warm=[WHT8], max_batch=batch) as harness:
+            service = harness.server.routes[WHT8]
             service.dispatcher.target = _PoisonDetector(
                 service.dispatcher.target)
 
@@ -358,9 +356,8 @@ class TestOverloadAndIsolation:
         failed and the served request each get a ``bad_request``
         without an id, the requests beside them are answered, and
         nothing stays in flight."""
-        router = numpy_router()
-        with ServerHarness(router, warm=[WHT8]) as harness:
-            service = router.try_service(WHT8)
+        with ServerHarness(warm=[WHT8]) as harness:
+            service = harness.server.routes[WHT8]
             service.dispatcher.target = _PoisonDetector(
                 service.dispatcher.target)
             x = _rng(1).standard_normal(8)
@@ -389,8 +386,8 @@ class TestOverloadAndIsolation:
             _wait_for(lambda: harness.server._inflight == 0, timeout=5)
 
     def test_open_loop_overload_run_reports_typed_outcomes(self):
-        router = numpy_router(queue_limit=2, max_batch=4)
-        with ServerHarness(router, warm=[FFT16]) as harness:
+        with ServerHarness(warm=[FFT16], queue_limit=2,
+                           max_batch=4) as harness:
             outcomes = asyncio.run(_pipelined_burst(
                 harness, [_complex_vec(16, seed=s) for s in range(400)]))
             # A pipelined burst far beyond queue_limit=2 never waits
@@ -403,9 +400,8 @@ class TestOverloadAndIsolation:
             assert len(ok) + len(refused) == len(outcomes) == 400
 
     def test_two_routes_interleaved_on_one_connection(self):
-        router = numpy_router(max_batch=8)
         fft64 = PlanKey("fft", 64, "complex128")
-        with ServerHarness(router, warm=[FFT16, fft64]) as harness:
+        with ServerHarness(warm=[FFT16, fft64], max_batch=8) as harness:
             xs = [_complex_vec(16 if s % 2 else 64, seed=s)
                   for s in range(60)]
             outcomes = asyncio.run(_pipelined_burst(harness, xs))
@@ -418,9 +414,8 @@ class TestDrain:
     """Graceful drain: stop accepting, answer everything admitted."""
 
     def test_admitted_requests_complete_and_new_ones_are_refused(self):
-        router = numpy_router(max_batch=64)
-        with ServerHarness(router, warm=[FFT16]) as harness:
-            service = router.try_service(FFT16)
+        with ServerHarness(warm=[FFT16], max_batch=64) as harness:
+            service = harness.server.routes[FFT16]
             gate = _gate(service)
 
             async def drive():
@@ -465,9 +460,8 @@ class TestDrain:
                                            atol=1e-9)
 
     def test_drain_times_out_when_requests_never_finish(self):
-        router = numpy_router(max_batch=64)
-        with ServerHarness(router, warm=[FFT16]) as harness:
-            service = router.try_service(FFT16)
+        with ServerHarness(warm=[FFT16], max_batch=64) as harness:
+            service = harness.server.routes[FFT16]
             gate = _gate(service)
 
             async def drive():
@@ -509,13 +503,13 @@ class TestDrain:
             transport.set_write_buffer_limits(high=1 << 30)
 
         monkeypatch.setattr(conn_type, "connection_made", made)
-        router = numpy_router(queue_limit=requests)
         xs = [_complex_vec(1024, seed=s) for s in range(4)]
         stream = b"".join(
             encode_frame({"op": "transform", "transform": "fft",
                           "n": 1024, "dtype": "complex128", "id": i},
                          xs[i % 4].tobytes()) for i in range(requests))
-        harness = ServerHarness(router, warm=[key]).__enter__()
+        harness = ServerHarness(warm=[key],
+                                queue_limit=requests).__enter__()
         # Exiting the harness closes the server and ends its loop, as
         # a worker returns from asyncio.run after close().
         closer = threading.Thread(target=harness.__exit__,
@@ -529,7 +523,7 @@ class TestDrain:
                 sock.settimeout(30)
                 sock.connect((harness.host, harness.port))
                 sock.sendall(stream)
-                admission = router.try_service(key).admission
+                admission = harness.server.routes[key].admission
                 _wait_for(lambda: admission.stats().completed == requests
                           and harness.server._inflight == 0)
                 (conn,) = harness.server._connections
@@ -556,7 +550,7 @@ class TestDrain:
             closer.join(60)
 
     def test_stats_expose_pid_and_drain_state(self):
-        with ServerHarness(numpy_router(), warm=[FFT16]) as harness, \
+        with ServerHarness(warm=[FFT16]) as harness, \
                 harness.client() as client:
             stats = client.stats()
             assert stats["pid"] > 0
@@ -593,9 +587,8 @@ class TestReplyHandoff:
 
     def test_a_resolved_burst_wakes_the_loop_once(self):
         burst = 5
-        router = numpy_router(max_batch=64)
-        with ServerHarness(router, warm=[FFT16]) as harness:
-            service = router.try_service(FFT16)
+        with ServerHarness(warm=[FFT16], max_batch=64) as harness:
+            service = harness.server.routes[FFT16]
             gate = _gate(service)
             calls = []
 
@@ -638,9 +631,8 @@ class TestReplyHandoff:
             assert service.dispatcher.stats.batches == 2
 
     def test_a_closed_loop_neither_kills_the_worker_nor_wedges(self):
-        router = numpy_router(max_batch=64)
-        with ServerHarness(router, warm=[FFT16]) as harness:
-            service = router.try_service(FFT16)
+        with ServerHarness(warm=[FFT16], max_batch=64) as harness:
+            service = harness.server.routes[FFT16]
             server = harness.server
             calls, fail = [], threading.Event()
             fail.set()
@@ -683,9 +675,9 @@ class TestReplyHandoff:
         kept its slot forever and the plan refused all later traffic
         with ``overload``."""
         queue_limit = 8
-        router = numpy_router(queue_limit=queue_limit, max_batch=64)
-        with ServerHarness(router, warm=[FFT16]) as harness:
-            service = router.try_service(FFT16)
+        with ServerHarness(warm=[FFT16], queue_limit=queue_limit,
+                           max_batch=64) as harness:
+            service = harness.server.routes[FFT16]
             admission = service.admission
             gate = _gate(service)
 
@@ -735,7 +727,7 @@ class TestReplyHandoff:
         waiting) every few thousand.  Served requests must die by
         reference count."""
         served = 100
-        with ServerHarness(numpy_router(), warm=[FFT16]) as harness, \
+        with ServerHarness(warm=[FFT16]) as harness, \
                 harness.client() as client:
             x = _complex_vec(16, seed=41)
             for _ in range(5):
@@ -776,10 +768,9 @@ class TestWisdomHotBoot:
         assert set(results) == {4, 8}
 
         registry = PlanRegistry(prefer="numpy", wisdom=store)
-        router = Router(registry)
         keys = [PlanKey("fft", 4, "complex128"),
                 PlanKey("fft", 8, "complex128")]
-        with ServerHarness(router, warm=keys) as harness, \
+        with ServerHarness(registry, warm=keys) as harness, \
                 harness.client() as client:
             stats = client.stats()
             assert stats["registry"]["wisdom_boots"] == 2
@@ -803,7 +794,7 @@ class TestWisdomHotBoot:
             entry.formula = "(I 4)"
 
         registry = PlanRegistry(prefer="numpy", wisdom=store)
-        with ServerHarness(Router(registry),
+        with ServerHarness(registry,
                            warm=[PlanKey("fft", 4, "complex128")]) \
                 as harness, harness.client() as client:
             stats = client.stats()
@@ -811,6 +802,209 @@ class TestWisdomHotBoot:
             x = _complex_vec(4, seed=9)
             np.testing.assert_allclose(
                 client.transform("fft", x), np.fft.fft(x), atol=1e-9)
+
+
+class _GatedBuilds:
+    """Stand in for ``registry.get``: record every call, hold the build
+    of ``key`` until ``release`` is set, and fail its first
+    ``failures`` builds.  Leaving the ``with`` block releases it."""
+
+    def __init__(self, registry: PlanRegistry, key: PlanKey,
+                 failures: int = 0):
+        self.inner, self.key, self.failures = registry.get, key, failures
+        self.calls: list[PlanKey] = []
+        self.entered, self.release = threading.Event(), threading.Event()
+        registry.get = self
+
+    def __call__(self, key: PlanKey):
+        self.calls.append(key)
+        if key == self.key:
+            self.entered.set()
+            assert self.release.wait(60), "build gate never released"
+            if self.failures:
+                self.failures -= 1
+                raise SplError("injected build failure")
+        return self.inner(key)
+
+    def __enter__(self) -> "_GatedBuilds":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release.set()
+
+
+def _route_frame(key: PlanKey, x: np.ndarray, request_id: int) -> bytes:
+    return encode_frame({"op": "transform", "transform": key.transform,
+                         "n": key.n, "dtype": key.dtype, "id": request_id},
+                        x.tobytes())
+
+
+class TestColdRoutes:
+    """A cold route is built once, off the loop; the requests that
+    arrive meanwhile wait on the loop, not in executor threads."""
+
+    def test_parked_requests_do_not_delay_another_cold_route(self):
+        fft64 = PlanKey("fft", 64, "complex128")
+        registry = PlanRegistry(prefer="numpy")
+        x64, x16 = _complex_vec(64, seed=1), _complex_vec(16, seed=2)
+        stream = b"".join([_route_frame(fft64, x64, i) for i in range(8)]
+                          + [_route_frame(FFT16, x16, 8)])
+        with ServerHarness(registry) as harness, \
+                _GatedBuilds(registry, fft64) as builds:
+            # Six threads: the default executor's size on a 2-core
+            # host, whatever this one has.
+            harness._loop.set_default_executor(ThreadPoolExecutor(6))
+            with _raw_connect(harness) as sock, \
+                    sock.makefile("rb") as reader:
+                sock.settimeout(10)
+                sock.sendall(stream)
+                header, payload = read_frame_sync(reader)
+                # fft:16 is answered while fft:64's build is held.
+                assert header["id"] == 8 and not builds.release.is_set()
+                np.testing.assert_allclose(
+                    np.frombuffer(payload, dtype=complex), np.fft.fft(x16),
+                    atol=1e-9)
+                builds.release.set()
+                replies = [read_frame_sync(reader) for _ in range(8)]
+        assert sorted(header["id"] for header, _ in replies) == \
+            list(range(8))
+        for _, payload in replies:
+            np.testing.assert_allclose(
+                np.frombuffer(payload, dtype=complex), np.fft.fft(x64),
+                atol=1e-9)
+        assert builds.calls.count(fft64) == 1
+
+    def test_a_burst_on_a_cold_route_builds_it_once(self):
+        requests = 100
+        registry = PlanRegistry(prefer="numpy")
+        x = _complex_vec(16, seed=3)
+        with ServerHarness(registry) as harness, \
+                _GatedBuilds(registry, FFT16) as builds, \
+                _raw_connect(harness) as sock, \
+                sock.makefile("rb") as reader:
+            sock.sendall(b"".join(_route_frame(FFT16, x, i)
+                                  for i in range(requests)))
+            assert builds.entered.wait(30)
+            _wait_for(lambda: harness.server._inflight == requests)
+            builds.release.set()
+            replies = [read_frame_sync(reader) for _ in range(requests)]
+        assert {header["id"] for header, _ in replies} == \
+            set(range(requests))
+        for header, payload in replies:
+            assert header["status"] == "ok"
+            np.testing.assert_allclose(
+                np.frombuffer(payload, dtype=complex), np.fft.fft(x),
+                atol=1e-9)
+        assert builds.calls == [FFT16]
+
+    def test_a_failed_build_answers_every_parked_request_and_retries(self):
+        parked = 5
+        registry = PlanRegistry(prefer="numpy")
+        x = _complex_vec(16, seed=4)
+        with ServerHarness(registry) as harness, \
+                _GatedBuilds(registry, FFT16, failures=1) as builds, \
+                _raw_connect(harness) as sock, \
+                sock.makefile("rb") as reader:
+            sock.sendall(b"".join(_route_frame(FFT16, x, i)
+                                  for i in range(parked)))
+            assert builds.entered.wait(30)
+            _wait_for(lambda: harness.server._inflight == parked)
+            builds.release.set()
+            failed = [read_frame_sync(reader)[0] for _ in range(parked)]
+            assert not harness.server.routes
+            sock.sendall(_route_frame(FFT16, x, parked))
+            header, payload = read_frame_sync(reader)
+        assert sorted(header["id"] for header in failed) == \
+            list(range(parked))
+        for reply in failed:
+            assert reply["code"] == "bad_request"
+            assert "unplannable route fft:16:complex128" in reply["message"]
+        assert header["status"] == "ok" and header["id"] == parked
+        np.testing.assert_allclose(np.frombuffer(payload, dtype=complex),
+                                   np.fft.fft(x), atol=1e-9)
+        assert builds.calls == [FFT16, FFT16]
+
+    def test_a_build_that_ends_after_close_starts_no_dispatcher(self):
+        def dispatchers() -> set:
+            return {thread for thread in threading.enumerate()
+                    if thread.name == "spl-dispatch"}
+
+        before = dispatchers()
+        registry = PlanRegistry(prefer="numpy")
+        builds = _GatedBuilds(registry, FFT16)
+        harness = ServerHarness(registry).__enter__()
+        closer = threading.Thread(target=harness.__exit__,
+                                  args=(None, None, None))
+        try:
+            with _raw_connect(harness) as sock:
+                sock.sendall(_route_frame(FFT16, _complex_vec(16), 0))
+                assert builds.entered.wait(30)
+                closer.start()
+                # close() has begun: it hung up on the connection.
+                assert sock.recv(1) == b""
+                builds.release.set()
+                closer.join(60)
+        finally:
+            builds.release.set()
+            if closer.ident is None:
+                closer.start()
+            closer.join(60)
+        assert not closer.is_alive()
+        assert builds.calls == [FFT16]
+        assert not harness.server.routes
+        assert not dispatchers() - before
+
+    def test_racing_registry_gets_share_one_plan(self):
+        """The registry has no lock: threads racing on one cold key may
+        each compile, but every one must get the plan stored first."""
+        threads, registry = 8, PlanRegistry(prefer="numpy")
+        start, plans = threading.Barrier(threads), []
+
+        def race() -> None:
+            start.wait(30)
+            plans.append(registry.get(WHT8))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            racers = [threading.Thread(target=race) for _ in range(threads)]
+            for racer in racers:
+                racer.start()
+            for racer in racers:
+                racer.join(60)
+                assert not racer.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(plans) == threads
+        assert all(plan is plans[0] for plan in plans)
+        assert registry.get(WHT8) is plans[0]
+        assert registry.stats()["plans"] == registry.stats()["builds"] == 1
+
+    def test_a_wht_frame_without_a_dtype_is_float64(self):
+        x = _rng(6).standard_normal(8)
+        frame = encode_frame({"op": "transform", "transform": "wht",
+                              "n": 8, "id": 0}, x.tobytes())
+        with ServerHarness() as harness, _raw_connect(harness) as sock, \
+                sock.makefile("rb") as reader:
+            sock.sendall(frame)
+            header, payload = read_frame_sync(reader)
+        assert header["status"] == "ok" and header["dtype"] == "float64"
+        np.testing.assert_allclose(np.frombuffer(payload),
+                                   _wht_matrix(8) @ x, atol=1e-9)
+
+    def test_a_route_spec_follows_the_header_rules(self):
+        from repro.serve.__main__ import main
+
+        assert PlanKey.parse("wht:8") == WHT8 == PlanKey.from_header(
+            {"transform": "wht", "n": 8})
+        assert PlanKey.parse("fft:16") == FFT16
+        assert PlanKey.parse("fft:16:complex128") == FFT16
+        for spec in ("fft", "fft:x", "fft:-4", "fft:8:int8", "a:1:b:c"):
+            with pytest.raises(BadRequest):
+                PlanKey.parse(spec)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--warm", "fft:x"])
+        assert excinfo.value.code == 2
 
 
 # -- the connection protocol, byte by byte -------------------------------
@@ -876,7 +1070,7 @@ _KINDS = st.sampled_from(["fft", "fft", "ping", "unknown", "short"])
 
 @pytest.fixture(scope="module")
 def fft16_server():
-    with ServerHarness(numpy_router(), warm=[FFT16]) as harness:
+    with ServerHarness(warm=[FFT16]) as harness:
         yield harness
 
 
@@ -955,7 +1149,7 @@ class TestNoPerRequestMachinery:
         ``closed``, none per request), and at most one socket write per
         connection per reply drain."""
         requests = 1000
-        with ServerHarness(numpy_router(queue_limit=requests),
+        with ServerHarness(queue_limit=requests,
                            warm=[FFT16]) as harness:
             self._count(harness, requests, monkeypatch)
 
@@ -1086,16 +1280,16 @@ class TestBackpressure:
 
     def test_an_unread_connection_pauses_and_then_gets_every_reply(
             self, monkeypatch):
-        router = numpy_router()
         seen = self._watch(monkeypatch)
-        with ServerHarness(router, warm=[self.key]) as harness, \
+        with ServerHarness(warm=[self.key]) as harness, \
                 _raw_connect(harness) as sock:
             flood = _Flood(sock, self.requests)
             _wait_for(lambda: seen["pauses"] and flood.settled())
             (conn,) = harness.server._connections
             assert not conn.transport.is_reading()
             reply_bytes = len(frame_head(_REPLY_HEAD)) + 16 * 1024
-            bound = seen["high"] + router.queue_limit * reply_bytes
+            bound = (seen["high"]
+                     + harness.server.queue_limit * reply_bytes)
             assert seen["peak"] <= bound < self.requests * 16 * 1024 // 4
             sock.settimeout(30)
             expected = [np.fft.fft(x) for x in flood.xs]
@@ -1119,10 +1313,9 @@ class TestBackpressure:
 
     def test_a_client_hanging_up_mid_flight_leaks_no_slot(
             self, monkeypatch):
-        router = numpy_router()
         seen = self._watch(monkeypatch)
-        with ServerHarness(router, warm=[self.key]) as harness:
-            admission = router.try_service(self.key).admission
+        with ServerHarness(warm=[self.key]) as harness:
+            admission = harness.server.routes[self.key].admission
             with _raw_connect(harness) as sock:
                 flood = _Flood(sock, self.requests)
                 _wait_for(lambda: seen["pauses"] and flood.settled(0.05))
