@@ -14,6 +14,7 @@ and the body is instantiated into concrete :mod:`repro.core.icode`.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -319,10 +320,13 @@ class TemplateTable:
     def __init__(self) -> None:
         self._templates: list[Template] = []
         self._size_cache: dict[nodes.Formula, tuple[int, int]] = {}
-        # Formulas whose size computation is in progress: a template
-        # whose expansion (directly or transitively) contains the
-        # formula it defines would otherwise recurse forever.
-        self._sizing: set[nodes.Formula] = set()
+        # Formulas whose size computation is in progress on this
+        # thread: a template whose expansion (directly or transitively)
+        # contains the formula it defines would otherwise recurse
+        # forever.  Per thread, because one table serves concurrent
+        # compiles (a server building two cold routes at once), and
+        # another thread sizing the same formula is no recursion.
+        self._sizing = threading.local()
         # Bumped on every mutation so compile caches can invalidate.
         self.version = 0
 
@@ -385,17 +389,18 @@ class TemplateTable:
         cached = self._size_cache.get(formula)
         if cached is not None:
             return cached
-        if formula in self._sizing:
+        sizing = self._sizing.__dict__.setdefault("formulas", set())
+        if formula in sizing:
             raise SplTemplateError(
                 f"recursive size inference for {formula.to_spl()}: a "
                 f"template's expansion refers back to the formula it "
                 f"defines"
             )
-        self._sizing.add(formula)
+        sizing.add(formula)
         try:
             sizes = formula.size(self._param_sizes)
         finally:
-            self._sizing.discard(formula)
+            sizing.discard(formula)
         self._size_cache[formula] = sizes
         return sizes
 

@@ -152,12 +152,7 @@ class FftwTransform:
     place (one conversion for anything else), write a fresh result and
     allocate their recursion scratch per call, so calls share nothing
     mutable: one instance may be used from several threads at once.
-    Bulk work goes through one ``apply_many`` call, which parallelizes
-    *internally* when asked: ``apply_many(X, threads=N)`` shards the
-    batch rows across the shared worker pool with one recursion-scratch
-    buffer per shard (the executor is a pure function of its argument
-    buffers, so shards never interfere and results are bit-identical
-    to serial).
+    Bulk work goes through one ``apply_many`` call.
     """
 
     def __init__(self, library: FftwLibrary, plan: Plan):
@@ -185,16 +180,16 @@ class FftwTransform:
             self._tw.ctypes.data_as(c_double_p),
         )
 
-    def _run_rows(self, y: int, x: int, lo: int, hi: int) -> None:
-        """Execute the plan on rows ``lo..hi`` of the complex128
-        batches at addresses ``y`` / ``x``, with recursion scratch of
-        its own."""
+    def _run_rows(self, y: int, x: int, rows: int) -> None:
+        """Execute the plan on ``rows`` rows of the complex128 batches
+        at addresses ``y`` / ``x``, with recursion scratch of its
+        own."""
         work = np.empty(self._work_len)
         work_p = ccompile.address(work)
         execute = self.library._execute
         plan_args = self._plan_args
         stride = 16 * self.n  # bytes per row
-        for offset in range(lo * stride, hi * stride, stride):
+        for offset in range(0, rows * stride, stride):
             execute(*plan_args, y + offset, x + offset, work_p)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -204,26 +199,16 @@ class FftwTransform:
             raise ValueError(
                 f"expected {self.n} elements, got shape {x.shape}")
         y = np.empty(self.n, dtype=np.complex128)
-        self._run_rows(ccompile.address(y), ccompile.address(x), 0, 1)
+        self._run_rows(ccompile.address(y), ccompile.address(x), 1)
         return y
 
-    def apply_many(self, X: np.ndarray,
-                   threads: int | None = None) -> np.ndarray:
+    def apply_many(self, X: np.ndarray) -> np.ndarray:
         """Compute the DFT of every row of a ``(B, n)`` complex batch.
 
         The executor runs once per row, on row pointers computed from
         the batch's base address; ``X`` is read in place when it is a
         C-contiguous ``complex128`` array and the result is fresh.
-
-        ``threads=N`` (0 = one per CPU) shards the row loop across the
-        shared worker pool, each shard with its own recursion scratch;
-        the executor releases the GIL inside the native call, so
-        shards run on separate cores.  Small batches fall back to the
-        serial loop (see :func:`repro.runtime.pool.effective_threads`);
-        results are bit-identical for every thread count.
         """
-        from repro.runtime.pool import effective_threads, run_sharded
-
         X = np.ascontiguousarray(X, dtype=np.complex128)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(
@@ -231,9 +216,7 @@ class FftwTransform:
             )
         batch = X.shape[0]
         Y = np.empty((batch, self.n), dtype=np.complex128)
-        y, x = ccompile.address(Y), ccompile.address(X)
-        run_sharded(lambda lo, hi: self._run_rows(y, x, lo, hi), batch,
-                    effective_threads(threads, batch, 2 * self.n))
+        self._run_rows(ccompile.address(Y), ccompile.address(X), batch)
         return Y
 
     def timer_closure(self):

@@ -6,17 +6,13 @@ compiled at maximum optimization and timed as native code.
 
 Shared objects are cached by source hash under a build directory, so
 repeated searches do not recompile identical candidates.  The cache key
-covers the full flag set (defaults + OpenMP + extra flags + caller
-flags) as well as the source, so artifacts never leak across flag sets.
+covers the full flag set (defaults + extra flags + caller flags) as
+well as the source, so artifacts never leak across flag sets.
 
 Extra flags: ``SPL_CFLAGS`` (e.g. ``SPL_CFLAGS=-march=native``) appends
-host-compiler flags to every compilation.  OpenMP: :func:`have_openmp`
-probes the toolchain once (compile a trivial ``#pragma omp`` program),
-and :func:`batch_driver_source` can emit a parallel ``spl_batch_omp_*``
-driver next to the serial one; callers fall back to single-threaded
-drivers when the probe fails.  :func:`have_openmp_simd` survives only
-for ``bench/layers.py`` l.52 until ROADMAP item 11(e); nothing here
-passes the flag it probes.
+host-compiler flags to every compilation.  Nothing here compiles with
+OpenMP: :func:`have_openmp` and :func:`have_openmp_simd` survive only
+for ``bench/layers.py`` until ROADMAP item 11(e).
 """
 
 from __future__ import annotations
@@ -32,15 +28,6 @@ from functools import lru_cache
 from pathlib import Path
 
 _DEFAULT_CFLAGS = ("-O3", "-fPIC", "-shared", "-fno-math-errno")
-
-_OPENMP_CFLAGS = ("-fopenmp",)
-
-_OPENMP_SIMD_CFLAGS = ("-fopenmp-simd",)  # probed, never passed
-
-#: Stderr of the last failed OpenMP probe per (compiler, flags) — kept
-#: so callers can surface *why* OpenMP is off instead of silently
-#: degrading (see :func:`openmp_probe_error`).
-_PROBE_ERRORS: dict[tuple[str, tuple[str, ...]], str] = {}
 
 
 def compile_timeout() -> float:
@@ -58,7 +45,7 @@ def compile_timeout() -> float:
 
 _OPENMP_PROBE = (
     "#include <omp.h>\n"
-    "int spl_omp_probe(void) { return omp_get_max_threads(); }\n"
+    "int spl_openmp_probe(void) { return omp_get_max_threads(); }\n"
 )
 
 _OPENMP_SIMD_PROBE = (
@@ -100,73 +87,23 @@ def extra_cflags() -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def _probe_openmp(compiler: str, flags: tuple[str, ...]) -> bool:
-    # lru_cache makes the probe once-per-session for each (compiler,
-    # flags) pair — a failed probe is cached too, so it is never
-    # re-run on every compile.
-    build_dir = default_build_dir()
-    c_path = build_dir / "spl_omp_probe.c"
-    so_path = build_dir / "spl_omp_probe.so"
-    try:
-        c_path.write_text(_OPENMP_PROBE)
-        result = subprocess.run(
-            [compiler, *_DEFAULT_CFLAGS, *flags, *_OPENMP_CFLAGS,
-             str(c_path), "-o", str(so_path)],
-            capture_output=True, text=True, timeout=compile_timeout(),
-        )
-    except subprocess.TimeoutExpired as exc:
-        _PROBE_ERRORS[(compiler, flags)] = (
-            f"probe timed out after {exc.timeout:g}s"
-        )
-        return False
-    except OSError as exc:
-        _PROBE_ERRORS[(compiler, flags)] = f"probe failed to run: {exc}"
-        return False
-    if result.returncode != 0:
-        _PROBE_ERRORS[(compiler, flags)] = result.stderr.strip()
-        return False
-    return result.returncode == 0
+def _probe(compiler: str | None, flags: tuple[str, ...], source: str,
+           probe_flags: tuple[str, ...]) -> bool:
+    """True when ``compiler`` builds ``source`` with ``probe_flags``.
 
-
-def openmp_probe_error() -> str | None:
-    """Why the last OpenMP probe failed (None when it succeeded).
-
-    Probes are cached per session (see :func:`_probe_openmp`), so this
-    reflects the one probe actually run for the current compiler and
-    ``SPL_CFLAGS``, not a per-compile re-probe.
+    Cached per argument tuple, a failed probe included, so each probe
+    runs at most once per session; no compiler probes as False.
     """
-    compiler = _find_compiler()
-    if compiler is None:
-        return "no C compiler (cc/gcc/clang) on PATH"
-    if _probe_openmp(compiler, extra_cflags()):
-        return None
-    return _PROBE_ERRORS.get((compiler, extra_cflags()),
-                             "probe failed (no diagnostics captured)")
-
-
-def have_openmp() -> bool:
-    """True when the host toolchain compiles ``-fopenmp`` code.
-
-    The probe result is cached per (compiler, extra flags); a missing
-    compiler probes as False so callers can fall back to single-thread
-    drivers unconditionally.
-    """
-    compiler = _find_compiler()
     if compiler is None:
         return False
-    return _probe_openmp(compiler, extra_cflags())
-
-
-@lru_cache(maxsize=None)
-def _probe_openmp_simd(compiler: str, flags: tuple[str, ...]) -> bool:
     build_dir = default_build_dir()
-    c_path = build_dir / "spl_simd_probe.c"
-    so_path = build_dir / "spl_simd_probe.so"
+    stem = hashlib.sha256(source.encode()).hexdigest()[:12]
+    c_path = build_dir / f"spl_probe_{stem}.c"
     try:
-        c_path.write_text(_OPENMP_SIMD_PROBE)
+        c_path.write_text(source)
         result = subprocess.run(
-            [compiler, *_DEFAULT_CFLAGS, *flags, *_OPENMP_SIMD_CFLAGS,
-             str(c_path), "-o", str(so_path)],
+            [compiler, *_DEFAULT_CFLAGS, *flags, *probe_flags, str(c_path),
+             "-o", str(build_dir / f"spl_probe_{stem}.so")],
             capture_output=True, text=True, timeout=compile_timeout(),
         )
     except (subprocess.TimeoutExpired, OSError):
@@ -174,17 +111,24 @@ def _probe_openmp_simd(compiler: str, flags: tuple[str, ...]) -> bool:
     return result.returncode == 0
 
 
+def have_openmp() -> bool:
+    """True when the host toolchain compiles ``-fopenmp`` code.
+
+    Exists for ``bench/layers.py`` only (ROADMAP item 11(e)): nothing
+    here compiles with OpenMP.
+    """
+    return _probe(_find_compiler(), extra_cflags(), _OPENMP_PROBE,
+                  ("-fopenmp",))
+
+
 def have_openmp_simd() -> bool:
     """True when the toolchain accepts ``-fopenmp-simd``.
 
-    Nothing compiles with that flag any more: the probe survives only
-    for ``bench/layers.py`` l.52 until ROADMAP item 11(e).  Cached per
-    (compiler, extra flags), like the OpenMP one.
+    Exists for ``bench/layers.py`` only (ROADMAP item 11(e)): nothing
+    here compiles with that flag.
     """
-    compiler = _find_compiler()
-    if compiler is None:
-        return False
-    return _probe_openmp_simd(compiler, extra_cflags())
+    return _probe(_find_compiler(), extra_cflags(), _OPENMP_SIMD_PROBE,
+                  ("-fopenmp-simd",))
 
 
 def default_build_dir() -> Path:
@@ -197,8 +141,8 @@ def default_build_dir() -> Path:
     return path
 
 
-def shared_object_cache_key(source: str, *, cflags: tuple[str, ...] = (),
-                            openmp: bool = False) -> str:
+def shared_object_cache_key(source: str, *,
+                            cflags: tuple[str, ...] = ()) -> str:
     """The cache digest :func:`compile_shared_object` would use.
 
     Exposed so wisdom packs can pre-seed the shared-object cache: an
@@ -207,42 +151,36 @@ def shared_object_cache_key(source: str, *, cflags: tuple[str, ...] = (),
     ``compile_shared_object`` call with the same inputs — without ever
     invoking the host toolchain.  The digest folds in the effective
     flag set, so it is only portable between hosts that agree on
-    ``SPL_CFLAGS`` and the OpenMP probe outcome.
+    ``SPL_CFLAGS``.
     """
-    flags = _DEFAULT_CFLAGS + extra_cflags() + tuple(cflags)
-    if openmp:
-        flags += _OPENMP_CFLAGS
     return hashlib.sha256(
-        ("\x00".join(flags) + "\x01" + source).encode()
+        ("\x00".join(_flags(cflags)) + "\x01" + source).encode()
     ).hexdigest()[:24]
 
 
+def _flags(cflags: tuple[str, ...]) -> tuple[str, ...]:
+    return _DEFAULT_CFLAGS + extra_cflags() + tuple(cflags)
+
+
 def compile_shared_object(source: str, *, cflags: tuple[str, ...] = (),
-                          build_dir: Path | None = None,
-                          openmp: bool = False) -> Path:
+                          build_dir: Path | None = None) -> Path:
     """Compile C ``source`` into a cached shared object, returning its path.
 
-    ``openmp=True`` adds the OpenMP flags (the caller is expected to
-    have checked :func:`have_openmp`); ``SPL_CFLAGS`` appends extra
-    flags.  Both are folded into the cache key together with ``cflags``
-    and the source, so e.g. the threaded and serial builds of one
-    routine never collide.
+    ``SPL_CFLAGS`` appends extra flags; they are folded into the cache
+    key together with ``cflags`` and the source.
 
     The cache is consulted *before* the toolchain is located: a host
     without any C compiler still serves cache hits, which is what lets
     a replica boot hot from a wisdom pack's bundled artifacts.
     """
     build_dir = build_dir or default_build_dir()
-    digest = shared_object_cache_key(source, cflags=cflags, openmp=openmp)
+    digest = shared_object_cache_key(source, cflags=cflags)
     so_path = build_dir / f"spl_{digest}.so"
     if so_path.exists():
         return so_path
     compiler = _find_compiler()
     if compiler is None:
         raise CCompileError("no C compiler (cc/gcc/clang) on PATH")
-    flags = _DEFAULT_CFLAGS + extra_cflags() + tuple(cflags)
-    if openmp:
-        flags += _OPENMP_CFLAGS
     c_path = build_dir / f"spl_{digest}.c"
     c_path.write_text(source)
     # Compile to a private temp name, then atomically publish: a
@@ -253,7 +191,8 @@ def compile_shared_object(source: str, *, cflags: tuple[str, ...] = (),
     timeout = compile_timeout()
     try:
         result = subprocess.run(
-            [compiler, *flags, str(c_path), "-o", str(tmp_path), "-lm"],
+            [compiler, *_flags(cflags), str(c_path), "-o", str(tmp_path),
+             "-lm"],
             capture_output=True,
             text=True,
             timeout=timeout,
@@ -337,37 +276,17 @@ def compile_c_program(source: str, name: str, *, strided: bool = False,
     return load_function(so_path, name, strided=strided)
 
 
-def batch_driver_source(name: str, in_len: int, out_len: int, *,
-                        openmp: bool = False) -> str:
+def batch_driver_source(name: str, in_len: int, out_len: int) -> str:
     """A C batch driver looping over the rows of a (B, len) workspace.
 
     ``spl_batch_<name>(y, x, batch)`` applies ``name`` to ``batch``
     consecutive vectors with a single Python->native crossing, zeroing
     each output row first (the per-vector routines assume a zeroed
-    output, matching the interpreter's semantics).
-
-    With ``openmp=True`` a second driver
-    ``spl_batch_omp_<name>(y, x, batch, nthreads)`` is emitted that
-    splits the batch axis across OpenMP threads with a static schedule
-    (contiguous chunks, same per-row arithmetic and rounding as the
-    serial loop, so results are bit-identical for any thread count).
-    The generated per-vector routines keep their temporaries on the
-    stack and their tables ``static const``, so concurrent calls from
-    several OpenMP threads are safe.
-
-    The serial driver is strength-reduced: the row pointers advance by
-    ``out_len``/``in_len`` per iteration instead of recomputing
-    ``y + b * out_len`` each trip.  The OpenMP driver must keep the
-    per-``b`` computation — its iterations are distributed across
-    threads, so there is no sequential pointer to bump.
+    output, matching the interpreter's semantics).  The row pointers
+    advance by ``out_len``/``in_len`` per iteration instead of
+    recomputing ``y + b * out_len`` each trip.
     """
-    body = (
-        f"        double *yrow = y + b * {out_len};\n"
-        f"        const double *xrow = x + b * {in_len};\n"
-        f"        for (j = 0; j < {out_len}; j++) yrow[j] = 0.0;\n"
-        f"        {name}(yrow, xrow);\n"
-    )
-    source = (
+    return (
         f"\nvoid spl_batch_{name}(double *restrict y, "
         f"const double *restrict x, int batch)\n"
         "{\n"
@@ -383,21 +302,6 @@ def batch_driver_source(name: str, in_len: int, out_len: int, *,
         "    }\n"
         "}\n"
     )
-    if openmp:
-        source += (
-            f"\nvoid spl_batch_omp_{name}(double *restrict y, "
-            f"const double *restrict x, int batch, int nthreads)\n"
-            "{\n"
-            "    long b;\n"
-            "    #pragma omp parallel for schedule(static) "
-            "num_threads(nthreads) if(nthreads > 1)\n"
-            "    for (b = 0; b < batch; b++) {\n"
-            "        int j;\n"
-            + body +
-            "    }\n"
-            "}\n"
-        )
-    return source
 
 
 def load_batch_function(so_path: Path, name: str):
@@ -406,12 +310,3 @@ def load_batch_function(so_path: Path, name: str):
     Signature: ``(y, x, batch)``.
     """
     return _load(so_path, f"spl_batch_{name}", 1)
-
-
-def load_batch_omp_function(so_path: Path, name: str):
-    """Load the ``spl_batch_omp_<name>`` OpenMP driver.
-
-    Signature: ``(y, x, batch, nthreads)``; ``nthreads <= 1`` runs the
-    loop serially inside the parallel region's ``if`` clause.
-    """
-    return _load(so_path, f"spl_batch_omp_{name}", 2)

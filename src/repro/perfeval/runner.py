@@ -27,33 +27,24 @@ batch — through a generated ``spl_batch_<name>`` C driver (one ctypes
 crossing per batch), one NumPy batch call, or a Python loop over the
 rows.
 
-Parallelism: ``apply_many(X, threads=N)`` splits the batch axis across
-N workers.  The C backend prefers the generated OpenMP driver
-(``spl_batch_omp_<name>``, one ctypes crossing, ``#pragma omp parallel
-for`` over the rows); when OpenMP is unavailable — or for the NumPy
-and Python backends — the batch is sharded into contiguous row chunks
-on the shared thread pool (:mod:`repro.runtime.pool`; ctypes releases
-the GIL, so the C path scales there too).  Tiny batches skip parallel
-dispatch entirely (see ``_effective_threads``).  Row order and per-row
-arithmetic are identical for every thread count, so results are
-bit-identical to ``threads=1``.
+A call runs on the calling thread: using more than one core is the
+job of ``spl serve --workers N`` (one process per core), not of the
+runner.
 
 Thread-safety: a call shares no mutable state with any other — its
 input belongs to the caller, its result is allocated by the call — so
 one :class:`ExecutableRoutine` may be shared freely and concurrent
-``apply`` and ``apply_many`` calls from many threads are safe.  Shard
-workers write disjoint row ranges of the one result and allocate
-nothing.
+``apply`` and ``apply_many`` calls from many threads are safe.
 
 Tiers: every backend is built into one frozen :class:`Tier` record —
-the per-vector call, the batch-rows call, the OpenMP rows call if
-there is one, and the native entry :meth:`ExecutableRoutine.
-timer_closure` times.  How a tier runs a batch (one ctypes crossing
-into ``spl_batch_<name>``, one NumPy batch call, or a Python loop over
-the rows) is decided once, when the tier is built.  An executable
-holds exactly one reference to its current tier; ``apply`` and
-``apply_many`` read it once per attempt (an atomic attribute load, no
-lock), so a call can never mix two tiers' callables.
+the per-vector call, the batch-rows call and the native entry
+:meth:`ExecutableRoutine.timer_closure` times.  How a tier runs a
+batch (one ctypes crossing into ``spl_batch_<name>``, one NumPy batch
+call, or a Python loop over the rows) is decided once, when the tier
+is built.  An executable holds exactly one reference to its current
+tier; ``apply`` and ``apply_many`` read it once per attempt (an atomic
+attribute load, no lock), so a call can never mix two tiers'
+callables.
 
 Fault tolerance: each tier has a one-strike circuit breaker.  If a
 call raises at runtime (a ``.so`` that no longer loads, a ctypes
@@ -88,11 +79,6 @@ from repro.core.backend_numpy import compile_numpy
 from repro.core.compiler import CompiledRoutine
 from repro.core.errors import SplSemanticError
 from repro.perfeval import ccompile
-from repro.runtime.pool import (
-    effective_threads,
-    resolve_threads,
-    run_sharded,
-)
 
 #: Backend preference chains: the requested backend first, then the
 #: fastest available fallback (c > numpy > python).  "cjit" is the
@@ -119,13 +105,12 @@ class Tier:
 
     All callables take *physical* buffers (see
     :meth:`ExecutableRoutine._physical`).  ``call`` expects a zeroed
-    ``y``; ``rows`` and ``rows_omp`` zero each output row themselves.
+    ``y``; ``rows`` zeroes each output row itself.
     """
 
     backend: str  # "cjit", "c", "numpy" or "python"
     call: Callable  # call(y, x) on 1-D buffers
-    rows: Callable  # rows(Yp, Xp, lo, hi): rows lo..hi of a 2-D batch
-    rows_omp: Callable | None = None  # rows_omp(Yp, Xp, batch, nthreads)
+    rows: Callable  # rows(Yp, Xp): every row of a 2-D batch
     native: Callable | None = None  # the ctypes entry, fn(y_ptr, x_ptr)
 
 
@@ -151,18 +136,12 @@ class ExecutableRoutine:
 
     routine: CompiledRoutine
     _tier: Tier = field(repr=False)
-    threads: int = 1  # default worker count for apply_many
     fallback_chain: tuple[str, ...] = ()  # degradation targets, in order
     backend_failures: list[BackendFailure] = field(default_factory=list)
     # Serializes breaker trips; the fault-free path never takes it.
     _swap_lock: threading.Lock = field(default_factory=threading.Lock,
                                        repr=False, compare=False)
     _exhausted: bool = field(default=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        program = self.routine.program
-        self._row_len = (max(program.in_size, program.out_size)
-                         * program.element_width)
 
     @property
     def name(self) -> str:
@@ -319,20 +298,7 @@ class ExecutableRoutine:
                     raise
                 y.fill(0)  # the failed attempt may have written some
 
-    def _effective_threads(self, threads: int | None, batch: int) -> int:
-        """The worker count actually used for one ``apply_many`` call.
-
-        ``None`` falls back to the instance default; 0 means one per
-        CPU.  The result is clamped by the shared sharding heuristic
-        (:func:`repro.runtime.pool.effective_threads`) so parallel
-        dispatch only happens when the batch can amortize it.
-        """
-        return effective_threads(
-            self.threads if threads is None else threads, batch,
-            self._row_len)
-
-    def apply_many(self, X: np.ndarray,
-                   threads: int | None = None) -> np.ndarray:
+    def apply_many(self, X: np.ndarray) -> np.ndarray:
         """Apply to a ``(B, n)`` batch of logical vectors at once.
 
         The whole batch crosses into the tier's batch path with
@@ -340,13 +306,8 @@ class ExecutableRoutine:
         the generated ``spl_batch_<name>`` C driver, one call of the
         NumPy batch function, or a Python loop over the rows.  ``X``
         is read in place when it already is a C-contiguous array of
-        :attr:`dtype` and converted once otherwise.
-
-        ``threads`` splits the batch axis across workers (``None`` =
-        the instance default, 0 = one per CPU): the OpenMP C driver
-        when available, contiguous row shards on the shared thread
-        pool otherwise.  Results are bit-identical for every thread
-        count.  Returns a fresh ``(B, out_size)`` array.
+        :attr:`dtype` and converted once otherwise.  Returns a fresh
+        ``(B, out_size)`` array.
         """
         program = self.routine.program
         dtype = self.dtype
@@ -360,19 +321,11 @@ class ExecutableRoutine:
         Y = np.empty((batch, program.out_size), dtype)
         Xp, Yp = self._physical(X), self._physical(Y)
         while True:
-            # One tier for the whole attempt, shards included: a
-            # breaker swap concurrent with this call cannot mix two.
+            # One tier for the whole attempt: a breaker swap concurrent
+            # with this call cannot mix two.
             tier = self._tier
             try:
-                nthreads = self._effective_threads(threads, batch)
-                if nthreads <= 1:
-                    tier.rows(Yp, Xp, 0, batch)
-                elif tier.rows_omp is not None:
-                    tier.rows_omp(Yp, Xp, batch, nthreads)
-                else:
-                    run_sharded(
-                        lambda lo, hi: tier.rows(Yp, Xp, lo, hi),
-                        batch, nthreads)
+                tier.rows(Yp, Xp)
                 return Y
             except Exception as exc:  # noqa: BLE001 - breaker path
                 # Partial rows are harmless: every retried path zeroes
@@ -404,38 +357,32 @@ class ExecutableRoutine:
         return call
 
 
-def _native_tier(backend: str, fn: Callable, batch_fn: Callable | None,
-                 batch_omp_fn: Callable | None = None) -> Tier:
+def _native_tier(backend: str, fn: Callable,
+                 batch_fn: Callable | None) -> Tier:
     """A tier over native entries that take data pointers: ``fn(y, x)``
-    and the batch drivers ``batch_fn(y, x, batch)`` /
-    ``batch_omp_fn(y, x, batch, nthreads)`` (None when the routine has
-    none: strided programs get a Python loop over the rows)."""
+    and the batch driver ``batch_fn(y, x, batch)`` (None when the
+    routine has none: strided programs get a Python loop over the
+    rows)."""
     address = ccompile.address
 
     def call(y: np.ndarray, x: np.ndarray, *args) -> None:
         fn(address(y), address(x), *args)
 
-    def rows(Yp: np.ndarray, Xp: np.ndarray, lo: int, hi: int) -> None:
-        batch_fn(address(Yp) + lo * Yp.strides[0],
-                 address(Xp) + lo * Xp.strides[0], hi - lo)
-
-    def rows_omp(Yp: np.ndarray, Xp: np.ndarray, batch: int,
-                 nthreads: int) -> None:
-        batch_omp_fn(address(Yp), address(Xp), batch, nthreads)
+    def rows(Yp: np.ndarray, Xp: np.ndarray) -> None:
+        batch_fn(address(Yp), address(Xp), len(Yp))
 
     return Tier(backend, call,
                 rows if batch_fn is not None else _row_loop(call),
-                rows_omp if batch_omp_fn is not None else None,
                 native=fn)
 
 
 def _row_loop(call: Callable) -> Callable:
     """``rows`` for a tier with no batch entry: one ``call`` per row."""
 
-    def rows(Yp: np.ndarray, Xp: np.ndarray, lo: int, hi: int) -> None:
-        for b in range(lo, hi):
-            Yp[b].fill(0)
-            call(Yp[b], Xp[b])
+    def rows(Yp: np.ndarray, Xp: np.ndarray) -> None:
+        for y, x in zip(Yp, Xp):
+            y.fill(0)
+            call(y, x)
 
     return rows
 
@@ -453,51 +400,37 @@ def _build_cjit(routine: CompiledRoutine) -> Tier:
     return _native_tier("cjit", jitted.fn, jitted.batch_fn)
 
 
-def c_build_spec(routine: CompiledRoutine,
-                 cflags: tuple[str, ...] = (), *,
-                 openmp: bool | None = None,
-                 ) -> tuple[str, tuple[str, ...], bool]:
-    """The exact ``compile_shared_object`` inputs for one C routine.
-
-    Returns ``(source, cflags, openmp)``.  ``openmp`` defaults to the
-    host probe (what :func:`build_executable` does); passing ``False``
-    yields the *portable* variant — the build a host with no toolchain
-    at all would ask for, since its probe reports False — which is
-    what wisdom packs bundle so their artifacts cache-hit on a
-    gcc-less replica.
-    """
+def c_build_spec(routine: CompiledRoutine, cflags: tuple[str, ...] = (),
+                 ) -> tuple[str, tuple[str, ...]]:
+    """The exact ``compile_shared_object`` inputs for one C routine,
+    ``(source, cflags)``: what :func:`build_executable` compiles on
+    every host, and what wisdom packs bundle so their artifacts
+    cache-hit on any replica, a gcc-less one included."""
     program = routine.program
     source = (
         routine.source if routine.language in ("c", "cjit")
         else emit_c(program)
     )
-    use_openmp = False
     if not program.strided:
-        use_openmp = ccompile.have_openmp() if openmp is None else openmp
         source += ccompile.batch_driver_source(
             routine.name,
             in_len=program.in_size * program.element_width,
             out_len=program.out_size * program.element_width,
-            openmp=use_openmp,
         )
-    return source, tuple(cflags), use_openmp
+    return source, tuple(cflags)
 
 
 def _build_c(routine: CompiledRoutine,
              cflags: tuple[str, ...]) -> Tier:
     program = routine.program
-    source, cflags, openmp = c_build_spec(routine, cflags)
-    so_path = ccompile.compile_shared_object(
-        source, cflags=cflags, openmp=openmp)
+    source, cflags = c_build_spec(routine, cflags)
+    so_path = ccompile.compile_shared_object(source, cflags=cflags)
     fn = ccompile.load_function(so_path, routine.name,
                                 strided=program.strided)
-    batch_fn = batch_omp_fn = None
+    batch_fn = None
     if not program.strided:
         batch_fn = ccompile.load_batch_function(so_path, routine.name)
-        if openmp:
-            batch_omp_fn = ccompile.load_batch_omp_function(
-                so_path, routine.name)
-    return _native_tier("c", fn, batch_fn, batch_omp_fn)
+    return _native_tier("c", fn, batch_fn)
 
 
 def _build_numpy(routine: CompiledRoutine) -> Tier:
@@ -508,9 +441,9 @@ def _build_numpy(routine: CompiledRoutine) -> Tier:
         # contiguous 1-D buffers is a view, so y is written in place).
         batch_call(y.reshape(1, -1), x.reshape(1, -1))
 
-    def rows(Yp: np.ndarray, Xp: np.ndarray, lo: int, hi: int) -> None:
-        Yp[lo:hi].fill(0)
-        batch_call(Yp[lo:hi], Xp[lo:hi])
+    def rows(Yp: np.ndarray, Xp: np.ndarray) -> None:
+        Yp.fill(0)
+        batch_call(Yp, Xp)
 
     return Tier("numpy", call, rows)
 
@@ -536,8 +469,7 @@ _FALLBACK_BUILDERS = {"numpy": _build_numpy, "python": _build_python}
 
 def build_executable(routine: CompiledRoutine,
                      prefer: str = "c",
-                     cflags: tuple[str, ...] = (),
-                     threads: int = 1) -> ExecutableRoutine:
+                     cflags: tuple[str, ...] = ()) -> ExecutableRoutine:
     """Compile a routine to an executable, preferring the fastest path.
 
     ``prefer`` names the first backend to try; remaining candidates
@@ -552,16 +484,13 @@ def build_executable(routine: CompiledRoutine,
     ``cflags`` appends host-compiler flags (e.g. ``("-O0",)`` to model
     a weak back-end compiler in ablation experiments); ``SPL_CFLAGS``
     in the environment appends further opt-in flags such as
-    ``-march=native``.  ``threads`` sets the executable's default
-    ``apply_many`` worker count (0 = one per CPU); per-call
-    ``threads=`` overrides it.
+    ``-march=native``.
     """
     chain = _PREFERENCE.get(prefer)
     if chain is None:
         raise SplSemanticError(
             f"prefer must be one of {tuple(_PREFERENCE)}, got {prefer!r}"
         )
-    resolve_threads(threads)  # validate early (0 and None are fine)
     last_error: Exception | None = None
     for position, backend in enumerate(chain):
         if backend == "cjit":
@@ -595,7 +524,7 @@ def build_executable(routine: CompiledRoutine,
         # circuit breaker: a tier that faults mid-call degrades onto
         # them.
         return ExecutableRoutine(
-            routine, tier, threads=threads,
+            routine, tier,
             fallback_chain=tuple(b for b in chain[position + 1:]
                                  if b in _FALLBACK_BUILDERS))
     raise last_error if last_error is not None else SplSemanticError(

@@ -1,14 +1,10 @@
-"""Multicore execution runtime: worker pool, sharding, dynamic batching.
+"""Dynamic request batching for the serving runtime.
 
-Beyond the paper (whose compiler targets a single core), this package
-holds the pieces that turn compiled routines into a serving runtime:
-
-* :mod:`repro.runtime.pool` — the process-wide worker pool plus batch
-  sharding used by ``ExecutableRoutine.apply_many(threads=N)`` and
-  ``FftwTransform.apply_many(threads=N)``;
-* :mod:`repro.runtime.dispatcher` — :class:`BatchDispatcher`, an
-  inference-server-style dynamic batcher that coalesces concurrent
-  single-vector ``apply`` requests into one ``apply_many`` call.
+Beyond the paper (whose compiler targets a single core),
+:mod:`repro.runtime.dispatcher` holds :class:`BatchDispatcher`, an
+inference-server-style dynamic batcher that coalesces concurrent
+single-vector ``apply`` requests into one ``apply_many`` call.  More
+than one core is the fleet's business (``spl serve --workers N``).
 """
 
 from repro.runtime.dispatcher import (
@@ -16,21 +12,9 @@ from repro.runtime.dispatcher import (
     DispatcherClosed,
     DispatchStats,
 )
-from repro.runtime.pool import (
-    cpu_count,
-    get_pool,
-    resolve_threads,
-    run_sharded,
-    shard_ranges,
-)
 
 __all__ = [
     "BatchDispatcher",
     "DispatcherClosed",
     "DispatchStats",
-    "cpu_count",
-    "get_pool",
-    "resolve_threads",
-    "run_sharded",
-    "shard_ranges",
 ]

@@ -5,10 +5,10 @@ many threads each submit one vector; the dispatcher gathers the
 requests that are waiting when its worker comes free — bounded by a
 maximum batch size — and executes them as a single ``apply_many``
 batch, which is the amortized fast path every backend provides (one
-ctypes crossing, one NumPy call, OpenMP over the batch axis).  Each
-caller gets back exactly the row it would have gotten from a serial
-``apply``: batch rows are computed independently with identical
-per-row arithmetic, so results are bit-identical.
+ctypes crossing, one NumPy call).  Each caller gets back exactly the
+row it would have gotten from a serial ``apply``: batch rows are
+computed independently with identical per-row arithmetic, so results
+are bit-identical.
 
 The flush policy is work-conserving: the worker never sits idle while
 a request is pending.
@@ -148,12 +148,11 @@ class BatchDispatcher:
     ``target`` is anything with an ``apply_many(X)`` method over a
     ``(B, n)`` batch and an ``n`` attribute — an
     :class:`~repro.perfeval.runner.ExecutableRoutine` or an
-    :class:`~repro.fftw.executor.FftwTransform`.  ``threads`` is
-    forwarded to ``apply_many`` when given, composing dynamic batching
-    with sharded/OpenMP execution.  ``dtype`` (default: the target's
-    ``dtype`` attribute, when it has one) arms per-request dtype
-    validation: safe upcasts are coerced, unsafe ones rejected at
-    submission so they cannot poison a coalesced batch.
+    :class:`~repro.fftw.executor.FftwTransform`.  ``dtype`` (default:
+    the target's ``dtype`` attribute, when it has one) arms
+    per-request dtype validation: safe upcasts are coerced, unsafe
+    ones rejected at submission so they cannot poison a coalesced
+    batch.
 
     Usable as a context manager; ``close()`` drains pending requests
     before the worker exits, and no request can outlive the worker
@@ -163,7 +162,6 @@ class BatchDispatcher:
 
     def __init__(self, target, *, max_batch: int = 64,
                  max_delay: float = 0.0,
-                 threads: int | None = None,
                  dtype: np.dtype | str | None = None):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -172,7 +170,6 @@ class BatchDispatcher:
         self.target = target
         self.max_batch = int(max_batch)
         self.max_delay = float(max_delay)
-        self.threads = threads
         if dtype is None:
             dtype = getattr(target, "dtype", None)
         self.dtype = np.dtype(dtype) if dtype is not None else None
@@ -382,12 +379,7 @@ class BatchDispatcher:
         with self._lock:
             self._stats.retried_requests += 1
         try:
-            Y = (
-                self.target.apply_many(request.x[np.newaxis, :])
-                if self.threads is None
-                else self.target.apply_many(request.x[np.newaxis, :],
-                                            threads=self.threads)
-            )
+            Y = self.target.apply_many(request.x[np.newaxis, :])
         except BaseException as exc:  # noqa: BLE001 - forwarded
             with self._lock:
                 self._stats.failed_requests += 1
@@ -410,10 +402,7 @@ class BatchDispatcher:
             setattr(self._stats, field, getattr(self._stats, field) + 1)
         try:
             X = np.stack([request.x for request in batch])
-            if self.threads is None:
-                Y = self.target.apply_many(X)
-            else:
-                Y = self.target.apply_many(X, threads=self.threads)
+            Y = self.target.apply_many(X)
         except BaseException as exc:  # noqa: BLE001 - isolated below
             if len(batch) == 1:
                 with self._lock:

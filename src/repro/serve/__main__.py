@@ -65,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--queue-limit", type=int, default=256,
                         help="per-plan in-flight bound (overload "
                              "rejections beyond it)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="OpenMP threads per batch call")
     fleet = parser.add_argument_group("fleet (supervised serving)")
     fleet.add_argument("--workers", type=int, default=1,
                        help="worker processes; >= 2 runs the "
@@ -113,7 +111,6 @@ def main(argv: list[str] | None = None) -> int:
         prefer=args.prefer,
         max_batch=args.max_batch,
         queue_limit=args.queue_limit,
-        threads=args.threads,
         drain_grace_s=args.drain_grace_s,
     )
     try:

@@ -92,11 +92,10 @@ class PlanService:
     """One routed plan: dispatcher + admission around an executable."""
 
     def __init__(self, plan: Plan, *, max_batch: int = 64,
-                 queue_limit: int = 256, threads: int | None = None):
+                 queue_limit: int = 256):
         self.plan = plan
-        self.dispatcher = BatchDispatcher(
-            plan.executable, max_batch=max_batch, threads=threads,
-        )
+        self.dispatcher = BatchDispatcher(plan.executable,
+                                          max_batch=max_batch)
         self.admission = AdmissionController(
             queue_limit=queue_limit, batch_hint=max_batch,
         )
@@ -117,16 +116,14 @@ class SplServer:
     ``await start()`` binds (``port=0`` picks an ephemeral port,
     exposed as ``.port``); ``warm`` prebuilds routes at boot — paired
     with a wisdom-backed registry this is the hot-boot path: the first
-    request hits a compiled, search-tuned plan.  ``max_batch``,
-    ``queue_limit`` and ``threads`` shape every route's
-    :class:`PlanService`.
+    request hits a compiled, search-tuned plan.  ``max_batch`` and
+    ``queue_limit`` shape every route's :class:`PlanService`.
     """
 
     def __init__(self, registry: PlanRegistry | None = None, *,
                  host: str = "127.0.0.1", port: int = 0,
                  warm: list[PlanKey] | None = None,
                  max_batch: int = 64, queue_limit: int = 256,
-                 threads: int | None = None,
                  reuse_port: bool = False,
                  chaos=None):
         self.registry = registry or PlanRegistry()
@@ -135,7 +132,6 @@ class SplServer:
         self.warm_keys = list(warm or [])
         self.max_batch = max_batch
         self.queue_limit = queue_limit
-        self.threads = threads
         self.reuse_port = reuse_port
         self.chaos = chaos  # a repro.serve.chaos.ChaosInjector, or None
         # The route table, and the requests parked behind each cold
@@ -312,7 +308,7 @@ class SplServer:
         elif error is None:
             service = self.routes[key] = PlanService(
                 build.result(), max_batch=self.max_batch,
-                queue_limit=self.queue_limit, threads=self.threads)
+                queue_limit=self.queue_limit)
         for request in parked:
             conn, request_id = request[:2]
             if conn.transport.is_closing():

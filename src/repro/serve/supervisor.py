@@ -89,7 +89,6 @@ class ServeConfig:
     prefer: str | None = None
     max_batch: int = 64
     queue_limit: int = 256
-    threads: int | None = None
     drain_grace_s: float = 30.0
 
 
@@ -135,8 +134,7 @@ def build_server(config: ServeConfig, *, reuse_port: bool = False):
                             wisdom_source=wisdom_source)
     return SplServer(registry, host=config.host, port=config.port,
                      warm=list(config.warm), max_batch=config.max_batch,
-                     queue_limit=config.queue_limit,
-                     threads=config.threads, reuse_port=reuse_port,
+                     queue_limit=config.queue_limit, reuse_port=reuse_port,
                      chaos=injector_from_env())
 
 
@@ -353,8 +351,12 @@ class Supervisor:
     ``("beat", slot)``              ``("signal", slot, SIGTERM)``
     ``("spawn_failed", slot, why)``  ``("signal", slot, SIGKILL)``
     ``("hup",)`` ``("stop",)``      ``("log", text)``
-    ``("tick",)``
+    ``("tick",)``                   ``("publish_port",)``
     ==============================  ====================================
+
+    ``publish_port`` comes once, with the first slot to turn READY: a
+    worker beats only once its listener is up, so a client that dials
+    the moment ``--port-file`` appears is never refused.
 
     :meth:`run` is the **I/O loop**: it reads the clock once per
     iteration, turns pipes, ``waitpid`` and signal flags into events
@@ -401,6 +403,7 @@ class Supervisor:
         self._roll_queue: collections.deque[int] = collections.deque()
         self._roll_slot: int | None = None
         self._roll_deadline = 0.0
+        self._published = False  # the port file is written once
         self.wedge_kills = 0
         self.crashes = 0
 
@@ -467,7 +470,11 @@ class Supervisor:
         if slot.state != STARTING:
             return []
         slot.state = READY
-        return [("log", f"worker {index} (pid {slot.pid}) ready")]
+        effects = [("log", f"worker {index} (pid {slot.pid}) ready")]
+        if not self._published:
+            self._published = True
+            effects.append(("publish_port",))
+        return effects
 
     def _on_hup(self, now: float) -> list[tuple]:  # noqa: ARG002
         if self._roll_queue or self._roll_slot is not None:
@@ -620,6 +627,10 @@ class Supervisor:
                 self._log(*args)
             elif kind == "spawn":
                 self._spawn(self.slots[args[0]], now)
+            elif kind == "publish_port":
+                if self.port_file is not None:
+                    _publish_port(self.port_file, self.config.host,
+                                  self.config.port)
             else:
                 pid = self.slots[args[0]].pid
                 if pid is not None:
@@ -766,8 +777,6 @@ class Supervisor:
 
     def run(self) -> int:
         host, port = self._reserve_address()
-        if self.port_file is not None:
-            _publish_port(self.port_file, host, port)
         self._log(f"supervising {self.workers} worker(s) on "
                   f"{host}:{port} (SIGTERM drains, SIGHUP rolls)")
         # Pin the resolved address so every forked worker binds it.

@@ -90,30 +90,30 @@ def platform_fingerprint() -> str:
     code speed: CPU model, cache sizes, OS and host C compiler (the
     Table 1 fields, minus total memory which does not affect codelet
     choice), plus the compilation mode — extra host-compiler flags
-    (``SPL_CFLAGS``, e.g. ``-march=native``) and OpenMP availability —
-    so timings measured under one configuration never validate a cache
-    built under another.
+    (``SPL_CFLAGS``, e.g. ``-march=native``) — so timings measured
+    under one configuration never validate a cache built under
+    another.
     """
     return _digest(platform_description())
 
 
 def platform_description() -> str:
     """The human-readable string behind :func:`platform_fingerprint`."""
-    from repro.perfeval.ccompile import extra_cflags, have_openmp
+    from repro.perfeval.ccompile import extra_cflags
 
-    return _host_description(extra_cflags(), have_openmp())
+    return _host_description(extra_cflags())
 
 
 def hardware_fingerprint() -> str:
     """A short hash of the host *hardware* alone (CPU, caches, OS).
 
     Unlike :func:`platform_fingerprint` this deliberately excludes the
-    toolchain inventory (host compiler, OpenMP availability,
-    ``SPL_CFLAGS``): wisdom *packs* ship portable artifacts precisely
-    so a replica without the producer's toolchain can boot hot, so a
-    pack is acceptable anywhere the hardware matches even when the
-    compilation mode differs.  Mutable stores keep using the strict
-    fingerprint — their timings feed back into search decisions.
+    toolchain inventory (host compiler, ``SPL_CFLAGS``): wisdom
+    *packs* ship portable artifacts precisely so a replica without the
+    producer's toolchain can boot hot, so a pack is acceptable
+    anywhere the hardware matches even when the compilation mode
+    differs.  Mutable stores keep using the strict fingerprint — their
+    timings feed back into search decisions.
     """
     return _digest(hardware_description())
 
@@ -127,7 +127,7 @@ def hardware_description() -> str:
 
 
 @lru_cache(maxsize=None)
-def _host_description(cflags: tuple[str, ...], openmp: bool) -> str:
+def _host_description(cflags: tuple[str, ...]) -> str:
     # The hardware inventory is immutable per process; only the flag
     # set varies, so cache one description per configuration tuple.
     from repro.perfeval.platform import host_platform
@@ -135,8 +135,7 @@ def _host_description(cflags: tuple[str, ...], openmp: bool) -> str:
     row = host_platform()
     return "|".join((row.cpu, row.l1_cache, row.l2_cache,
                      row.os_name, row.compiler,
-                     " ".join(cflags) or "-",
-                     "openmp" if openmp else "no-openmp"))
+                     " ".join(cflags) or "-"))
 
 
 def wisdom_key(transform: str, n: int, options: object | None = None,

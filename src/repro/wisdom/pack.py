@@ -26,10 +26,10 @@ Integrity is layered so damage degrades instead of spreading:
   diagnostics and counters, because a bad pack on disk must never
   turn into a crashed boot.
 
-Artifacts are bundled in their *portable* variant (no OpenMP — the
-build a host whose toolchain probe reports False would request), so
-they are exactly the digests a toolchain-less consumer computes.  Hosts with a full toolchain ignore them and compile their
-own optimal variant; nothing is lost either way.
+A routine has one build on every host (the source and flags of
+:func:`repro.perfeval.runner.c_build_spec`), so a bundled artifact is
+exactly the digest any consumer computes: a toolchain-less replica and
+the gcc host that built the pack both boot from it without compiling.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class PackLoadResult:
 
 
 def _registry_build_inputs(entry: WisdomEntry):
-    """(source, cflags, openmp) a booting registry will ask
-    the shared-object cache for — portable variant — or None.
+    """(source, cflags) a booting registry will ask the shared-object
+    cache for, or None.
 
     The routine comes from :func:`repro.serve.plans.compile_plan`, the
     function :meth:`~repro.serve.plans.PlanRegistry.get` itself calls,
@@ -128,7 +128,7 @@ def _registry_build_inputs(entry: WisdomEntry):
         {}, parse_formula_text(entry.formula, {}), "fft", entry.n,
         datatype="complex", threshold=entry.meta.get("unroll_threshold"),
         language="c")
-    return c_build_spec(routine, (), openmp=False)
+    return c_build_spec(routine)
 
 
 def build_pack(store: WisdomStore, out_path: str | os.PathLike, *,
@@ -136,10 +136,10 @@ def build_pack(store: WisdomStore, out_path: str | os.PathLike, *,
                platform: str | None = None) -> dict[str, Any]:
     """Export ``store`` as a pack file; returns a build summary.
 
-    Artifacts are compiled on the spot (portable variant) for every
-    FFT search winner; a host without a C compiler — or an entry whose
-    formula no longer compiles — skips that artifact (counted) and
-    still ships the wisdom itself.
+    Artifacts are compiled on the spot for every FFT search winner; a
+    host without a C compiler — or an entry whose formula no longer
+    compiles — skips that artifact (counted) and still ships the
+    wisdom itself.
     """
     from repro.perfeval import ccompile
 
@@ -155,13 +155,12 @@ def build_pack(store: WisdomStore, out_path: str | os.PathLike, *,
             spec = _registry_build_inputs(entry)
             if spec is None:
                 continue
-            source, cflags, openmp = spec
-            digest = ccompile.shared_object_cache_key(
-                source, cflags=cflags, openmp=openmp)
+            source, cflags = spec
+            digest = ccompile.shared_object_cache_key(source, cflags=cflags)
             if digest in artifacts:
                 continue
             data = ccompile.compile_shared_object(
-                source, cflags=cflags, openmp=openmp).read_bytes()
+                source, cflags=cflags).read_bytes()
         except Exception:  # noqa: BLE001 - artifact optional
             artifacts_skipped += 1
             continue
@@ -242,9 +241,8 @@ def _platform_mismatch(data: dict, platform: str | None,
     Acceptance is layered: an exact platform-fingerprint match is
     ideal; failing that, a matching *hardware* fingerprint (same CPU,
     caches, OS — but, say, no C compiler on this replica) still
-    accepts the pack, because its artifacts are built in the portable
-    variant exactly for that consumer.  Only a pack alien on both
-    levels is rejected.
+    accepts the pack, because its artifacts are the one build every
+    host asks for.  Only a pack alien on both levels is rejected.
     """
     local = platform or platform_fingerprint()
     if data.get("platform") == local:

@@ -26,7 +26,7 @@ requires_cc = pytest.mark.skipif(
 
 
 def sabotage_tier(executable, explode,
-                  fields=("call", "rows", "rows_omp", "native")) -> None:
+                  fields=("call", "rows", "native")) -> None:
     """Swap ``executable``'s current tier for a copy whose named
     callables (those the tier has) are ``explode``: the one way tests
     make a backend fault."""

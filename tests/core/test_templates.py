@@ -1,5 +1,7 @@
 """Unit tests for the template table: matching order, conditions, sizes."""
 
+import threading
+
 import pytest
 
 from repro.core.compiler import SplCompiler
@@ -106,6 +108,36 @@ class TestSizes:
         table = startup_table()
         with pytest.raises(SplTemplateError):
             table.sizes(parse_formula_text("(NOPE 3)"))
+
+    def test_one_formula_sized_on_two_threads_at_once(self, monkeypatch):
+        """A size inference in progress on one thread is no recursion
+        on another: two compiles sharing a table (two cold routes
+        built at once) both get the size."""
+        table = startup_table()
+        formula = parse_formula_text("(WHT 8)")
+        inside, release = threading.Event(), threading.Event()
+        param_sizes = table._param_sizes
+
+        def held(param):
+            if threading.current_thread().name == "first":
+                inside.set()
+                release.wait(10)
+            return param_sizes(param)
+
+        monkeypatch.setattr(table, "_param_sizes", held)
+        sizes = {}
+        first = threading.Thread(
+            target=lambda: sizes.__setitem__("first", table.sizes(formula)),
+            name="first")
+        first.start()
+        try:
+            assert inside.wait(10)
+            sizes["second"] = table.sizes(formula)
+        finally:
+            release.set()
+            first.join(10)
+        assert not first.is_alive()
+        assert sizes == {"first": (8, 8), "second": (8, 8)}
 
 
 class TestUserTemplateSemantics:

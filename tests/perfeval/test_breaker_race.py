@@ -192,24 +192,23 @@ class TestConcurrentDegradation:
         assert [(f.backend, f.op) for f in executable.backend_failures] \
             == [("numpy", "apply")]
 
-    def test_swap_during_sharded_batch_keeps_every_row_on_one_tier(self):
-        """``apply_many(threads=2)`` reads the tier once: a breaker
-        trip that lands while its shards run does not move the later
-        shards onto the new tier."""
+    def test_swap_during_a_batch_keeps_every_row_on_one_tier(self):
+        """``apply_many`` reads the tier once: a breaker trip that
+        lands while its rows run does not move the call onto the new
+        tier."""
         executable = _build(n=64, tag="s")
         numpy_rows = executable._tier.rows
         served = []
 
-        def rows(Yp, Xp, lo, hi):
-            if not served:  # the swap lands inside the first shard
-                assert executable.trip(RuntimeError("mid-call"))
-            served.append((lo, hi))
-            numpy_rows(Yp, Xp, lo, hi)
+        def rows(Yp, Xp):
+            assert executable.trip(RuntimeError("mid-call"))
+            served.append(len(Yp))
+            numpy_rows(Yp, Xp)
 
         sabotage_tier(executable, rows, fields=("rows",))
         rng = np.random.default_rng(6)
         X = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-        Y = executable.apply_many(X, threads=2)
+        Y = executable.apply_many(X)
         assert executable.backend == "python"  # the trip did happen
-        assert sorted(served) == [(0, 32), (32, 64)]  # ...and moved no shard
+        assert served == [64]  # ...and moved no row
         np.testing.assert_allclose(Y, np.fft.fft(X, axis=1), atol=1e-8)

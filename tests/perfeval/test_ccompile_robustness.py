@@ -1,7 +1,7 @@
 """Robustness tests for the host-compiler wrapper.
 
 Covers the compile-subprocess timeout, stderr capture in compile
-errors, per-session caching of failed ``-fopenmp`` probes, and the
+errors, per-session caching of failed toolchain probes, and the
 atomic publish of compiled shared objects.
 """
 
@@ -15,7 +15,8 @@ from repro.perfeval.ccompile import (
     compile_shared_object,
     compile_timeout,
     default_build_dir,
-    openmp_probe_error,
+    have_openmp,
+    have_openmp_simd,
 )
 from tests.conftest import requires_cc
 
@@ -75,9 +76,16 @@ class TestStderrCapture:
         assert not list(tmp_path.glob("*.so"))
 
 
+_PROBES = [pytest.param(have_openmp, "-fopenmp", id="openmp"),
+           pytest.param(have_openmp_simd, "-fopenmp-simd",
+                        id="openmp-simd")]
+
+
 class TestOpenmpProbeCache:
     @requires_posix
-    def test_failed_probe_runs_once_per_session(self, tmp_path):
+    @pytest.mark.parametrize("probe, flag", _PROBES)
+    def test_failed_probe_runs_once_per_session(self, tmp_path,
+                                                monkeypatch, probe, flag):
         counter = tmp_path / "invocations"
         broken = fake_cc(
             tmp_path,
@@ -86,27 +94,31 @@ class TestOpenmpProbeCache:
             "exit 1\n",
             name="broken-cc",
         )
-        assert ccompile._probe_openmp(broken, ()) is False
-        assert ccompile._probe_openmp(broken, ()) is False
+        monkeypatch.setattr(ccompile, "_find_compiler", lambda: broken)
+        assert probe() is False
+        assert probe() is False
         # lru_cache: the failing probe subprocess ran exactly once.
         assert counter.read_text().count("run") == 1
-        # ... and its stderr is kept for diagnostics.
-        assert "omp.h" in ccompile._PROBE_ERRORS[(broken, ())]
 
     @requires_posix
-    def test_probe_error_surfaced(self, tmp_path, monkeypatch):
-        broken = fake_cc(
-            tmp_path,
-            "echo 'unrecognized option -fopenmp' >&2\nexit 1\n",
-            name="noomp-cc",
-        )
-        monkeypatch.setattr(ccompile, "_find_compiler", lambda: broken)
-        assert openmp_probe_error() is not None
-        assert "fopenmp" in openmp_probe_error()
+    @pytest.mark.parametrize("probe, flag", _PROBES)
+    def test_probe_passes_its_flag_to_the_compiler(self, tmp_path,
+                                                   monkeypatch, probe,
+                                                   flag):
+        argv = tmp_path / "argv"
+        willing = fake_cc(tmp_path, f'echo "$@" >> "{argv}"\n',
+                          name="willing-cc")
+        monkeypatch.setattr(ccompile, "_find_compiler", lambda: willing)
+        monkeypatch.delenv("SPL_CFLAGS", raising=False)
+        assert probe() is True
+        assert probe() is True
+        [line] = argv.read_text().splitlines()
+        assert flag in line.split()
 
-    def test_probe_error_without_compiler(self, monkeypatch):
+    @pytest.mark.parametrize("probe, flag", _PROBES)
+    def test_no_compiler_probes_false(self, monkeypatch, probe, flag):
         monkeypatch.setattr(ccompile, "_find_compiler", lambda: None)
-        assert "no C compiler" in openmp_probe_error()
+        assert probe() is False
 
 
 @requires_cc

@@ -1,10 +1,14 @@
-"""Parallel execution: thread-safety, sharding, OpenMP, determinism.
+"""Concurrent callers and batch-split determinism.
 
-The contract under test: one :class:`ExecutableRoutine` may be used
-from any number of threads concurrently (scratch is per-thread), and
-``apply_many(X, threads=N)`` is bit-identical to ``threads=1`` for
-every backend, batch size and thread count — parallelism never changes
-results, only wall-time.
+Two contracts are under test.  One :class:`ExecutableRoutine` may be
+used from any number of threads concurrently (a call shares no mutable
+state with any other), which the batch dispatcher's worker thread and
+direct library users both rely on.  And a row's result does not depend
+on the batch it rides in: the dispatcher coalesces whatever requests
+are queued into one ``apply_many`` call, and a fleet spreads requests
+over worker processes, so ``apply_many`` on any split of a batch must
+be bit-identical to ``apply_many`` on the whole, and to ``apply`` on
+each row — not just close.
 """
 
 import threading
@@ -13,19 +17,14 @@ import numpy as np
 import pytest
 
 from repro.core.compiler import CompilerOptions, SplCompiler
-from repro.perfeval.ccompile import have_openmp
 from repro.perfeval.runner import build_executable
 from tests.conftest import requires_cc
 
-requires_openmp = pytest.mark.skipif(
-    not have_openmp(), reason="toolchain lacks OpenMP"
-)
 
-
-def _fft_executable(n=8, prefer="python", name=None):
+def _fft_executable(n=8, prefer="python"):
     compiler = SplCompiler(CompilerOptions(codetype="real"))
-    routine = compiler.compile_formula(
-        f"(F {n})", name or f"par{n}{prefer[0]}", language=prefer)
+    routine = compiler.compile_formula(f"(F {n})", f"par{n}{prefer[0]}",
+                                       language=prefer)
     return build_executable(routine, prefer=prefer)
 
 
@@ -36,6 +35,13 @@ def _real_executable(prefer="python"):
         "(tensor (F 2) (tensor (F 2) (F 2)))", f"parw{prefer[0]}",
         language=prefer, datatype="real")
     return build_executable(routine, prefer=prefer)
+
+
+def _split_apply_many(executable, X, parts):
+    """``apply_many`` over ``parts`` nearly equal slices of ``X``, in
+    order, concatenated."""
+    return np.concatenate([executable.apply_many(part)
+                           for part in np.array_split(X, parts)])
 
 
 def _complex_batch(rows, n, seed=0):
@@ -135,100 +141,70 @@ class TestConcurrentCallers:
         np.testing.assert_array_equal(x, np.arange(8, dtype=complex))
 
 
-class TestParallelDeterminism:
-    """threads=N must be bit-identical to threads=1, not just close."""
+class TestBatchSplitDeterminism:
+    """A batch split into ``parts`` calls gives the whole batch's bits."""
 
     @pytest.mark.parametrize("prefer", _BACKENDS)
-    @pytest.mark.parametrize("threads", [2, 4])
-    def test_complex_fft_bit_identical(self, prefer, threads):
+    @pytest.mark.parametrize("parts", [2, 4])
+    def test_complex_fft_bit_identical(self, prefer, parts):
         executable = _fft_executable(n=16, prefer=prefer)
         X = _complex_batch(256, 16, seed=2)
-        serial = executable.apply_many(X, threads=1)
-        parallel = executable.apply_many(X, threads=threads)
-        np.testing.assert_array_equal(serial, parallel)
+        whole = executable.apply_many(X)
+        np.testing.assert_array_equal(
+            whole, _split_apply_many(executable, X, parts))
+        np.testing.assert_allclose(whole, np.fft.fft(X, axis=1),
+                                   atol=1e-9)
 
     @pytest.mark.parametrize("prefer", _BACKENDS)
-    @pytest.mark.parametrize("threads", [2, 4])
-    def test_real_transform_bit_identical(self, prefer, threads):
+    @pytest.mark.parametrize("parts", [2, 4])
+    def test_real_transform_bit_identical(self, prefer, parts):
         executable = _real_executable(prefer=prefer)
         rng = np.random.default_rng(4)
         X = rng.standard_normal((512, 8))
-        serial = executable.apply_many(X, threads=1)
-        parallel = executable.apply_many(X, threads=threads)
-        np.testing.assert_array_equal(serial, parallel)
+        np.testing.assert_array_equal(
+            executable.apply_many(X),
+            _split_apply_many(executable, X, parts))
 
     @pytest.mark.parametrize("prefer", _BACKENDS)
-    def test_threads_zero_means_per_cpu(self, prefer):
+    def test_rows_match_single_vector_apply(self, prefer):
         executable = _fft_executable(n=16, prefer=prefer)
         X = _complex_batch(64, 16, seed=5)
         np.testing.assert_array_equal(
-            executable.apply_many(X, threads=1),
-            executable.apply_many(X, threads=0))
+            executable.apply_many(X),
+            np.stack([executable.apply(x) for x in X]))
 
-    def test_instance_default_threads(self):
-        compiler = SplCompiler(CompilerOptions(codetype="real"))
-        routine = compiler.compile_formula("(F 16)", "pdef16",
-                                           language="numpy")
-        executable = build_executable(routine, prefer="numpy", threads=2)
-        assert executable.threads == 2
-        X = _complex_batch(256, 16, seed=6)
-        np.testing.assert_array_equal(
-            executable.apply_many(X),  # uses the instance default (2)
-            executable.apply_many(X, threads=1))
+    @pytest.mark.parametrize("prefer", _BACKENDS)
+    def test_rows_are_written_over_whatever_the_output_held(self, prefer):
+        # apply_many hands the tier an uninitialized output: every
+        # backend's batch path zeroes each row before it accumulates.
+        executable = _fft_executable(n=16, prefer=prefer)
+        X = _complex_batch(32, 16, seed=6)
+        expected = executable.apply_many(X)
+        Y = np.full_like(expected, np.nan)
+        executable._tier.rows(executable._physical(Y),
+                              executable._physical(X))
+        np.testing.assert_array_equal(Y, expected)
 
-    def test_small_batches_skip_parallel_dispatch(self):
-        executable = _fft_executable()
-        # 3 rows x 16 doubles is far below the element floor.
-        assert executable._effective_threads(8, batch=3) == 1
+    @pytest.mark.parametrize("prefer", _BACKENDS)
+    def test_empty_batch(self, prefer):
+        executable = _fft_executable(n=16, prefer=prefer)
+        Y = executable.apply_many(np.empty((0, 16), dtype=complex))
+        assert Y.shape == (0, 16) and Y.dtype == np.complex128
 
     @requires_cc
-    def test_fftw_parallel_bit_identical(self, tmp_path):
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_fftw_split_bit_identical(self, n):
         from repro.fftw import FftwLibrary, Planner
 
         library = FftwLibrary()
         planner = Planner(library, min_time=0.001)
-        transform = library.transform(planner.plan_estimate(64))
-        X = _complex_batch(64, 64, seed=7)
-        serial = transform.apply_many(X, threads=1)
-        parallel = transform.apply_many(X, threads=4)
-        np.testing.assert_array_equal(serial, parallel)
-        np.testing.assert_allclose(serial, np.fft.fft(X, axis=1),
+        transform = library.transform(planner.plan_estimate(n))
+        X = _complex_batch(64, n, seed=7)
+        whole = transform.apply_many(X)
+        np.testing.assert_array_equal(
+            whole, np.concatenate([transform.apply_many(part)
+                                   for part in np.array_split(X, 4)]))
+        np.testing.assert_array_equal(
+            whole, np.stack([transform.apply(x) for x in X]))
+        np.testing.assert_allclose(whole, np.fft.fft(X, axis=1),
                                    atol=1e-8)
-
-
-@requires_cc
-class TestOpenMPDriver:
-    @requires_openmp
-    def test_omp_driver_loaded_and_used(self):
-        executable = _fft_executable(n=16, prefer="c", name="omp16")
-        assert executable.backend == "c"
-        assert executable._tier.rows_omp is not None
-        X = _complex_batch(256, 16, seed=8)
-        np.testing.assert_array_equal(
-            executable.apply_many(X, threads=1),
-            executable.apply_many(X, threads=2))
-
-    @requires_openmp
-    def test_omp_driver_matches_reference(self):
-        executable = _fft_executable(n=8, prefer="c", name="omp8")
-        X = _complex_batch(512, 8, seed=9)
-        np.testing.assert_allclose(
-            executable.apply_many(X, threads=2),
-            np.fft.fft(X, axis=1), atol=1e-12)
-
-    def test_no_openmp_falls_back_to_sharding(self, monkeypatch):
-        # Force the no-OpenMP path: the batch driver loses its omp
-        # variant and threads>1 goes through the shared thread pool.
-        from repro.perfeval import ccompile, runner
-
-        monkeypatch.setattr(ccompile, "have_openmp", lambda: False)
-        compiler = SplCompiler(CompilerOptions(codetype="real"))
-        routine = compiler.compile_formula("(F 16)", "noomp16",
-                                           language="c")
-        executable = runner.build_executable(routine, prefer="c")
-        assert executable.backend == "c"
-        assert executable._tier.rows_omp is None
-        X = _complex_batch(256, 16, seed=10)
-        np.testing.assert_array_equal(
-            executable.apply_many(X, threads=1),
-            executable.apply_many(X, threads=2))

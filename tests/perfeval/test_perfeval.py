@@ -131,18 +131,6 @@ class TestCCompile:
         # ... and the flag set is reproducible: same flags, same path.
         assert compile_shared_object(source, build_dir=tmp_path) == flagged
 
-    def test_openmp_flag_changes_cache_key(self, tmp_path):
-        from repro.perfeval.ccompile import have_openmp
-
-        if not have_openmp():
-            pytest.skip("toolchain lacks OpenMP")
-        source = "void noop2(double *restrict y, " \
-                 "const double *restrict x) { }\n"
-        serial = compile_shared_object(source, build_dir=tmp_path)
-        threaded = compile_shared_object(source, build_dir=tmp_path,
-                                         openmp=True)
-        assert serial != threaded
-
     def test_cflags_enter_platform_fingerprint(self, monkeypatch):
         from repro.wisdom.keys import (
             platform_description,
@@ -154,6 +142,82 @@ class TestCCompile:
         monkeypatch.setenv("SPL_CFLAGS", "-march=native")
         assert platform_fingerprint() != base
         assert "-march=native" in platform_description()
+
+    def test_toolchain_probes_stay_out_of_platform_fingerprint(
+            self, monkeypatch):
+        # Nothing compiles with OpenMP, so whether the toolchain could
+        # is no part of a timing's context.
+        from repro.perfeval import ccompile
+        from repro.wisdom.keys import (
+            platform_description,
+            platform_fingerprint,
+        )
+
+        def refuse():
+            raise AssertionError("the fingerprint ran a toolchain probe")
+
+        monkeypatch.delenv("SPL_CFLAGS", raising=False)
+        monkeypatch.setattr(ccompile, "have_openmp", refuse)
+        monkeypatch.setattr(ccompile, "have_openmp_simd", refuse)
+        assert platform_fingerprint()
+        assert "openmp" not in platform_description()
+
+
+class TestArtifactKeys:
+    """What a wisdom pack's bundled ``.so`` files are found under.
+
+    A pack names each artifact by :func:`shared_object_cache_key` of
+    :func:`c_build_spec`'s ``(source, cflags)``, and a replica serves
+    it as a cache hit only if it derives the same key.  The pins below
+    are the digests packs built so far carry (they are host-independent
+    with ``SPL_CFLAGS`` unset): changing the driver text or the key
+    recipe turns every bundled artifact into a compiler run.
+    """
+
+    NOOP = "void noop(double *restrict y, const double *restrict x) { }\n"
+
+    @pytest.fixture(autouse=True)
+    def _no_extra_cflags(self, monkeypatch):
+        monkeypatch.delenv("SPL_CFLAGS", raising=False)
+
+    @pytest.mark.parametrize("cflags, digest", [
+        ((), "35876795520d81fa7f002d5c"),
+        (("-O0",), "ad22283c07347334ef8f27a2"),
+    ])
+    def test_cache_key_is_pinned(self, cflags, digest):
+        from repro.perfeval.ccompile import shared_object_cache_key
+
+        assert shared_object_cache_key(self.NOOP, cflags=cflags) == digest
+
+    @pytest.mark.parametrize("name, in_len, out_len, sha256", [
+        ("f", 8, 8, "b101b5602deb7ea1ea227e479ac2197492e7cced0e456075abf9120617d9409f"),
+        ("fft16", 32, 32, "b75cf36d8f6e348b6d86fbe3f8acf07219dd2b4771445d8c80d3236e94ba7373"),
+        ("wht4", 4, 4, "c9adaa069587119c7273e175ae5507394debdf68839c475284adc110ef3c8c8a"),
+        ("r", 6, 3, "d15c45cf360939cf5dc31105df679a4827294e81b2dca8eb90529a1a371f4123"),
+    ])
+    def test_batch_driver_text_is_pinned(self, name, in_len, out_len,
+                                         sha256):
+        import hashlib
+
+        from repro.perfeval.ccompile import batch_driver_source
+
+        text = batch_driver_source(name, in_len=in_len, out_len=out_len)
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+    @requires_cc
+    def test_the_runner_builds_what_a_pack_names(self, tmp_path,
+                                                 monkeypatch):
+        from repro.perfeval.ccompile import shared_object_cache_key
+        from repro.perfeval.runner import c_build_spec
+
+        monkeypatch.setenv("SPL_BUILD_DIR", str(tmp_path))
+        compiler = SplCompiler(CompilerOptions(codetype="real"))
+        routine = compiler.compile_formula("(F 8)", "keyed8", language="c")
+        source, cflags = c_build_spec(routine)
+        digest = shared_object_cache_key(source, cflags=cflags)
+        assert build_executable(routine, prefer="c").backend == "c"
+        assert [p.name for p in tmp_path.glob("spl_*.so")] \
+            == [f"spl_{digest}.so"]
 
 
 class TestRunner:
@@ -350,7 +414,7 @@ class TestBatchExecution:
         np.testing.assert_allclose(y, [[2.0], [4.0], [6.0]])
 
     def test_there_is_one_plain_batch_driver(self):
-        # No aligned / ``omp simd`` variant: a straight-line routine
+        # No aligned, ``omp simd`` or OpenMP variant: a straight-line routine
         # and a looped one get the same driver text (names and lengths
         # aside) and the same flags.
         import re
@@ -358,11 +422,9 @@ class TestBatchExecution:
         from repro.perfeval.ccompile import batch_driver_source
         from repro.perfeval.runner import c_build_spec
 
-        for openmp in (False, True):
-            text = batch_driver_source("f", in_len=8, out_len=8,
-                                       openmp=openmp)
-            assert "omp simd" not in text
-            assert "SPL_ASSUME_ALIGNED" not in text
+        text = batch_driver_source("f", in_len=8, out_len=8)
+        assert "omp" not in text
+        assert "SPL_ASSUME_ALIGNED" not in text
         drivers, flags = [], []
         for unroll, formula in ((True, "(F 8)"),
                                 (False, "(tensor (I 4) (F 4))")):
@@ -371,39 +433,14 @@ class TestBatchExecution:
             routine = compiler.compile_formula(formula, f"drv{unroll:d}",
                                                language="c")
             assert routine.program.is_straight_line() == unroll
-            source, cflags, openmp = c_build_spec(routine, (),
-                                                  openmp=False)
+            source, cflags = c_build_spec(routine)
             assert source.startswith(routine.source)
             driver = source[len(routine.source):]
             drivers.append(re.sub(r"\d+", "N", driver.replace(
                 routine.name, "NAME")))
-            flags.append((cflags, openmp))
+            flags.append(cflags)
         assert drivers[0] == drivers[1] and "spl_batch_NAME" in drivers[0]
-        assert flags[0] == flags[1] == ((), False)
-
-    def test_openmp_batch_driver_source_and_load(self, tmp_path):
-        import ctypes
-
-        from repro.perfeval.ccompile import (
-            batch_driver_source,
-            have_openmp,
-            load_batch_omp_function,
-        )
-
-        if not have_openmp():
-            pytest.skip("toolchain lacks OpenMP")
-        source = ("void triple(double *restrict y, "
-                  "const double *restrict x) { y[0] = 3.0 * x[0]; }\n")
-        source += batch_driver_source("triple", in_len=1, out_len=1,
-                                      openmp=True)
-        path = compile_shared_object(source, build_dir=tmp_path,
-                                     openmp=True)
-        omp_fn = load_batch_omp_function(path, "triple")
-        x = np.arange(1.0, 9.0).reshape(8, 1)
-        y = np.ones((8, 1))  # driver must zero each row before running
-        dp = ctypes.POINTER(ctypes.c_double)
-        omp_fn(y.ctypes.data_as(dp), x.ctypes.data_as(dp), 8, 2)
-        np.testing.assert_allclose(y, 3.0 * x)
+        assert flags[0] == flags[1] == ()
 
 
 class TestMemory:

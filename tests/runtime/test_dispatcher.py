@@ -34,7 +34,7 @@ class _CountingTarget:
         self.n = executable.n
         self.calls = []
 
-    def apply_many(self, X, threads=None):
+    def apply_many(self, X):
         self.calls.append(X.shape[0])
         return self._inner.apply_many(X)
 
@@ -162,22 +162,6 @@ class TestLifecycle:
             BatchDispatcher(executable, max_batch=0)
         with pytest.raises(ValueError):
             BatchDispatcher(executable, max_delay=-1.0)
-
-    def test_threads_forwarded_to_apply_many(self):
-        executable = _executable()
-        seen = []
-
-        class Recording:
-            n = executable.n
-
-            def apply_many(self, X, threads=None):
-                seen.append(threads)
-                return executable.apply_many(X)
-
-        with BatchDispatcher(Recording(), threads=2,
-                             max_delay=0.001) as d:
-            d.apply(_vectors(8, 1)[0])
-        assert seen == [2]
 
 
 class TestShutdownSemantics:
@@ -366,7 +350,7 @@ class _GateTarget:
         self.entered = threading.Event()
         self.batches = []
 
-    def apply_many(self, X, threads=None):
+    def apply_many(self, X):
         self.batches.append(X.shape[0])
         self.entered.set()
         assert self.release.wait(60), "gate never released"
@@ -454,7 +438,7 @@ class TestDrainHooks:
             def __init__(self, executable):
                 self.n = executable.n
 
-            def apply_many(self, X, threads=None):
+            def apply_many(self, X):
                 raise RuntimeError("boom")
 
         with BatchDispatcher(Exploding(_executable()), max_batch=4,

@@ -21,6 +21,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -77,7 +78,7 @@ class FleetProcess:
                     f"fleet exited during boot (code "
                     f"{self.proc.returncode}):\n{self.stderr_text()}")
             try:
-                text = open(port_file).read().strip()
+                text = Path(port_file).read_text().strip()
             except FileNotFoundError:
                 text = ""
             if text:

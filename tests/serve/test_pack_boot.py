@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import subprocess
 import time
 
 import numpy as np
@@ -37,6 +38,33 @@ from tests.serve.fleet import FleetProcess
 needs_fork = pytest.mark.skipif(
     not fork_supported(),
     reason="the supervisor needs fork, SIGCHLD and SO_REUSEPORT")
+
+
+def _c_pack(tmp_path, monkeypatch, n: int):
+    """A pack carrying the C artifact of one ``fft:n`` search winner,
+    built into a producer build dir of its own."""
+    from repro.core.compiler import CompilerOptions, SplCompiler
+    from repro.search.dp import SMALL_TRANSFORM
+
+    store = WisdomStore(tmp_path / "wisdom.json")
+    options = SplCompiler(CompilerOptions(
+        unroll=True, optimize="default", datatype="complex",
+        codetype="real", language="c")).options
+    store.record(SMALL_TRANSFORM, n, options,
+                 formula=f"(F {n})", seconds=1e-6, mflops=100.0)
+    pack_path = tmp_path / "wisdom.pack"
+    monkeypatch.setenv("SPL_BUILD_DIR", str(tmp_path / "producer-build"))
+    assert build_pack(store, pack_path)["artifacts"] >= 1
+    return pack_path
+
+
+def _serve(registry, n: int):
+    plan = registry.get(PlanKey("fft", n, "complex128"))
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    np.testing.assert_allclose(plan.executable.apply(x), np.fft.fft(x),
+                               atol=1e-9)
+    return plan
 
 
 def _seeded(tmp_path):
@@ -142,35 +170,16 @@ class TestDefaultRegistryOnABareHost:
         monkeypatch.setattr(jit, "jit_supported", lambda: False)
         return build_dir
 
-    def _serve(self, registry):
-        plan = registry.get(PlanKey("fft", self.N, "complex128"))
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(self.N) + 1j * rng.standard_normal(self.N)
-        np.testing.assert_allclose(plan.executable.apply(x),
-                                   np.fft.fft(x), atol=1e-9)
-        return plan
-
     @requires_cc
     def test_installed_artifact_is_served_on_c(self, tmp_path,
                                                monkeypatch):
-        from repro.core.compiler import CompilerOptions, SplCompiler
-        from repro.search.dp import SMALL_TRANSFORM
-
-        store = WisdomStore(tmp_path / "wisdom.json")
-        options = SplCompiler(CompilerOptions(
-            unroll=True, optimize="default", datatype="complex",
-            codetype="real", language="c")).options
-        store.record(SMALL_TRANSFORM, self.N, options,
-                     formula=f"(F {self.N})", seconds=1e-6, mflops=100.0)
-        pack_path = tmp_path / "wisdom.pack"
-        assert build_pack(store, pack_path)["artifacts"] >= 1
-
+        pack_path = _c_pack(tmp_path, monkeypatch, self.N)
         build_dir = self._bare_host(tmp_path, monkeypatch)
         result = load_pack(pack_path, build_dir=build_dir)
         assert result.ok and result.artifacts_installed >= 1
         registry = PlanRegistry(wisdom=result.store, wisdom_source="pack")
         assert registry.prefer == "c"
-        plan = self._serve(registry)
+        plan = _serve(registry, self.N)
         assert plan.from_wisdom
         assert plan.executable.backend == "c"
 
@@ -179,7 +188,7 @@ class TestDefaultRegistryOnABareHost:
         self._bare_host(tmp_path, monkeypatch)
         registry = PlanRegistry()
         assert registry.prefer == "c"
-        assert self._serve(registry).executable.backend == "numpy"
+        assert _serve(registry, self.N).executable.backend == "numpy"
 
     def test_cjit_is_refused_like_an_unknown_name(self):
         from repro.core.errors import SplSemanticError
@@ -187,6 +196,32 @@ class TestDefaultRegistryOnABareHost:
         for name in ("cjit", "fortran"):
             with pytest.raises(SplSemanticError, match="prefer must be"):
                 PlanRegistry(prefer=name)
+
+
+@requires_cc
+class TestPackOnTheHostThatBuiltIt:
+    def test_boots_hot_with_no_compiler_run(self, tmp_path, monkeypatch):
+        """A routine has one C build on every host, so the artifact a
+        gcc host bundles is also the one it asks for when it boots
+        from its own pack: no gcc run, not even a toolchain probe."""
+        pack_path = _c_pack(tmp_path, monkeypatch, 16)
+        build_dir = tmp_path / "consumer-build"
+        build_dir.mkdir()
+        monkeypatch.setenv("SPL_BUILD_DIR", str(build_dir))
+        result = load_pack(pack_path, build_dir=build_dir)
+        assert result.ok and result.artifacts_installed >= 1
+        runs = []
+        real_run = subprocess.run
+
+        def counting_run(argv, *args, **kwargs):
+            runs.append(argv)
+            return real_run(argv, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        plan = _serve(PlanRegistry(wisdom=result.store,
+                                   wisdom_source="pack"), 16)
+        assert plan.from_wisdom and plan.executable.backend == "c"
+        assert runs == []
 
 
 @needs_fork

@@ -1006,6 +1006,19 @@ class TestColdRoutes:
             main(["--warm", "fft:x"])
         assert excinfo.value.code == 2
 
+    def test_workers_is_the_one_way_to_use_more_cores(self, capsys):
+        from repro.serve.__main__ import main
+
+        # Threads inside a worker competed with its event loop for the
+        # cores: the option is gone, and a script still passing it
+        # fails loudly instead of silently serving on one thread.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--threads", "2"])
+        assert excinfo.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert main(["--workers", "0"]) == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
 
 # -- the connection protocol, byte by byte -------------------------------
 

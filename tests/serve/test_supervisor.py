@@ -122,6 +122,19 @@ class TestFleet:
             assert len(pids) == 2
             _oracle_roundtrips(fleet.host, fleet.port)
 
+    def test_port_file_appears_once_a_worker_listens(self):
+        """A client with no retry policy that dials the moment
+        ``--port-file`` appears is answered: the supervisor writes the
+        file when its first worker is ready, not when it reserves the
+        address (a socket that is bound but does not listen refuses
+        connections)."""
+        x = _complex_vec(16, seed=3)
+        with FleetProcess(workers=2, warm=("fft:16",)) as fleet:
+            with SplClient(fleet.host, fleet.port, timeout=10.0,
+                           request_timeout=10.0) as client:
+                np.testing.assert_allclose(
+                    client.transform("fft", x), np.fft.fft(x), atol=1e-9)
+
     def test_killed_worker_is_replaced_and_serving_resumes(self):
         with FleetProcess(workers=2, warm=("fft:16",)) as fleet:
             before = fleet.worker_pids()

@@ -98,6 +98,7 @@ class Fleet:
         self.depth = 0
         self.wedge_kills = 0
         self.logs: list[str] = []
+        self.published: list[float] = []  # when --port-file was written
         for slot in self.sup.slots:  # what run() does at boot
             self.perform(self.sup._start(slot, self.now), "boot")
 
@@ -123,6 +124,12 @@ class Fleet:
                 self.rolls.append([])
         elif kind == "spawn":
             self.spawn(args[0], during)
+        elif kind == "publish_port":
+            # A client dials the moment the file appears: a worker
+            # must be listening (heartbeating, so READY) by then.
+            assert during == "beat" and not self.published
+            assert any(s.state == READY for s in self.sup.slots)
+            self.published.append(self.now)
         else:
             index, signum = args
             proc = self.procs[index]  # never signal an empty slot
@@ -280,6 +287,7 @@ class TestRandomSchedules:
         # A roll drains each slot at most once, in index order.
         for roll in fleet.rolls:
             assert roll == sorted(set(roll))
+        assert len(fleet.published) == 1
 
 
 class TestNamedSchedules:
@@ -393,6 +401,42 @@ class TestNamedSchedules:
         fleet.advance(0.1)
         assert not fleet.procs and fleet.sup.status()["alive"] == 0
         assert fleet.sup.budget.spent == 0  # slot 2 was never restarted
+
+
+class TestPortFile:
+    def test_published_once_when_the_first_worker_is_ready(self):
+        fleet = Fleet()
+        for proc in fleet.procs.values():
+            proc.beats = False  # booting: building --warm routes
+        fleet.run(BOOT_GRACE)
+        assert fleet.published == []  # nothing listens yet
+        assert [s.state for s in fleet.sup.slots] == [STARTING] * 3
+        fleet.run(4.0)  # killed as never ready; the restarts beat
+        assert len(fleet.published) == 1
+        fleet.act(("crash", 0))
+        fleet.act(("hup",))
+        fleet.run(10.0)
+        assert len(fleet.published) == 1  # a restart does not rewrite it
+
+    def test_the_first_slot_to_beat_publishes_it(self):
+        fleet = Fleet()
+        fleet.procs[0].beats = fleet.procs[1].beats = False
+        fleet.advance(0.5)
+        assert fleet.published == [fleet.now]
+        assert [s.state for s in fleet.sup.slots] == [STARTING, STARTING,
+                                                      READY]
+        assert any(line.startswith("worker 2 ") and line.endswith("ready")
+                   for line in fleet.logs)
+
+    def test_a_fleet_stopped_while_booting_publishes_nothing(self):
+        fleet = Fleet()
+        for proc in fleet.procs.values():
+            proc.beats = False
+        fleet.advance(0.5)
+        fleet.act(("stop",))
+        fleet.run(DRAIN_GRACE + 5.0 + 2.0)
+        assert not fleet.procs
+        assert fleet.published == []
 
 
 class TestFailedFork:
