@@ -2,7 +2,7 @@
 
 Every plan route has its own :class:`AdmissionController`.  The policy
 is the standard serving ladder, applied *before* a request touches the
-dispatcher:
+batcher:
 
 1. **Expired deadline** — a request whose deadline has already passed
    is shed with a ``deadline`` rejection: executing it would burn
@@ -20,13 +20,13 @@ dispatcher:
    instead of letting the queue (and every caller's wait) grow
    without limit.
 
-Everything is O(1) per request under one small lock; counters are
-exposed for the ``stats`` op and the serving benchmark.
+Everything is O(1) per request.  The controller has no lock: only its
+route's event loop calls it.  Counters are exposed for the ``stats`` op
+and the serving benchmark.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 
 from repro.serve.errors import DeadlineExceeded, Overloaded
@@ -55,15 +55,13 @@ class AdmissionController:
         self.queue_limit = int(queue_limit)
         self.batch_hint = max(1, int(batch_hint))
         self.ewma_alpha = float(ewma_alpha)
-        self._lock = threading.Lock()
         self._inflight = 0
         self._ewma: float | None = None
         self._stats = AdmissionStats()
 
     @property
     def inflight(self) -> int:
-        with self._lock:
-            return self._inflight
+        return self._inflight
 
     def try_admit(self, now: float,
                   deadline: float | None = None) -> None:
@@ -73,54 +71,50 @@ class AdmissionController:
         success the caller *must* later call :meth:`complete` exactly
         once, whatever the outcome.
         """
-        with self._lock:
-            if deadline is not None:
-                if now >= deadline:
+        if deadline is not None:
+            if now >= deadline:
+                self._stats.shed_deadline += 1
+                raise DeadlineExceeded(
+                    "deadline expired before admission")
+            if self._ewma is not None:
+                predicted = self._ewma * (
+                    1.0 + self._inflight / self.batch_hint
+                )
+                if now + predicted >= deadline:
                     self._stats.shed_deadline += 1
                     raise DeadlineExceeded(
-                        "deadline expired before admission")
-                if self._ewma is not None:
-                    predicted = self._ewma * (
-                        1.0 + self._inflight / self.batch_hint
+                        f"predicted wait {predicted * 1e3:.1f}ms "
+                        f"exceeds the remaining deadline budget"
                     )
-                    if now + predicted >= deadline:
-                        self._stats.shed_deadline += 1
-                        raise DeadlineExceeded(
-                            f"predicted wait {predicted * 1e3:.1f}ms "
-                            f"exceeds the remaining deadline budget"
-                        )
-            if self._inflight >= self.queue_limit:
-                self._stats.rejected_overload += 1
-                raise Overloaded(
-                    f"plan queue full ({self._inflight} in flight)",
-                    queue_depth=self._inflight,
-                    queue_limit=self.queue_limit,
-                )
-            self._inflight += 1
-            self._stats.admitted += 1
-            self._stats.peak_inflight = max(self._stats.peak_inflight,
-                                            self._inflight)
+        if self._inflight >= self.queue_limit:
+            self._stats.rejected_overload += 1
+            raise Overloaded(
+                f"plan queue full ({self._inflight} in flight)",
+                queue_depth=self._inflight,
+                queue_limit=self.queue_limit,
+            )
+        self._inflight += 1
+        self._stats.admitted += 1
+        self._stats.peak_inflight = max(self._stats.peak_inflight,
+                                        self._inflight)
 
     def complete(self, started: float, now: float, *,
                  ok: bool = True) -> None:
         """Release one admitted slot and fold its service time into
         the EWMA (failures release the slot but do not pollute the
         service-time estimate)."""
-        with self._lock:
-            self._inflight = max(0, self._inflight - 1)
-            if ok:
-                self._stats.completed += 1
-                sample = max(0.0, now - started)
-                if self._ewma is None:
-                    self._ewma = sample
-                else:
-                    alpha = self.ewma_alpha
-                    self._ewma = alpha * sample + (1 - alpha) * self._ewma
-                self._stats.ewma_service_s = self._ewma
+        self._inflight = max(0, self._inflight - 1)
+        if ok:
+            self._stats.completed += 1
+            sample = max(0.0, now - started)
+            if self._ewma is None:
+                self._ewma = sample
             else:
-                self._stats.failed += 1
+                alpha = self.ewma_alpha
+                self._ewma = alpha * sample + (1 - alpha) * self._ewma
+            self._stats.ewma_service_s = self._ewma
+        else:
+            self._stats.failed += 1
 
     def stats(self) -> AdmissionStats:
-        with self._lock:
-            snapshot = replace(self._stats)
-            return snapshot
+        return replace(self._stats)

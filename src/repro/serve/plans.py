@@ -69,7 +69,7 @@ class PlanKey:
             raise BadRequest("missing or non-string 'transform'")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise BadRequest(f"bad transform size {n!r}")
-        if dtype not in DTYPES:
+        if not isinstance(dtype, str) or dtype not in DTYPES:
             raise BadRequest(
                 f"unsupported dtype {dtype!r} (expected one of "
                 f"{sorted(DTYPES)})"

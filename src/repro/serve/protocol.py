@@ -114,7 +114,8 @@ def header_length(buffer, offset: int = 0) -> int:
 def payload_length(header: dict) -> int:
     """The payload length ``header`` declares, within the cap."""
     payload_bytes = header.get("payload_bytes", 0)
-    if not isinstance(payload_bytes, int) or payload_bytes < 0 \
+    if not isinstance(payload_bytes, int) \
+            or isinstance(payload_bytes, bool) or payload_bytes < 0 \
             or payload_bytes > MAX_PAYLOAD_BYTES:
         raise BadRequest(f"bad payload_bytes {payload_bytes!r}")
     return payload_bytes

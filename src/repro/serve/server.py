@@ -6,18 +6,18 @@ asyncio front-end over the length-prefixed protocol
 ``(transform, n, dtype)`` through the server's one route table to a
 per-plan pipeline::
 
-    socket -> routes[key] -> admission -> BatchDispatcher -> ExecutableRoutine
-              (a cold key    (bounded     (coalesces         (c > numpy >
-               builds once)   queue,       concurrent         python circuit
-                              deadline     requests)          breakers)
+    socket -> routes[key] -> admission -> Batcher -> ExecutableRoutine
+              (a cold key    (bounded     (one batch per     (c > numpy >
+               builds once)   queue,       route per loop     python circuit
+                              deadline     turn)              breakers)
                               sheds)
 
 Each stage already existed; the server is their first joint consumer:
 
-* the **dispatcher** turns concurrent single-vector requests into
-  ``apply_many`` batches, work-conserving: an idle worker takes what
-  is pending at once, so a request waits for batching only behind the
-  batch already executing;
+* the **batcher** turns the requests a loop turn brought into
+  ``apply_many`` batches, run on the event loop itself: a request
+  waits for batching only until the loop finishes the frames already
+  in hand, and a served worker is one thread;
 * the **circuit breakers** degrade a faulting backend in place, so a
   poisoned native driver costs the fleet a speed tier, not an error
   storm of ``internal`` responses;
@@ -32,7 +32,9 @@ complete frame in it in one pass; a ``transform`` goes from there,
 synchronously, through validation, admission and
 ``dispatcher.submit``, its payload copied once, straight out of the
 receive buffer into the request's vector.  No task and no future is
-made per request.
+made per request.  The first submission of a loop turn schedules one
+``loop.call_soon`` of :meth:`SplServer._run`, which runs every busy
+route's pending batches once the turn's reads are parsed.
 
 A cold route is built once.  Its first request starts the one
 default-executor job that builds its plan; every request for the
@@ -42,32 +44,31 @@ requests are submitted; when it fails, each gets the typed error and
 nothing is cached, so the next request builds again.  The table and
 the parked lists are touched only on the loop thread, so neither
 needs a lock, and a burst of requests on a cold route holds one
-executor thread, not one per request.
+executor thread, not one per request.  ``--warm`` routes are built on
+the loop in ``start()``, before anything listens, so a warmed worker
+that meets no cold route never makes that thread.
 
 Requests on one connection may be pipelined; responses carry the
-request ``id`` and complete out of order.  Completions cross back from
-the dispatcher's worker thread through one hand-off queue that wakes
-the loop once per burst (``loop.call_soon_threadsafe``), and that
-drain writes each connection's replies with one ``writelines`` — the
-JSON header, then a view of the result row.  Backpressure is the
-transport's: while a connection's unsent replies are above the
-transport's high-water mark, the server stops reading that
-connection's requests.  On shutdown, :meth:`SplServer.close` lets each
-connection's unsent replies reach the socket before it hangs up.
+request ``id`` and complete out of order.  A batch resolves each
+request into its reply on the spot, and once the turn's batches have
+run, each answered connection's replies go out with one
+``writelines`` — the JSON header, then a view of the result row.
+Backpressure is the transport's: while a connection's unsent replies
+are above the transport's high-water mark, the server stops reading
+that connection's requests.  On shutdown, :meth:`SplServer.close` lets
+each connection's unsent replies reach the socket before it hangs up.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
-import threading
 import time
-from collections import deque
 from dataclasses import asdict
 from functools import partial
 
 from repro.core.errors import SplError
-from repro.runtime.dispatcher import BatchDispatcher, DispatcherClosed
+from repro.runtime.dispatcher import Batcher, DispatcherClosed
 from repro.serve.admission import AdmissionController
 from repro.serve.errors import (
     BadRequest,
@@ -89,13 +90,12 @@ from repro.serve.protocol import (
 
 
 class PlanService:
-    """One routed plan: dispatcher + admission around an executable."""
+    """One routed plan: batcher + admission around an executable."""
 
     def __init__(self, plan: Plan, *, max_batch: int = 64,
                  queue_limit: int = 256):
         self.plan = plan
-        self.dispatcher = BatchDispatcher(plan.executable,
-                                          max_batch=max_batch)
+        self.dispatcher = Batcher(plan.executable, max_batch=max_batch)
         self.admission = AdmissionController(
             queue_limit=queue_limit, batch_hint=max_batch,
         )
@@ -148,21 +148,23 @@ class SplServer:
         self._inflight = 0
         self._quiescent: asyncio.Event | None = None
         self.connections_accepted = 0
-        # The reply hand-off: dispatcher workers append resolved
-        # requests, and whichever finds no drain scheduled wakes the
-        # loop — once per burst, however many requests the burst holds.
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._resolved: deque = deque()
-        self._handoff_lock = threading.Lock()
-        self._drain_scheduled = False
+        # This loop turn's work: the routes with pending requests, the
+        # replies each connection has been given, and whether _run is
+        # already scheduled to run and write them.
+        self._busy: dict[PlanService, None] = {}
+        self._answered: dict[_Connection, int] = {}
+        self._run_scheduled = False
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> tuple[str, int]:
         loop = self._loop = asyncio.get_running_loop()
         for key in self.warm_keys:
+            # On the loop: nothing is listening yet, and an executor
+            # would keep its idle thread for the process's lifetime.
             try:
-                await self._build(key)
+                self._route(key, self.registry.get(key))
             except SplError as exc:
                 raise _unplannable(key, exc) from exc
         # reuse_port is how a supervised fleet shares one address:
@@ -203,8 +205,9 @@ class SplServer:
     async def close(self, grace: float = 5.0) -> None:
         """Hang up every connection once its written replies have
         reached the socket (aborting any still unsent after ``grace``
-        seconds), then stop the dispatchers.  A build still running
-        routes nothing once this has begun."""
+        seconds), then cancel what the routes still hold with
+        :class:`DispatcherClosed`.  A build still running routes
+        nothing once this has begun."""
         self._closing = True
         if self._server is not None:
             self._server.close()
@@ -216,11 +219,8 @@ class SplServer:
                                timeout=grace)
         for conn in list(self._connections):
             conn.transport.abort()  # still unflushed: its grace is up
-        loop = asyncio.get_running_loop()
-        for service in list(self.routes.values()):
-            # Dispatcher close joins its worker thread: keep it off
-            # the loop.
-            await loop.run_in_executor(None, service.dispatcher.close)
+        for service in self.routes.values():
+            service.dispatcher.cancel()
 
     # -- stats -------------------------------------------------------------
 
@@ -273,7 +273,7 @@ class SplServer:
         deadline = None
         if deadline_ms is not None:
             if not isinstance(deadline_ms, (int, float)) \
-                    or deadline_ms <= 0:
+                    or isinstance(deadline_ms, bool) or deadline_ms <= 0:
                 raise BadRequest(f"bad deadline_ms {deadline_ms!r}")
             deadline = arrival + float(deadline_ms) / 1e3
         x = bytes_to_vector(buffer, key.n, resolve_dtype(key.dtype),
@@ -289,12 +289,11 @@ class SplServer:
         self._parked[key].append(request)
         self._owe(conn, 1)
 
-    def _build(self, key: PlanKey) -> asyncio.Future:
+    def _build(self, key: PlanKey) -> None:
         """Start the one off-loop build of cold route ``key``."""
         self._parked[key] = []
         build = self._loop.run_in_executor(None, self.registry.get, key)
         build.add_done_callback(partial(self._built, key))
-        return build
 
     def _built(self, key: PlanKey, build: asyncio.Future) -> None:
         """``key``'s build finished: route it and submit every request
@@ -306,9 +305,7 @@ class SplServer:
         elif error is None and self._closing:
             error = Unavailable("server is shut down")
         elif error is None:
-            service = self.routes[key] = PlanService(
-                build.result(), max_batch=self.max_batch,
-                queue_limit=self.queue_limit)
+            service = self._route(key, build.result())
         for request in parked:
             conn, request_id = request[:2]
             if conn.transport.is_closing():
@@ -325,6 +322,11 @@ class SplServer:
             if not conn.transport.is_closing():
                 conn.flush()
 
+    def _route(self, key: PlanKey, plan: Plan) -> PlanService:
+        service = self.routes[key] = PlanService(
+            plan, max_batch=self.max_batch, queue_limit=self.queue_limit)
+        return service
+
     def _submit(self, service: PlanService, request: tuple) -> None:
         """Admit and enqueue ``(conn, id, x, arrival, deadline)``."""
         conn, request_id, x, arrival, deadline = request
@@ -335,22 +337,24 @@ class SplServer:
             # the degraded backend) and must stay bit-correct.
             chaos.force_trip(service.plan.executable)
         service.admission.try_admit(time.monotonic(), deadline)
-        # From here the admission slot belongs to the dispatcher's
+        # From here the admission slot belongs to the batcher's
         # request, not to the connection: it is released when the
-        # request resolves (in _drain_resolved), so a client that
-        # vanishes mid-flight cannot leak it, and its queued work keeps
+        # request resolves (in _resolved), so a client that vanishes
+        # mid-flight cannot leak it, and its queued work keeps
         # counting against queue_limit until it has actually run.
         try:
             service.dispatcher.submit(x, partial(
-                self._hand_off, service.admission, arrival, conn,
+                self._resolved, service.admission, arrival, conn,
                 request_id))
-        except (DispatcherClosed, ValueError) as exc:
+        except ValueError as exc:
             service.admission.complete(arrival, time.monotonic(),
                                        ok=False)
-            if isinstance(exc, ValueError):
-                raise BadRequest(str(exc)) from exc
-            raise
+            raise BadRequest(str(exc)) from exc
         self._owe(conn, 1)
+        self._busy[service] = None
+        if not self._run_scheduled:
+            self._run_scheduled = True
+            self._loop.call_soon(self._run)
 
     def _owe(self, conn: _Connection, count: int) -> None:
         """``conn`` is owed ``count`` more (or fewer) replies; a drain
@@ -396,63 +400,46 @@ class SplServer:
             if hangup:
                 conn.transport.close()
 
-    # -- the reply hand-off --------------------------------------------------
+    # -- this loop turn's batches ---------------------------------------------
 
-    def _hand_off(self, admission: AdmissionController, arrival: float,
-                  conn: _Connection, request_id, request) -> None:
-        """Dispatcher-worker side: queue one resolved request for the
-        loop, waking it only if no drain is already on its way."""
-        self._resolved.append((admission, arrival, conn, request_id,
-                               request))
-        with self._handoff_lock:
-            if self._drain_scheduled:
-                return  # that drain has not started popping: it sees us
-            self._drain_scheduled = True
-        try:
-            self._loop.call_soon_threadsafe(self._drain_resolved)
-        except RuntimeError:
-            # The loop is closed (shutdown): nobody is left to answer.
-            # Clear the flag so the hand-off is not wedged shut.
-            with self._handoff_lock:
-                self._drain_scheduled = False
-
-    def _drain_resolved(self) -> None:
-        """Loop side: release every slot, queue every reply, then write
-        each connection's replies at once.  The flag drops *before* the
-        first pop, so a request appended after the last pop always
-        schedules its own drain."""
-        with self._handoff_lock:
-            self._drain_scheduled = False
-        resolved = self._resolved
-        now = time.monotonic()
-        answered: dict[_Connection, int] = {}
-        while resolved:
-            admission, arrival, conn, request_id, request = \
-                resolved.popleft()
-            # A closed connection's requests are settled when it
-            # drops.  The work ran, the slot is freed, but a reply
-            # nobody waits for is no service-time sample.
-            live = not conn.transport.is_closing()
-            error = request.error
-            admission.complete(arrival, now, ok=live and error is None)
-            if not live:
-                continue
-            answered[conn] = answered.get(conn, 0) + 1
-            if error is not None:
-                self._answer(conn, _error_header(error, request_id))
-                continue
-            result = request.result
-            self._answer(conn, {
-                "status": "ok",
-                "n": result.shape[0],
-                "dtype": dtype_name(result.dtype),
-                "server_ms": (now - arrival) * 1e3,
-                "id": request_id,
-                "payload_bytes": result.nbytes,
-            }, result.data.cast("B"))
+    def _run(self) -> None:
+        """Run every busy route's pending batches, then write each
+        answered connection's replies at once."""
+        self._run_scheduled = False
+        busy, self._busy = self._busy, {}
+        for service in busy:
+            service.dispatcher.run()
+        answered, self._answered = self._answered, {}
         for conn, count in answered.items():
             self._owe(conn, -count)
             conn.flush()
+
+    def _resolved(self, admission: AdmissionController, arrival: float,
+                  conn: _Connection, request_id, request) -> None:
+        """One request resolved: release its slot and queue its reply
+        (the result row itself, a view of its batch's output)."""
+        now = time.monotonic()
+        # A closed connection's requests are settled when it drops.
+        # The work ran, the slot is freed, but a reply nobody waits
+        # for is no service-time sample.
+        live = not conn.transport.is_closing()
+        error = request.error
+        admission.complete(arrival, now, ok=live and error is None)
+        if not live:
+            return
+        self._answered[conn] = self._answered.get(conn, 0) + 1
+        if error is not None:
+            self._answer(conn, _error_header(error, request_id))
+            return
+        result = request.result
+        self._answer(conn, {
+            "status": "ok",
+            "n": result.shape[0],
+            "dtype": dtype_name(result.dtype),
+            "server_ms": (now - arrival) * 1e3,
+            "id": request_id,
+            "payload_bytes": result.nbytes,
+        }, result.data.cast("B"))
 
 
 def _unplannable(key: PlanKey, exc: SplError) -> BadRequest:
@@ -461,7 +448,7 @@ def _unplannable(key: PlanKey, exc: SplError) -> BadRequest:
 
 def _error_header(exc: Exception, request_id) -> dict:
     """The typed error reply header for ``exc``: ``unavailable`` for a
-    closed dispatcher, ``internal`` for anything else that is not a
+    request cancelled at shutdown, ``internal`` for anything else that is not a
     :class:`ServeError` (for a failed transform, the breakers already
     degraded through every tier — the chain-exhausted or
     poisoned-request case)."""

@@ -121,19 +121,24 @@ class FleetProcess:
 
         SO_REUSEPORT load-balances connections, so fresh connections
         land on different workers; each reports its pid in ``stats``.
+        The port file appears when the *first* worker listens, so the
+        others may still be booting: dial until ``want`` pids are seen
+        or ``timeout`` runs out, not for a fixed number of dials.
         """
         want = self.workers if want is None else want
         pids: set[int] = set()
         deadline = time.monotonic() + timeout
-        for _ in range(64):
-            if len(pids) >= want or time.monotonic() > deadline:
-                break
+        while len(pids) < want and time.monotonic() < deadline:
             try:
                 with SplClient(self.host, self.port, timeout=5.0,
                                request_timeout=5.0) as client:
-                    pids.add(client.stats()["pid"])
+                    pid = client.stats()["pid"]
             except (ConnectionError, OSError, ServeError):
                 time.sleep(0.05)
+                continue
+            if pid in pids:
+                time.sleep(0.01)
+            pids.add(pid)
         return pids
 
 

@@ -35,7 +35,7 @@ from tests.serve.test_server import (
     FFT16,
     ServerHarness,
     _complex_vec,
-    _gate,
+    _hold,
 )
 
 
@@ -302,21 +302,21 @@ class TestResilientAsyncClientRetryLoop:
 
 @contextlib.contextmanager
 def _held_server():
-    """A live server whose fft:16 plan holds every batch at the kernel
+    """A live server whose fft:16 plan holds every request pending
     until the block exits, so a transform's reply never arrives while
-    pings (which bypass the dispatcher) still answer."""
+    pings (which bypass the batcher) still answer."""
     with ServerHarness(warm=[FFT16], max_batch=64) as harness:
-        gate = _gate(harness.server.routes[FFT16])
+        held = _hold(harness, FFT16)
         try:
             yield harness
         finally:
-            gate.release.set()  # let the harness drain and shut down
+            held.release()
 
 
 class TestClientTimeout:
     def test_slow_response_raises_typed_timeout(self):
-        # The gate keeps the request parked at the kernel far longer
-        # than the client timeout.
+        # The held route keeps the request pending far longer than the
+        # client timeout.
         with _held_server() as harness:
             client = SplClient(harness.host, harness.port,
                                request_timeout=0.2)
@@ -346,7 +346,7 @@ class TestClientTimeout:
                     client.transform("fft", _complex_vec(16),
                                      retry=None)
                 # The next op re-dials lazily and works: pings bypass
-                # the dispatcher so they answer immediately.
+                # the batcher so they answer immediately.
                 client.ping()
 
     def test_async_client_timeout_keeps_stream_usable(self):

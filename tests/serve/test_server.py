@@ -9,8 +9,9 @@ dispatch, breaker-guarded execution — is exercised, not mocked.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import gc
+import io
+import os
 import socket
 import struct
 import sys
@@ -45,6 +46,8 @@ from repro.serve.protocol import (
     read_frame_sync,
 )
 from repro.wisdom.store import WisdomStore
+
+from tests.serve.fleet import FleetProcess
 
 FFT16 = PlanKey("fft", 16, "complex128")
 WHT8 = PlanKey("wht", 8, "float64")
@@ -236,26 +239,118 @@ class TestTypedErrors:
             assert plan["admission"]["shed_deadline"] == 1
             assert plan["admission"]["admitted"] == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("dtype", [1]), ("dtype", {}), ("deadline_ms", True)])
+    def test_a_malformed_header_field_is_a_bad_request(
+            self, fft16_server, field, value):
+        """An unhashable dtype used to escape as ``internal``, and a
+        JSON ``true`` passed as a 1 ms deadline; the request beside it
+        is served."""
+        x = _complex_vec(16, seed=12)
+        header = {"op": "transform", "transform": "fft", "n": 16,
+                  "dtype": "complex128", "id": 1, field: value}
+        with _raw_connect(fft16_server) as sock, \
+                sock.makefile("rb") as reader:
+            sock.sendall(encode_frame(header, x.tobytes())
+                         + _route_frame(FFT16, x, 2))
+            replies = dict((h["id"], h) for h, _ in
+                           (read_frame_sync(reader) for _ in range(2)))
+        assert replies[1]["code"] == "bad_request"
+        assert replies[2]["status"] == "ok"
 
-class _GatedTarget:
-    """Wrap a plan executable; hold every batch until released."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.n = inner.n
-        self.dtype = inner.dtype
-        self.release = threading.Event()
-
-    def apply_many(self, X, **kwargs):
-        assert self.release.wait(60), "gate never released"
-        return self.inner.apply_many(X, **kwargs)
+    def test_a_boolean_payload_length_is_a_bad_request(self, fft16_server):
+        """``"payload_bytes": true`` used to frame a 1-byte payload; it
+        breaks the framing like any other bad length."""
+        head = frame_head({"op": "ping", "id": 1, "payload_bytes": True})
+        with _raw_connect(fft16_server) as sock, \
+                sock.makefile("rb") as reader:
+            sock.sendall(head + b"\0")
+            header, _ = read_frame_sync(reader)
+            assert header["code"] == "bad_request"
+            assert read_frame_sync(reader) is None  # and hung up
 
 
-def _gate(service) -> _GatedTarget:
-    """Put a gate in front of ``service``'s executable."""
-    gate = _GatedTarget(service.dispatcher.target)
-    service.dispatcher.target = gate
-    return gate
+class _Held:
+    """Keep ``service``'s admitted requests pending until released.
+
+    The batch runs on the event loop, so holding the kernel would hold
+    the loop; instead the route's per-turn ``run`` does nothing, and
+    the loop keeps reading, admitting and answering everything else.
+    ``release()`` (from any thread) restores ``run`` and runs what is
+    pending on the loop."""
+
+    def __init__(self, harness: "ServerHarness", service):
+        self.harness, self.service = harness, service
+        self.run = service.dispatcher.run
+        service.dispatcher.run = lambda: None
+
+    def release(self) -> None:
+        server = self.harness.server
+
+        def resume() -> None:
+            self.service.dispatcher.run = self.run
+            server._busy[self.service] = None
+            server._run()
+
+        self.harness._loop.call_soon_threadsafe(resume)
+
+
+def _hold(harness: "ServerHarness", key: PlanKey) -> _Held:
+    return _Held(harness, harness.server.routes[key])
+
+
+class _Transport:
+    """A stand-in for a connection's transport: keeps what the server
+    writes and counts the ``writelines`` calls that wrote it."""
+
+    def __init__(self):
+        self.written = bytearray()
+        self.writes = 0
+        self.closing = False
+
+    def writelines(self, chunks) -> None:
+        self.writes += 1
+        for chunk in chunks:
+            self.written += chunk
+
+    def is_closing(self) -> bool:
+        return self.closing
+
+    def close(self) -> None:
+        self.closing = True
+
+
+async def _fed(server: SplServer, *streams: bytes) -> list[_Transport]:
+    """Hand each of ``streams`` to its own new connection in one
+    ``data_received`` call each, all in one loop turn, then let the
+    loop answer every request; the connections' transports."""
+    from repro.serve.server import _Connection
+
+    conns = []
+    for stream in streams:
+        conn = _Connection(server)
+        conn.connection_made(_Transport())
+        conn.data_received(stream)
+        conns.append(conn)
+    while any(conn.pending for conn in conns):
+        await asyncio.sleep(0)
+    for conn in conns:
+        conn.connection_lost(None)
+    return [conn.transport for conn in conns]
+
+
+def _frames(data: bytes) -> list[tuple[dict, bytes]]:
+    """The frames in ``data``, in order."""
+    reader, frames = io.BytesIO(data), []
+    while (frame := read_frame_sync(reader)) is not None:
+        frames.append(frame)
+    return frames
+
+
+async def _started(**server_kwargs) -> SplServer:
+    server = SplServer(PlanRegistry(prefer="numpy"), **server_kwargs)
+    await server.start()
+    return server
 
 
 class _PoisonDetector:
@@ -274,48 +369,40 @@ class _PoisonDetector:
 
 class TestOverloadAndIsolation:
     def test_bounded_queue_rejects_with_typed_overload(self):
-        queue_limit = 4
-        extra = 3
-        with ServerHarness(warm=[FFT16], queue_limit=queue_limit,
-                           max_batch=64) as harness:
-            service = harness.server.routes[FFT16]
-            gate = _gate(service)
+        """One read holding ``queue_limit + extra`` frames: admission
+        sees the whole burst before any batch runs, so the first
+        ``queue_limit`` are served and exactly the rest refused, on
+        every run."""
+        queue_limit, extra = 4, 3
+        x = _complex_vec(16)
+        stream = b"".join(_route_frame(FFT16, x, i)
+                          for i in range(queue_limit + extra))
 
-            async def drive():
-                client = await AsyncSplClient.connect(harness.host,
-                                                      harness.port)
-                try:
-                    x = _complex_vec(16)
-                    header = {"op": "transform", "transform": "fft",
-                              "n": 16, "dtype": dtype_name(x.dtype)}
-                    futures = [client.submit(header, x.tobytes())
-                               for _ in range(queue_limit + extra)]
-                    await client.drain()
-                    # Nothing completes while the gate is held, so
-                    # admission fills to exactly queue_limit and every
-                    # request past it is rejected.  Release once the
-                    # rejections have come back.
-                    done = 0
-                    while done < extra:
-                        done = sum(f.done() for f in futures)
-                        await asyncio.sleep(0.01)
-                    gate.release.set()
-                    return await asyncio.gather(
-                        *futures, return_exceptions=True)
-                finally:
-                    await client.close()
+        async def drive():
+            server = await _started(warm=[FFT16],
+                                    queue_limit=queue_limit)
+            try:
+                (transport,) = await _fed(server, stream)
+                return server.routes[FFT16], _frames(transport.written)
+            finally:
+                await server.close()
 
-            outcomes = asyncio.run(drive())
-            overloads = [o for o in outcomes
-                         if isinstance(o, Overloaded)]
-            served = [o for o in outcomes if not isinstance(
-                o, BaseException)]
-            assert len(overloads) == extra
-            assert len(served) == queue_limit
-            assert overloads[0].queue_limit == queue_limit
-            stats = service.admission.stats()
-            assert stats.rejected_overload == extra
-            assert stats.admitted == queue_limit
+        service, replies = asyncio.run(drive())
+        codes = {header["id"]: header.get("code", header["status"])
+                 for header, _ in replies}
+        assert codes == {i: "ok" if i < queue_limit else "overload"
+                         for i in range(queue_limit + extra)}
+        for header, payload in replies:
+            if header["status"] == "ok":
+                np.testing.assert_allclose(
+                    np.frombuffer(payload, dtype=complex), np.fft.fft(x),
+                    atol=1e-9)
+            else:
+                assert header["queue_limit"] == queue_limit
+        stats = service.admission.stats()
+        assert stats.rejected_overload == extra
+        assert stats.admitted == stats.completed == queue_limit
+        assert service.dispatcher.stats.batches == 1
 
     def test_poisoned_request_fails_alone(self):
         batch = 5
@@ -415,8 +502,7 @@ class TestDrain:
 
     def test_admitted_requests_complete_and_new_ones_are_refused(self):
         with ServerHarness(warm=[FFT16], max_batch=64) as harness:
-            service = harness.server.routes[FFT16]
-            gate = _gate(service)
+            held = _hold(harness, FFT16)
 
             async def drive():
                 client = await AsyncSplClient.connect(harness.host,
@@ -444,7 +530,7 @@ class TestDrain:
                             AsyncSplClient.connect(harness.host,
                                                    harness.port), 5)
                     assert not drain_task.done()
-                    gate.release.set()
+                    held.release()
                     drained = await drain_task
                     results = await asyncio.gather(*futures)
                     return drained, xs, results
@@ -461,8 +547,7 @@ class TestDrain:
 
     def test_drain_times_out_when_requests_never_finish(self):
         with ServerHarness(warm=[FFT16], max_batch=64) as harness:
-            service = harness.server.routes[FFT16]
-            gate = _gate(service)
+            held = _hold(harness, FFT16)
 
             async def drive():
                 client = await AsyncSplClient.connect(harness.host,
@@ -474,7 +559,7 @@ class TestDrain:
                     while harness.server._inflight < 1:
                         await asyncio.sleep(0.005)
                     drained = await harness.server.drain(grace=0.2)
-                    gate.release.set()  # let the harness shut down
+                    held.release()
                     await future
                     return drained
                 finally:
@@ -557,116 +642,73 @@ class TestDrain:
             assert stats["draining"] is False
             assert stats["inflight"] == 0
 
+    def test_close_cancels_what_a_route_still_holds(self):
+        """Requests still pending when the server closes are resolved
+        with ``DispatcherClosed``, not run: their slots are released
+        and the hung-up client is sent nothing."""
+        x = _complex_vec(16)
+        harness = ServerHarness(warm=[FFT16]).__enter__()
+        service = harness.server.routes[FFT16]
+        _hold(harness, FFT16)
+        with _raw_connect(harness) as sock:
+            sock.sendall(b"".join(_route_frame(FFT16, x, i)
+                                  for i in range(3)))
+            _wait_for(lambda: service.admission.inflight == 3)
+            harness.__exit__(None, None, None)
+            assert sock.recv(1) == b""
+        stats = service.dispatcher.stats
+        assert (stats.cancelled_requests, stats.batches) == (3, 0)
+        assert service.admission.inflight == 0
+        assert service.admission.stats().failed == 3
 
-class TestReplyHandoff:
-    """Replies cross from the dispatcher's worker to the event loop
-    with one wake-up per burst, and an admission slot is released when
-    its request resolves — whether or not anyone still waits."""
 
-    @staticmethod
-    @contextlib.contextmanager
-    def _counted_wakeups(harness, calls, fail=None):
-        """Inside the block the server loop's ``call_soon_threadsafe``
-        counts the drain wake-ups into ``calls``, and raises instead
-        of scheduling them while ``fail`` is set."""
-        loop, drain = harness._loop, harness.server._drain_resolved
-        real = loop.call_soon_threadsafe
+class TestOneRunPerTurn:
+    """What one loop turn brings runs on the loop as one batch per
+    route: one ``_run`` callback per turn, one write per connection,
+    and an admission slot released when its request resolves — whether
+    or not anyone still waits."""
 
-        def counting(callback, *args):
-            if callback == drain:
-                calls.append(callback)
-                if fail is not None and fail.is_set():
-                    raise RuntimeError("Event loop is closed")
-            return real(callback, *args)
+    def test_one_run_callback_per_turn_and_one_write_per_connection(
+            self):
+        xs = [_complex_vec(16, seed=s) for s in range(6)]
+        ws = [_rng(s).standard_normal(8) for s in range(6)]
+        stream = b"".join(
+            [_route_frame(FFT16, x, i) for i, x in enumerate(xs)]
+            + [_route_frame(WHT8, w, 10 + i) for i, w in enumerate(ws)])
+        runs = []
 
-        loop.call_soon_threadsafe = counting
-        try:
-            yield
-        finally:
-            loop.call_soon_threadsafe = real
+        async def drive():
+            server = await _started(warm=[FFT16, WHT8])
+            real_run = server._run
 
-    def test_a_resolved_burst_wakes_the_loop_once(self):
-        burst = 5
-        with ServerHarness(warm=[FFT16], max_batch=64) as harness:
-            service = harness.server.routes[FFT16]
-            gate = _gate(service)
-            calls = []
+            def counted_run() -> None:
+                runs.append(len(server._busy))
+                real_run()
 
-            async def drive():
-                client = await AsyncSplClient.connect(harness.host,
-                                                      harness.port)
-                xs = [_complex_vec(16, seed=s) for s in range(burst)]
-                try:
-                    futures = [asyncio.ensure_future(
-                        client.transform("fft", xs[0]))]
-                    # One request holds the worker at the gate ...
-                    while service.dispatcher.stats.batches < 1:
-                        await asyncio.sleep(0.005)
-                    # ... and the rest queue behind it as one batch.
-                    futures += [asyncio.ensure_future(
-                        client.transform("fft", x)) for x in xs[1:]]
-                    while service.admission.inflight < burst:
-                        await asyncio.sleep(0.005)
-                    with self._counted_wakeups(harness, calls):
-                        gate.release.set()
-                        # Hold the loop (on purpose) until the worker
-                        # has resolved everything: the batch of 1 it
-                        # was holding, then the batch queued behind
-                        # it, which finds a drain already scheduled
-                        # and rides in it.
-                        assert service.dispatcher.wait_idle(30.0)
-                    assert len(harness.server._resolved) == burst
-                    return xs, await asyncio.gather(*futures)
-                finally:
-                    await client.close()
+            server._run = counted_run
+            try:
+                return server, await _fed(server, stream, stream)
+            finally:
+                await server.close()
 
-            xs, results = asyncio.run(
-                asyncio.wait_for(_run_on(harness, drive), 60))
-            assert len(calls) == 1
-            for x, y in zip(xs, results):
-                np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-9)
-            stats = service.admission.stats()
-            assert service.admission.inflight == 0
-            assert stats.completed == burst
-            assert service.dispatcher.stats.batches == 2
-
-    def test_a_closed_loop_neither_kills_the_worker_nor_wedges(self):
-        with ServerHarness(warm=[FFT16], max_batch=64) as harness:
-            service = harness.server.routes[FFT16]
-            server = harness.server
-            calls, fail = [], threading.Event()
-            fail.set()
-
-            async def drive():
-                client = await AsyncSplClient.connect(harness.host,
-                                                      harness.port)
-                xs = [_complex_vec(16, seed=s) for s in (21, 22)]
-                try:
-                    with self._counted_wakeups(harness, calls, fail):
-                        first = asyncio.ensure_future(
-                            client.transform("fft", xs[0]))
-                        # The wake-up raised (as on a loop closed at
-                        # shutdown): the reply is parked, nothing else.
-                        while not server._resolved:
-                            await asyncio.sleep(0.005)
-                        assert service.dispatcher.wait_idle(30.0)
-                        assert server._drain_scheduled is False
-                        assert service.dispatcher._worker.is_alive()
-                        assert not first.done()
-                        fail.clear()
-                        # The next reply schedules a drain as usual,
-                        # and the parked one rides in it.
-                        second = await client.transform("fft", xs[1])
-                    return xs, [await first, second]
-                finally:
-                    await client.close()
-
-            xs, results = asyncio.run(
-                asyncio.wait_for(_run_on(harness, drive), 60))
-            assert len(calls) == 2
-            for x, y in zip(xs, results):
-                np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-9)
-            assert service.admission.inflight == 0
+        server, transports = asyncio.run(drive())
+        assert runs == [2]  # one callback, both routes busy in it
+        for transport in transports:
+            assert transport.writes == 1
+            replies = {header["id"]: payload
+                       for header, payload in _frames(transport.written)}
+            assert sorted(replies) == [*range(6), *range(10, 16)]
+            for i, x in enumerate(xs):
+                np.testing.assert_allclose(
+                    np.frombuffer(replies[i], dtype=complex),
+                    np.fft.fft(x), atol=1e-9)
+            for i, w in enumerate(ws):
+                np.testing.assert_allclose(
+                    np.frombuffer(replies[10 + i]), _wht_matrix(8) @ w,
+                    atol=1e-9)
+        for key in (FFT16, WHT8):
+            stats = server.routes[key].dispatcher.stats
+            assert (stats.requests, stats.batches) == (12, 1)
 
     def test_a_disconnecting_client_does_not_leak_its_slots(self):
         """Three connections each pipeline four transforms and vanish
@@ -677,9 +719,8 @@ class TestReplyHandoff:
         queue_limit = 8
         with ServerHarness(warm=[FFT16], queue_limit=queue_limit,
                            max_batch=64) as harness:
-            service = harness.server.routes[FFT16]
-            admission = service.admission
-            gate = _gate(service)
+            admission = harness.server.routes[FFT16].admission
+            held = _hold(harness, FFT16)
 
             async def drive():
                 x = _complex_vec(16)
@@ -691,8 +732,8 @@ class TestReplyHandoff:
                            for client in clients for _ in range(4)]
                 for client in clients:
                     await client.drain()
-                # 12 sent, 8 admitted (and parked at the gate), 4
-                # refused; then every connection drops.
+                # 12 sent, 8 admitted (and held pending), 4 refused;
+                # then every connection drops.
                 while admission.stats().admitted < queue_limit:
                     await asyncio.sleep(0.005)
                 for client in clients:
@@ -705,8 +746,7 @@ class TestReplyHandoff:
             # ... but the queued work still counts against the limit
             # until it has run.
             assert admission.inflight == queue_limit
-            gate.release.set()
-            assert service.dispatcher.wait_idle(30.0)
+            held.release()
             _wait_for(lambda: admission.inflight == 0)
             stats = admission.stats()
             assert stats.admitted == queue_limit
@@ -720,7 +760,7 @@ class TestReplyHandoff:
             assert admission.stats().completed == 1
 
     def test_a_served_request_leaves_nothing_for_the_collector(self):
-        """Request -> hand-off hook -> future -> (result) request used
+        """Request -> resolve hook -> future -> (result) request used
         to be a cycle: eleven objects and both vectors per request that
         only the cyclic collector could free, a young collection every
         ~70 requests and a full one (15 ms on the loop, every reply
@@ -924,12 +964,7 @@ class TestColdRoutes:
                                    np.fft.fft(x), atol=1e-9)
         assert builds.calls == [FFT16, FFT16]
 
-    def test_a_build_that_ends_after_close_starts_no_dispatcher(self):
-        def dispatchers() -> set:
-            return {thread for thread in threading.enumerate()
-                    if thread.name == "spl-dispatch"}
-
-        before = dispatchers()
+    def test_a_build_that_ends_after_close_routes_nothing(self):
         registry = PlanRegistry(prefer="numpy")
         builds = _GatedBuilds(registry, FFT16)
         harness = ServerHarness(registry).__enter__()
@@ -952,7 +987,18 @@ class TestColdRoutes:
         assert not closer.is_alive()
         assert builds.calls == [FFT16]
         assert not harness.server.routes
-        assert not dispatchers() - before
+
+    def test_a_route_starts_no_thread(self):
+        """A warmed route is built on the loop and its batches run
+        there: serving it adds no thread to the server's own."""
+        before = set(threading.enumerate())
+        x = _complex_vec(16, seed=8)
+        with ServerHarness(warm=[FFT16]) as harness:
+            outcomes = asyncio.run(_pipelined_burst(harness, [x] * 64))
+            added = set(threading.enumerate()) - before
+            assert added == {harness._thread}
+        for y in outcomes:
+            np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-9)
 
     def test_racing_registry_gets_share_one_plan(self):
         """The registry has no lock: threads racing on one cold key may
@@ -1160,7 +1206,7 @@ class TestNoPerRequestMachinery:
         """1 000 pipelined warm-route transforms: a constant number of
         tasks and futures (the accept path's and the connection's
         ``closed``, none per request), and at most one socket write per
-        connection per reply drain."""
+        connection per loop turn's run."""
         requests = 1000
         with ServerHarness(queue_limit=requests,
                            warm=[FFT16]) as harness:
@@ -1184,19 +1230,19 @@ class TestNoPerRequestMachinery:
                 return _real(sock, *args, **kwargs)
 
             monkeypatch.setattr(socket.socket, name, counted)
-        most_per_drain = []
-        real_drain = server._drain_resolved
+        most_per_run = []
+        real_run = server._run
 
-        def drain():
+        def run():
             served = {conn.transport.get_extra_info("socket").fileno()
                       for conn in server._connections}
             before = {fd: sends.get(fd, 0) for fd in served}
-            real_drain()
-            most_per_drain.append(max(
+            real_run()
+            most_per_run.append(max(
                 (sends.get(fd, 0) - count for fd, count in before.items()),
                 default=0))
 
-        monkeypatch.setattr(server, "_drain_resolved", drain)
+        monkeypatch.setattr(server, "_run", run)
         x = _complex_vec(16, seed=7)
         stream = b"".join(
             encode_frame({"op": "transform", "transform": "fft",
@@ -1216,7 +1262,32 @@ class TestNoPerRequestMachinery:
         assert ids == set(range(requests))
         monkeypatch.undo()
         assert len(created) <= 3, created
-        assert most_per_drain and max(most_per_drain) <= 1
+        assert most_per_run and max(most_per_run) <= 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc")
+class TestOneThreadPerWorker:
+    def test_a_warmed_loaded_worker_is_one_os_thread(self, monkeypatch):
+        """``python -m repro.serve --workers 1 --warm fft:64``, after
+        1 000 pipelined requests, each checked against numpy: the
+        worker process is one OS thread.  OpenBLAS starts a thread pool
+        of its own when numpy is imported; it is held to one thread
+        here so that the count is the server's."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        xs = [_complex_vec(64, seed=s) for s in range(8)]
+        sent = [xs[i % len(xs)] for i in range(1000)]
+        with FleetProcess(workers=1, prefer="c", warm=("fft:64",),
+                          extra_args=("--queue-limit", "1000")) as worker:
+            outcomes = asyncio.run(_pipelined_burst(worker, sent))
+            with SplClient(worker.host, worker.port) as client:
+                pid = client.stats()["pid"]
+            tasks = os.listdir(f"/proc/{pid}/task")
+        for x, y in zip(sent, outcomes):
+            assert isinstance(y, np.ndarray), y
+            np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-9)
+        assert len(tasks) == 1, tasks
 
 
 class _Flood:
