@@ -612,16 +612,3 @@ def subst_indices(body: list[Instr],
 
     return map_operands(body, rewrite)
 
-
-def clone_body(body: list[Instr]) -> list[Instr]:
-    """Deep-copy a list of instructions (IExpr/operands are immutable)."""
-    result: list[Instr] = []
-    for inst in body:
-        if isinstance(inst, Op):
-            result.append(Op(inst.op, inst.dest, inst.a, inst.b))
-        elif isinstance(inst, Loop):
-            result.append(Loop(inst.var, inst.count, clone_body(inst.body),
-                               unroll=inst.unroll))
-        else:
-            result.append(Comment(inst.text))
-    return result

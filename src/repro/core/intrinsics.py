@@ -56,11 +56,6 @@ INTRINSICS: dict[str, Callable[..., Number]] = {
 }
 
 
-def register_intrinsic(name: str, fn: Callable[..., Number]) -> None:
-    """Register a new parameterized scalar function for templates."""
-    INTRINSICS[name.upper()] = fn
-
-
 def evaluate_intrinsics(program: Program,
                         budget: CompileBudget | None = None) -> Program:
     """Replace every intrinsic invocation with a constant or table lookup.

@@ -95,38 +95,6 @@ def _unroll(body: list[Instr],
     return result
 
 
-def partially_unroll(loop: Loop, factor: int) -> list[Instr]:
-    """Unroll ``loop`` by ``factor`` (with a remainder loop if needed).
-
-    Provided for experimentation with partial unrolling; the main
-    pipeline uses full unrolling, as the paper's experiments do.
-    """
-    if factor <= 1:
-        return [loop]
-    main_trips = loop.count // factor
-    remainder = loop.count % factor
-    result: list[Instr] = []
-    if main_trips > 0:
-        replicated: list[Instr] = []
-        for k in range(factor):
-            shifted = subst_indices(
-                loop.body,
-                {loop.var: _scaled(loop.var, factor, k)},
-            )
-            replicated.extend(shifted)
-        result.append(Loop(loop.var, main_trips, replicated, unroll=False))
-    for k in range(remainder):
-        result.extend(subst_indices(loop.body,
-                                    {loop.var: main_trips * factor + k}))
-    return result
-
-
-def _scaled(var: str, factor: int, offset: int):
-    from repro.core.icode import IExpr
-
-    return IExpr.var(var) * factor + offset
-
-
 def scalarize_temps(program: Program) -> Program:
     """Replace fully-unrolled temporary vectors with scalar variables.
 

@@ -15,7 +15,7 @@ Provides the measurement substrate for the experiments in Section 4:
   code (the workers themselves are :mod:`repro.search.queue`).
 """
 
-from repro.perfeval.ccompile import CCompileError, compile_c_program, have_c_compiler
+from repro.perfeval.ccompile import CCompileError, have_c_compiler
 from repro.perfeval.sandbox import (
     CandidateFailure,
     Quarantine,
@@ -30,7 +30,6 @@ __all__ = [
     "CandidateFailure",
     "Quarantine",
     "SandboxPolicy",
-    "compile_c_program",
     "default_quarantine",
     "have_c_compiler",
     "pseudo_mflops",

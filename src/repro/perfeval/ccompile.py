@@ -267,15 +267,6 @@ def load_function(so_path: Path, name: str, *, strided: bool = False):
     return _load(so_path, name, 4 if strided else 0)
 
 
-def compile_c_program(source: str, name: str, *, strided: bool = False,
-                      cflags: tuple[str, ...] = (),
-                      build_dir: Path | None = None):
-    """Compile one routine and return the raw ctypes function."""
-    so_path = compile_shared_object(source, cflags=cflags,
-                                    build_dir=build_dir)
-    return load_function(so_path, name, strided=strided)
-
-
 def batch_driver_source(name: str, in_len: int, out_len: int) -> str:
     """A C batch driver looping over the rows of a (B, len) workspace.
 

@@ -26,6 +26,8 @@ import os
 from dataclasses import dataclass
 from typing import Any
 
+from repro.runtime.backoff import backoff_delay
+
 #: Ceiling on the retry backoff, whatever the attempt count.
 _BACKOFF_MAX_S = 2.0
 
@@ -73,8 +75,8 @@ class SandboxPolicy:
 
     def backoff_s(self, attempts: int) -> float:
         """Delay before re-queueing after the ``attempts``-th failure."""
-        return min(_BACKOFF_MAX_S,
-                   self.backoff * 2.0 ** (max(1, attempts) - 1))
+        return backoff_delay(max(1, attempts) - 1, base=self.backoff,
+                             multiplier=2.0, cap=_BACKOFF_MAX_S)
 
 
 @dataclass

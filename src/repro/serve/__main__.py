@@ -28,6 +28,7 @@ import sys
 from repro.serve.errors import BadRequest
 from repro.serve.plans import PLAN_BACKENDS, PlanKey
 from repro.serve.supervisor import (
+    HEARTBEAT_INTERVAL_S,
     BackoffPolicy,
     RestartBudget,
     ServeConfig,
@@ -35,6 +36,22 @@ from repro.serve.supervisor import (
     fork_supported,
     run_worker,
 )
+
+
+def _bounded(kind, low, *, strict=False):
+    """An argparse type: ``kind(text)``, refused below ``low`` (at it
+    too when ``strict``, and NaN always), so a value the server cannot
+    run with exits 2 with a usage message before anything forks."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value: 'x'"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="backend chain head (default: c, which "
                              "falls through to numpy on a host with "
                              "no compiler and no cached build)")
-    parser.add_argument("--max-batch", type=int, default=64)
-    parser.add_argument("--queue-limit", type=int, default=256,
+    parser.add_argument("--max-batch", type=_bounded(int, 1), default=64)
+    parser.add_argument("--queue-limit", type=_bounded(int, 1), default=256,
                         help="per-plan in-flight bound (overload "
                              "rejections beyond it)")
     fleet = parser.add_argument_group("fleet (supervised serving)")
@@ -70,16 +87,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes; >= 2 runs the "
                             "supervisor with SO_REUSEPORT workers "
                             "(default: 1, single process)")
-    fleet.add_argument("--drain-grace-s", type=float, default=30.0,
+    fleet.add_argument("--drain-grace-s", type=_bounded(float, 0.0),
+                       default=30.0,
                        help="seconds a draining worker may spend "
                             "finishing admitted requests")
-    fleet.add_argument("--restart-budget", type=int, default=6,
+    fleet.add_argument("--restart-budget", type=_bounded(int, 1), default=6,
                        help="max worker restarts per window before "
                             "the supervisor degrades the fleet")
-    fleet.add_argument("--restart-window-s", type=float, default=30.0,
+    fleet.add_argument("--restart-window-s", default=30.0,
+                       type=_bounded(float, 0.0, strict=True),
                        help="sliding window for --restart-budget")
-    fleet.add_argument("--heartbeat-timeout-s", type=float,
-                       default=5.0,
+    fleet.add_argument("--heartbeat-timeout-s", default=5.0,
+                       type=_bounded(float, HEARTBEAT_INTERVAL_S, strict=True),
                        help="silent-worker threshold before a wedge "
                             "kill")
     fleet.add_argument("--port-file", default=None, metavar="PATH",

@@ -33,6 +33,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.runtime.backoff import backoff_delay
 from repro.serve.errors import (
     Overloaded,
     ServeError,
@@ -129,12 +130,9 @@ class RetryPolicy:
     def backoff_s(self, retry_index: int,
                   rng: random.Random | None = None) -> float:
         """Full-jitter backoff before retry ``retry_index`` (0-based)."""
-        ceiling = min(self.max_backoff_s,
-                      self.base_backoff_s * (
-                          self.multiplier ** retry_index))
-        if ceiling <= 0:
-            return 0.0
-        return (rng or random).uniform(0.0, ceiling)
+        return backoff_delay(retry_index, base=self.base_backoff_s,
+                             multiplier=self.multiplier,
+                             cap=self.max_backoff_s, lo=0.0, rng=rng)
 
     def next_delay(self, exc: BaseException, retry_index: int,
                    rng: random.Random | None = None) -> float | None:

@@ -54,11 +54,14 @@ import sys
 import time
 from dataclasses import dataclass
 
+from repro.runtime.backoff import backoff_delay
 from repro.serve.chaos import injector_from_env
 from repro.serve.plans import PlanKey, PlanRegistry
 from repro.wisdom.store import WisdomStore, atomic_write
 
 _HEARTBEAT = b"\x01"
+#: Seconds between a worker's beats; a heartbeat timeout must exceed it.
+HEARTBEAT_INTERVAL_S = 0.5
 
 
 def fork_supported() -> bool:
@@ -140,7 +143,7 @@ def build_server(config: ServeConfig, *, reuse_port: bool = False):
 
 def run_worker(config: ServeConfig, *, reuse_port: bool = False,
                heartbeat_fd: int | None = None,
-               heartbeat_interval: float = 0.5,
+               heartbeat_interval: float = HEARTBEAT_INTERVAL_S,
                install_signals: bool = True,
                port_file: str | None = None,
                label: str = "spl serve") -> int:
@@ -244,12 +247,10 @@ class BackoffPolicy:
 
     def delay(self, consecutive_failures: int,
               rng: random.Random | None = None) -> float:
-        k = max(1, consecutive_failures)
-        base = min(self.max_s,
-                   self.base_s * (self.multiplier ** (k - 1)))
-        if self.jitter <= 0:
-            return base
-        return base + (rng or random).uniform(0, self.jitter * base)
+        return backoff_delay(max(1, consecutive_failures) - 1,
+                             base=self.base_s, multiplier=self.multiplier,
+                             cap=self.max_s, hi=1 + max(self.jitter, 0.0),
+                             rng=rng)
 
 
 class RestartBudget:
@@ -366,7 +367,7 @@ class Supervisor:
     """
 
     def __init__(self, config: ServeConfig, *, workers: int,
-                 heartbeat_interval: float = 0.5,
+                 heartbeat_interval: float = HEARTBEAT_INTERVAL_S,
                  heartbeat_timeout: float = 5.0,
                  boot_grace_s: float = 60.0,
                  backoff: BackoffPolicy | None = None,

@@ -141,6 +141,28 @@ class TestCompiledRoutine:
         assert routine.callable() is routine.callable()
 
 
+class TestLiterals:
+    """Matrix, permutation and diagonal literals through the whole
+    compiler, rectangular ones included: a restriction and a zero-pad
+    around an FFT (Bluestein's shape) and a permuted direct sum with a
+    dense border row (Rader's)."""
+
+    @pytest.mark.parametrize("text", [
+        "(matrix (1 2 3) (4 5 6))",
+        "(matrix (1 0) (0 i) (1 1))",
+        "(compose (matrix (1 0 0 0) (0 1 0 0) (0 0 1 0)) (F 4)"
+        " (diagonal (1 i -1 -i)) (F 4)"
+        " (matrix (1 0 0) (0 1 0) (0 0 1) (0 0 0)))",
+        "(compose (permutation (1 3 2)) (matrix (1 1 1) (1 -1 0) (1 0 -1))"
+        " (direct-sum (diagonal (1)) (F 2)) (permutation (1 3 2)))",
+    ])
+    @pytest.mark.parametrize("unroll", [False, True])
+    def test_matches_the_matrix(self, text, unroll):
+        compiler = SplCompiler(CompilerOptions(unroll=unroll))
+        routine = compiler.compile_formula(text, "lit", language="python")
+        assert_routine_matches_matrix(routine, text)
+
+
 class TestPassReport:
     def routine(self):
         compiler = SplCompiler(CompilerOptions(codetype="real",

@@ -8,11 +8,7 @@ from repro.core.codegen import CodeGenerator
 from repro.core.compiler import SplCompiler
 from repro.core.errors import SplSemanticError
 from repro.core.icode import FConst, Intrinsic, iter_ops
-from repro.core.intrinsics import (
-    INTRINSICS,
-    evaluate_intrinsics,
-    register_intrinsic,
-)
+from repro.core.intrinsics import INTRINSICS, evaluate_intrinsics
 from repro.core.parser import parse_formula_text
 from repro.core.unroll import unroll_loops
 from tests.conftest import assert_program_matches_matrix
@@ -92,10 +88,6 @@ class TestTableGeneration:
 
 
 class TestRegistry:
-    def test_register_and_use(self):
-        register_intrinsic("TESTSQ", lambda k: float(k * k))
-        assert INTRINSICS["TESTSQ"](3) == 9.0
-
     def test_walsh_values(self):
         wh = INTRINSICS["WH"]
         assert wh(0, 0) == 1

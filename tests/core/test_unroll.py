@@ -4,7 +4,7 @@ from repro.core.codegen import CodeGenerator
 from repro.core.compiler import SplCompiler
 from repro.core.icode import Loop, Op, VecRef, iter_ops
 from repro.core.parser import parse_formula_text
-from repro.core.unroll import partially_unroll, scalarize_temps, unroll_loops
+from repro.core.unroll import scalarize_temps, unroll_loops
 from tests.conftest import assert_program_matches_matrix
 
 
@@ -44,47 +44,6 @@ class TestFullUnroll:
             for item in (op.dest, *op.operands()):
                 if isinstance(item, VecRef):
                     assert item.index.as_const() is not None
-
-
-class TestPartialUnroll:
-    def _loop(self) -> Loop:
-        program = generate("(I 10)")
-        return next(i for i in program.body if isinstance(i, Loop))
-
-    def test_divisible_factor(self):
-        loop = self._loop()
-        result = partially_unroll(loop, 2)
-        assert len(result) == 1
-        assert isinstance(result[0], Loop)
-        assert result[0].count == 5
-        assert len(result[0].body) == 2
-
-    def test_remainder_peeled(self):
-        loop = self._loop()
-        result = partially_unroll(loop, 4)
-        main = result[0]
-        assert main.count == 2
-        # 10 = 4*2 + 2 peeled iterations
-        assert len(result) == 3
-
-    def test_factor_one_is_identity(self):
-        loop = self._loop()
-        assert partially_unroll(loop, 1) == [loop]
-
-    def test_semantics_preserved(self):
-        from repro.core.interpreter import run_program
-
-        program = generate("(I 10)")
-        loop_index = next(
-            i for i, inst in enumerate(program.body)
-            if isinstance(inst, Loop)
-        )
-        x = [complex(k) for k in range(10)]
-        expected = run_program(program, list(x))
-        program.body[loop_index:loop_index + 1] = partially_unroll(
-            program.body[loop_index], 3
-        )
-        assert run_program(program, list(x)) == expected
 
 
 class TestScalarization:

@@ -1,6 +1,7 @@
 """Property test: the optimizer preserves i-code semantics on random
 straight-line and looped programs."""
 
+import copy
 import math
 
 import hypothesis.strategies as st
@@ -18,7 +19,6 @@ from repro.core.icode import (
     VEC_TEMP,
     VecInfo,
     VecRef,
-    clone_body,
 )
 from repro.core.interpreter import run_program
 from repro.core.optimizer import optimize
@@ -83,8 +83,8 @@ class TestOptimizerPreservesSemantics:
                                      max_size=N))
     def test_straight_line(self, body, x):
         x = [float(v) for v in x]
-        reference = run_program(make_program(clone_body(body)), list(x))
-        optimized = make_program(clone_body(body))
+        reference = run_program(make_program(copy.deepcopy(body)), list(x))
+        optimized = make_program(copy.deepcopy(body))
         optimize(optimized)
         result = run_program(optimized, list(x))
         assert result == reference
@@ -97,13 +97,13 @@ class TestOptimizerPreservesSemantics:
         i = IExpr.var("i0")
         body = [
             Op("=", FVar("f0"), VecRef("x", IExpr.const(0))),
-            Loop("i0", count, clone_body(inner)),
+            Loop("i0", count, copy.deepcopy(inner)),
             Op("+", VecRef("y", IExpr.const(0)),
                VecRef("y", IExpr.const(0)), FVar("f0")),
         ]
         x = [float(v) for v in x]
-        reference = run_program(make_program(clone_body(body)), list(x))
-        optimized = make_program(clone_body(body))
+        reference = run_program(make_program(copy.deepcopy(body)), list(x))
+        optimized = make_program(copy.deepcopy(body))
         optimize(optimized)
         assert run_program(optimized, list(x)) == reference
 
@@ -114,7 +114,7 @@ class TestOptimizerPreservesSemantics:
 
         before = sum(1 for op in iter_ops(body)
                      if op.op in ("+", "-", "*", "neg"))
-        program = make_program(clone_body(body))
+        program = make_program(copy.deepcopy(body))
         optimize(program)
         after = sum(1 for op in iter_ops(program.body)
                     if op.op in ("+", "-", "*", "neg"))

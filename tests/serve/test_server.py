@@ -14,6 +14,7 @@ import io
 import os
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -47,7 +48,7 @@ from repro.serve.protocol import (
 )
 from repro.wisdom.store import WisdomStore
 
-from tests.serve.fleet import FleetProcess
+from tests.serve.fleet import _SRC_ROOT, FleetProcess
 
 FFT16 = PlanKey("fft", 16, "complex128")
 WHT8 = PlanKey("wht", 8, "float64")
@@ -1064,6 +1065,64 @@ class TestColdRoutes:
         assert "--threads" in capsys.readouterr().err
         assert main(["--workers", "0"]) == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+class TestCliBounds:
+    """A value the server cannot run with is a usage error (exit 2)
+    before anything starts, never a traceback or a fork loop."""
+
+    BENCH_ARGV = ["--port", "0", "--workers", "1", "--prefer", "c",
+                  "--warm", "fft:64"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--max-batch", "0"],
+        ["--queue-limit", "0"],
+        ["--workers", "2", "--restart-budget", "0"],
+        ["--workers", "2", "--heartbeat-timeout-s", "0"],
+        # At the worker's own beat interval every ready worker reads as
+        # wedged and is SIGKILLed.
+        ["--workers", "2", "--heartbeat-timeout-s", "0.5"],
+        ["--workers", "2", "--heartbeat-timeout-s", "nan"],
+        # A zero window forgets each restart at once: no budget trips.
+        ["--workers", "2", "--restart-window-s", "0"],
+        ["--drain-grace-s", "-1"],
+    ])
+    def test_an_unrunnable_value_is_a_usage_error(self, argv, capsys):
+        from repro.serve.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(self.BENCH_ARGV + argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: spl serve")
+        assert f"argument {argv[-2]}: must be" in err
+
+    def test_the_benchmark_flags_and_the_bounds_themselves_parse(self):
+        from repro.serve.__main__ import build_parser
+
+        args = build_parser().parse_args(self.BENCH_ARGV + [
+            "--max-batch", "1", "--queue-limit", "1",
+            "--restart-budget", "1", "--heartbeat-timeout-s", "0.51",
+            "--restart-window-s", "0.01", "--drain-grace-s", "0"])
+        assert (args.port, args.workers, args.prefer, args.warm) == (
+            0, 1, "c", ["fft:64"])
+        assert (args.max_batch, args.queue_limit, args.restart_budget,
+                args.heartbeat_timeout_s, args.restart_window_s,
+                args.drain_grace_s) == (1, 1, 1, 0.51, 0.01, 0.0)
+
+    def test_a_fleet_refuses_before_it_forks(self):
+        # Past argparse, every worker of this fleet dies at boot and
+        # the supervisor forks replacements until it is killed.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (_SRC_ROOT, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.serve", "--workers", "2",
+             "--port", "0", "--max-batch", "0"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "usage: spl serve" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 # -- the connection protocol, byte by byte -------------------------------
