@@ -4,15 +4,23 @@ This is the reproduction's stand-in for the paper's back-end Fortran/C
 compilers (Workshop 5.0, MIPSpro, egcs): generated routines are
 compiled at maximum optimization and timed as native code.
 
+Like the paper's back ends, the default build targets the machine
+it runs on: where :func:`host_isa` knows the host's instruction set
+(x86-64 Linux) every compile adds ``-march=native``, and the cache key
+folds in that feature set, so a shared object built for one ISA is
+never served on another.  Where the ISA is unknown the flags and keys
+are the portable ones (``-O3`` and the compiler's default target).
+
 Shared objects are cached by source hash under a build directory, so
 repeated searches do not recompile identical candidates.  The cache key
 covers the full flag set (defaults + extra flags + caller flags) as
 well as the source, so artifacts never leak across flag sets.
 
-Extra flags: ``SPL_CFLAGS`` (e.g. ``SPL_CFLAGS=-march=native``) appends
-host-compiler flags to every compilation.  Nothing here compiles with
-OpenMP: :func:`have_openmp` and :func:`have_openmp_simd` survive only
-for ``bench/layers.py`` until ROADMAP item 11(e).
+Extra flags: ``SPL_CFLAGS`` appends host-compiler flags to every
+compilation, after the defaults; gcc takes the last ``-march``, so
+``SPL_CFLAGS=-march=x86-64`` gives a portable build.  Nothing here
+compiles with OpenMP: :func:`have_openmp` and :func:`have_openmp_simd`
+survive only for ``bench/layers.py`` until ROADMAP item 11(e).
 """
 
 from __future__ import annotations
@@ -23,11 +31,41 @@ import os
 import shlex
 import shutil
 import subprocess
+import sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
 
-_DEFAULT_CFLAGS = ("-O3", "-fPIC", "-shared", "-fno-math-errno")
+_PORTABLE_CFLAGS = ("-O3", "-fPIC", "-shared", "-fno-math-errno")
+
+
+@lru_cache(maxsize=None)
+def host_isa() -> tuple[str, ...] | None:
+    """The host's instruction-set features, sorted; None where unknown.
+
+    Known on x86-64 Linux only, from the ``flags`` line of
+    ``/proc/cpuinfo``: reading it starts no process, so keys and
+    fingerprints that fold it in stay cheap.  Two hosts that share a
+    CPU model string but not this set must not share a native build.
+    """
+    if sys.platform != "linux" or os.uname().machine != "x86_64":
+        return None
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                name, _, value = line.partition(":")
+                if name.strip() == "flags":
+                    return tuple(sorted(set(value.split()))) or None
+    except OSError:
+        pass
+    return None
+
+
+def _default_cflags() -> tuple[str, ...]:
+    """The portable flags, plus ``-march=native`` where the ISA is known."""
+    if host_isa() is None:
+        return _PORTABLE_CFLAGS
+    return _PORTABLE_CFLAGS + ("-march=native",)
 
 
 def compile_timeout() -> float:
@@ -78,7 +116,8 @@ def _find_compiler() -> str | None:
 def extra_cflags() -> tuple[str, ...]:
     """Opt-in extra host-compiler flags from ``SPL_CFLAGS``.
 
-    Parsed with shell quoting (``SPL_CFLAGS="-march=native -funroll-loops"``).
+    Parsed with shell quoting (``SPL_CFLAGS="-march=x86-64 -funroll-loops"``)
+    and appended after the defaults, so they can only add or override.
     These participate in the shared-object cache key and in the wisdom
     platform fingerprint, so changing them never reuses stale artifacts.
     """
@@ -102,7 +141,7 @@ def _probe(compiler: str | None, flags: tuple[str, ...], source: str,
     try:
         c_path.write_text(source)
         result = subprocess.run(
-            [compiler, *_DEFAULT_CFLAGS, *flags, *probe_flags, str(c_path),
+            [compiler, *_default_cflags(), *flags, *probe_flags, str(c_path),
              "-o", str(build_dir / f"spl_probe_{stem}.so")],
             capture_output=True, text=True, timeout=compile_timeout(),
         )
@@ -150,24 +189,27 @@ def shared_object_cache_key(source: str, *,
     the build dir) is served as a cache hit by a later
     ``compile_shared_object`` call with the same inputs — without ever
     invoking the host toolchain.  The digest folds in the effective
-    flag set, so it is only portable between hosts that agree on
-    ``SPL_CFLAGS``.
+    flag set and, where it is known, the host's ISA (:func:`host_isa`),
+    so it is only portable between hosts that agree on both.
     """
-    return hashlib.sha256(
-        ("\x00".join(_flags(cflags)) + "\x01" + source).encode()
-    ).hexdigest()[:24]
+    text = "\x00".join(_flags(cflags)) + "\x01" + source
+    isa = host_isa()
+    if isa is not None:
+        text = " ".join(isa) + "\x02" + text
+    return hashlib.sha256(text.encode()).hexdigest()[:24]
 
 
 def _flags(cflags: tuple[str, ...]) -> tuple[str, ...]:
-    return _DEFAULT_CFLAGS + extra_cflags() + tuple(cflags)
+    return _default_cflags() + extra_cflags() + tuple(cflags)
 
 
 def compile_shared_object(source: str, *, cflags: tuple[str, ...] = (),
                           build_dir: Path | None = None) -> Path:
     """Compile C ``source`` into a cached shared object, returning its path.
 
-    ``SPL_CFLAGS`` appends extra flags; they are folded into the cache
-    key together with ``cflags`` and the source.
+    The build targets the host's ISA where it is known;
+    ``SPL_CFLAGS`` and then ``cflags`` append to the defaults, and all
+    of them are folded into the cache key together with the source.
 
     The cache is consulted *before* the toolchain is located: a host
     without any C compiler still serves cache hits, which is what lets

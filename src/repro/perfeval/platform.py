@@ -13,6 +13,7 @@ import platform as _platform
 import shutil
 import subprocess
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass
@@ -68,7 +69,9 @@ def _memory_total() -> str:
         return value
 
 
-def _compiler_version() -> str:
+@lru_cache(maxsize=None)
+def host_compiler() -> str:
+    """The host C compiler's version line, asked once per process."""
     for name in ("cc", "gcc", "clang"):
         path = shutil.which(name)
         if not path:
@@ -84,8 +87,10 @@ def _compiler_version() -> str:
     return "none (Python backend only)"
 
 
-def host_platform() -> PlatformRow:
-    """Collect the host's Table 1 inventory."""
+@lru_cache(maxsize=None)
+def host_hardware() -> tuple[str, str, str, str]:
+    """(CPU, L1 cache, L2 cache, OS): the inventory read from files,
+    with no process started where ``/proc/cpuinfo`` names the CPU."""
     cpu = (
         _read_first_match("/proc/cpuinfo", "model name")
         or _platform.processor()
@@ -96,13 +101,19 @@ def host_platform() -> PlatformRow:
     l2 = _cache_size(2)
     l1 = f"{l1d}/{l1i}" if "unknown" not in (l1d, l1i) else l1d
     os_name = f"{_platform.system()} {_platform.release()}"
+    return cpu, l1, l2, os_name
+
+
+def host_platform() -> PlatformRow:
+    """Collect the host's Table 1 inventory."""
+    cpu, l1, l2, os_name = host_hardware()
     return PlatformRow(
         cpu=cpu,
         l1_cache=l1,
         l2_cache=l2,
         memory=_memory_total(),
         os_name=os_name,
-        compiler=_compiler_version(),
+        compiler=host_compiler(),
     )
 
 

@@ -481,10 +481,13 @@ def build_executable(routine: CompiledRoutine,
     keeps them there; non-codelet programs fall through to the plain C
     path unchanged.
 
-    ``cflags`` appends host-compiler flags (e.g. ``("-O0",)`` to model
-    a weak back-end compiler in ablation experiments); ``SPL_CFLAGS``
-    in the environment appends further opt-in flags such as
-    ``-march=native``.
+    The C tier is built for the host's ISA by default (``-march=native``
+    where :func:`~repro.perfeval.ccompile.host_isa` knows it).
+    ``SPL_CFLAGS`` in the environment and then ``cflags`` append
+    host-compiler flags to that default (e.g. ``("-O0",)`` to model a
+    weak back-end compiler in ablation experiments, or
+    ``("-march=x86-64",)`` for the portable build, since gcc takes the
+    last ``-march``).
     """
     chain = _PREFERENCE.get(prefer)
     if chain is None:

@@ -38,16 +38,20 @@ from repro.serve.supervisor import (
 )
 
 
-def _bounded(kind, low, *, strict=False):
+def _bounded(kind, low, *, strict=False, high=None):
     """An argparse type: ``kind(text)``, refused below ``low`` (at it
-    too when ``strict``, and NaN always), so a value the server cannot
-    run with exits 2 with a usage message before anything forks."""
+    too when ``strict``, and NaN always) and above ``high`` when given,
+    so a value the server cannot run with exits 2 with a usage message
+    before anything forks."""
 
     def parse(text: str):
         value = kind(text)
         if not (value > low if strict else value >= low):
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {low}, got {text}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"must be <= {high}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # "invalid int value: 'x'"
@@ -60,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Serve SPL transforms over the batch dispatcher.",
     )
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=7462,
+    parser.add_argument("--port", type=_bounded(int, 0, high=65535),
+                        default=7462,
                         help="0 picks an ephemeral port")
     parser.add_argument("--warm", nargs="*", default=[],
                         metavar="TRANSFORM:N[:DTYPE]",

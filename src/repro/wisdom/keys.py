@@ -87,54 +87,65 @@ def platform_fingerprint() -> str:
 
     Wisdom measured on one machine is meaningless on another, so the
     fingerprint covers exactly the inventory that determines generated
-    code speed: CPU model, cache sizes, OS and host C compiler (the
-    Table 1 fields, minus total memory which does not affect codelet
-    choice), plus the compilation mode — extra host-compiler flags
-    (``SPL_CFLAGS``, e.g. ``-march=native``) — so timings measured
-    under one configuration never validate a cache built under
-    another.
+    code speed: the hardware of :func:`hardware_description` (CPU
+    model, caches, OS and, where known, the ISA feature set the
+    default build targets), the host C compiler (the Table 1 fields,
+    minus total memory which does not affect codelet choice), plus the
+    compilation mode — the flags ``SPL_CFLAGS`` appends to the host-ISA
+    default build — so timings measured under one configuration never
+    validate a cache built under another.  Nothing here starts a
+    process but the compiler's version query, once per process.
     """
     return _digest(platform_description())
 
 
 def platform_description() -> str:
     """The human-readable string behind :func:`platform_fingerprint`."""
-    from repro.perfeval.ccompile import extra_cflags
+    from repro.perfeval.ccompile import extra_cflags, host_isa
 
-    return _host_description(extra_cflags())
+    return _host_description(extra_cflags(), host_isa())
 
 
 def hardware_fingerprint() -> str:
-    """A short hash of the host *hardware* alone (CPU, caches, OS).
+    """A short hash of the host *hardware* alone: CPU, caches, OS and,
+    where known, the ISA feature set (:func:`~repro.perfeval.ccompile.host_isa`).
 
     Unlike :func:`platform_fingerprint` this deliberately excludes the
     toolchain inventory (host compiler, ``SPL_CFLAGS``): wisdom
     *packs* ship portable artifacts precisely so a replica without the
     producer's toolchain can boot hot, so a pack is acceptable
     anywhere the hardware matches even when the compilation mode
-    differs.  Mutable stores keep using the strict fingerprint — their
-    timings feed back into search decisions.
+    differs.  The ISA is hardware: the bundled artifacts are built for
+    the producer's, and a host with another feature set, even under
+    the same CPU model string, must refuse them.  Mutable stores keep
+    using the strict fingerprint — their timings feed back into search
+    decisions.  Computing it starts no process.
     """
     return _digest(hardware_description())
 
 
 def hardware_description() -> str:
     """The human-readable string behind :func:`hardware_fingerprint`."""
-    from repro.perfeval.platform import host_platform
+    from repro.perfeval.ccompile import host_isa
 
-    row = host_platform()
-    return "|".join((row.cpu, row.l1_cache, row.l2_cache, row.os_name))
+    return _hardware_description(host_isa())
 
 
 @lru_cache(maxsize=None)
-def _host_description(cflags: tuple[str, ...]) -> str:
-    # The hardware inventory is immutable per process; only the flag
-    # set varies, so cache one description per configuration tuple.
-    from repro.perfeval.platform import host_platform
+def _hardware_description(isa: tuple[str, ...] | None) -> str:
+    from repro.perfeval.platform import host_hardware
 
-    row = host_platform()
-    return "|".join((row.cpu, row.l1_cache, row.l2_cache,
-                     row.os_name, row.compiler,
+    return "|".join(host_hardware() + ((" ".join(isa),) if isa else ()))
+
+
+@lru_cache(maxsize=None)
+def _host_description(cflags: tuple[str, ...],
+                      isa: tuple[str, ...] | None) -> str:
+    # The inventory is immutable per process; only the flag set (and,
+    # under test, the ISA) varies, so cache one description each.
+    from repro.perfeval.platform import host_compiler
+
+    return "|".join((_hardware_description(isa), host_compiler(),
                      " ".join(cflags) or "-"))
 
 

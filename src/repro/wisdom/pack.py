@@ -19,9 +19,11 @@ Integrity is layered so damage degrades instead of spreading:
   typed :class:`PackDiagnostic` — the consumer falls back to
   search/estimate-on-demand.  "Foreign" is judged on two levels: an
   exact platform-fingerprint match is ideal, but a pack whose
-  *hardware* fingerprint (CPU, caches, OS) matches is accepted even
-  when the toolchain inventory differs — a replica with no C compiler
-  is precisely the consumer packs exist for;
+  *hardware* fingerprint (CPU, caches, OS, ISA features) matches is
+  accepted even when the toolchain inventory differs — a replica with
+  no C compiler is precisely the consumer packs exist for.  Artifacts
+  are built for the producer's ISA, so a host with another feature
+  set refuses the pack, naming the features it lacks;
 * :func:`load_pack` **never raises**: every failure mode returns
   diagnostics and counters, because a bad pack on disk must never
   turn into a crashed boot.
@@ -184,6 +186,9 @@ def build_pack(store: WisdomStore, out_path: str | os.PathLike, *,
         # both levels — that is what the override is for.
         "hardware": platform or hardware_fingerprint(),
         "platform_info": platform_description(),
+        # The features the bundled artifacts were built for, so that a
+        # refusing host can say which ones it lacks.
+        "isa": list(ccompile.host_isa() or ()),
         "entries": entries,
         "artifacts": artifacts,
     }
@@ -240,7 +245,7 @@ def _platform_mismatch(data: dict, platform: str | None,
 
     Acceptance is layered: an exact platform-fingerprint match is
     ideal; failing that, a matching *hardware* fingerprint (same CPU,
-    caches, OS — but, say, no C compiler on this replica) still
+    caches, OS and ISA — but, say, no C compiler on this replica) still
     accepts the pack, because its artifacts are the one build every
     host asks for.  Only a pack alien on both levels is rejected.
     """
@@ -255,7 +260,18 @@ def _platform_mismatch(data: dict, platform: str | None,
         "platform",
         f"pack built for platform {data.get('platform')!r} "
         f"(hardware {pack_hw!r}), this host is {local!r} "
-        f"(hardware {local_hw!r})")
+        f"(hardware {local_hw!r}){_isa_gap(data.get('isa'))}")
+
+
+def _isa_gap(pack_isa: Any) -> str:
+    """What a refusal adds about the ISA: the pack's features this
+    host lacks (its artifacts could die on them with ``SIGILL``)."""
+    from repro.perfeval.ccompile import host_isa
+
+    if not isinstance(pack_isa, list):
+        return ""
+    lacking = sorted(set(map(str, pack_isa)) - set(host_isa() or ()))
+    return f"; this host lacks {' '.join(lacking)}" if lacking else ""
 
 
 def _walk_manifest(data: dict, platform: str | None, *,

@@ -16,13 +16,20 @@ from repro.core.compiler import CompilerOptions, SplCompiler
 from repro.core.interpreter import run_program
 from repro.core.parser import parse_formula_text
 from repro.formulas import to_matrix
-from repro.perfeval.ccompile import have_c_compiler
+from repro.perfeval.ccompile import have_c_compiler, host_isa
 
 HAS_CC = have_c_compiler()
 
 requires_cc = pytest.mark.skipif(
     not HAS_CC, reason="no C compiler on PATH"
 )
+
+#: ``cflags`` for a C build that tests pin bit for bit.  The default
+#: build targets the host's ISA, where gcc's FMA contraction moves
+#: bits; gcc takes the last ``-march``, so this gives the baseline
+#: x86-64 build on every such host (and is empty where the default
+#: build is already the portable one).
+PORTABLE_CFLAGS = ("-march=x86-64",) if host_isa() is not None else ()
 
 
 def sabotage_tier(executable, explode,

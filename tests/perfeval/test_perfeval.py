@@ -169,25 +169,54 @@ class TestArtifactKeys:
     A pack names each artifact by :func:`shared_object_cache_key` of
     :func:`c_build_spec`'s ``(source, cflags)``, and a replica serves
     it as a cache hit only if it derives the same key.  The pins below
-    are the digests packs built so far carry (they are host-independent
-    with ``SPL_CFLAGS`` unset): changing the driver text or the key
-    recipe turns every bundled artifact into a compiler run.
+    are the digests packs carry on a host whose ISA is :data:`ISA`
+    (host-independent with ``SPL_CFLAGS`` unset and :func:`host_isa`
+    fixed): changing the driver text or the key recipe turns every
+    bundled artifact into a compiler run.
     """
 
     NOOP = "void noop(double *restrict y, const double *restrict x) { }\n"
+    ISA = ("avx2", "fma", "sse2")
 
     @pytest.fixture(autouse=True)
     def _no_extra_cflags(self, monkeypatch):
         monkeypatch.delenv("SPL_CFLAGS", raising=False)
 
     @pytest.mark.parametrize("cflags, digest", [
+        ((), "afc60845c64833202036608d"),
+        (("-O0",), "7385edb2e17f987bbd0248e9"),
+    ])
+    def test_cache_key_is_pinned(self, cflags, digest, monkeypatch):
+        from repro.perfeval import ccompile
+
+        monkeypatch.setattr(ccompile, "host_isa", lambda: self.ISA)
+        assert ccompile.shared_object_cache_key(
+            self.NOOP, cflags=cflags) == digest
+
+    @pytest.mark.parametrize("cflags, digest", [
         ((), "35876795520d81fa7f002d5c"),
         (("-O0",), "ad22283c07347334ef8f27a2"),
     ])
-    def test_cache_key_is_pinned(self, cflags, digest):
-        from repro.perfeval.ccompile import shared_object_cache_key
+    def test_unknown_isa_keeps_the_portable_flags_and_keys(
+            self, cflags, digest, monkeypatch):
+        # Where the ISA is unknown, the flags, the keys and the
+        # fingerprints are the ones every host used before the default
+        # build targeted the host: no artifact or store is invalidated.
+        from repro.perfeval import ccompile
+        from repro.perfeval.platform import host_compiler, host_hardware
+        from repro.wisdom.keys import (
+            hardware_description,
+            platform_description,
+        )
 
-        assert shared_object_cache_key(self.NOOP, cflags=cflags) == digest
+        monkeypatch.setattr(ccompile, "host_isa", lambda: None)
+        assert ccompile._flags(cflags) == (
+            "-O3", "-fPIC", "-shared", "-fno-math-errno", *cflags)
+        assert ccompile.shared_object_cache_key(
+            self.NOOP, cflags=cflags) == digest
+        assert hardware_description() == "|".join(host_hardware())
+        assert platform_description() == "|".join(
+            (*host_hardware(), host_compiler(), "-"))
 
     @pytest.mark.parametrize("name, in_len, out_len, sha256", [
         ("f", 8, 8, "b101b5602deb7ea1ea227e479ac2197492e7cced0e456075abf9120617d9409f"),
@@ -218,6 +247,101 @@ class TestArtifactKeys:
         assert build_executable(routine, prefer="c").backend == "c"
         assert [p.name for p in tmp_path.glob("spl_*.so")] \
             == [f"spl_{digest}.so"]
+
+
+class TestHostIsa:
+    """The default C build targets the host's ISA, and every artifact
+    key and hardware fingerprint names that ISA, so a kernel built for
+    one feature set is never served on another."""
+
+    NOOP = TestArtifactKeys.NOOP
+    OLDER = ("avx", "sse2")
+    NEWER = ("avx", "avx2", "avx512f", "fma", "sse2")
+
+    @pytest.fixture(autouse=True)
+    def _no_extra_cflags(self, monkeypatch):
+        monkeypatch.delenv("SPL_CFLAGS", raising=False)
+
+    def _keys_on(self, isa, monkeypatch):
+        from repro.perfeval import ccompile
+        from repro.wisdom.keys import (
+            hardware_fingerprint,
+            platform_fingerprint,
+        )
+
+        monkeypatch.setattr(ccompile, "host_isa", lambda: isa)
+        return (ccompile.shared_object_cache_key(self.NOOP),
+                hardware_fingerprint(), platform_fingerprint())
+
+    def test_a_known_isa_builds_for_the_host(self, monkeypatch):
+        from repro.perfeval import ccompile
+
+        monkeypatch.setattr(ccompile, "host_isa", lambda: self.NEWER)
+        assert ccompile._flags(("-O0",))[-2:] == ("-march=native", "-O0")
+        # SPL_CFLAGS appends after the default, so gcc's last -march
+        # gives a portable build.
+        monkeypatch.setenv("SPL_CFLAGS", "-march=x86-64")
+        assert ccompile._flags(())[-2:] == ("-march=native",
+                                            "-march=x86-64")
+
+    def test_one_model_string_two_isas_share_no_key(self, monkeypatch):
+        older = self._keys_on(self.OLDER, monkeypatch)
+        newer = self._keys_on(self.NEWER, monkeypatch)
+        for mine, theirs in zip(older, newer):
+            assert mine != theirs
+
+    def test_keys_and_fingerprints_start_no_process(self, monkeypatch):
+        import subprocess
+
+        from repro.perfeval import ccompile
+        from repro.perfeval.platform import host_compiler, host_hardware
+        from repro.wisdom import keys
+
+        host_compiler()  # the one toolchain query, once per process
+        before = (ccompile.shared_object_cache_key(self.NOOP),
+                  keys.hardware_fingerprint(), keys.platform_fingerprint())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a key or fingerprint started a process")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        for cached in (ccompile.host_isa, host_hardware,
+                       keys._hardware_description, keys._host_description):
+            cached.cache_clear()
+        assert (ccompile.shared_object_cache_key(self.NOOP),
+                keys.hardware_fingerprint(),
+                keys.platform_fingerprint()) == before
+
+    @requires_cc
+    @pytest.mark.parametrize("transform, n", [
+        ("fft", 16), ("fft", 64), ("fft", 256), ("fft", 1024), ("wht", 64),
+    ])
+    def test_host_isa_build_agrees_with_the_portable_one(self, transform,
+                                                         n):
+        # FMA contraction moves bits, so the bound is the O(eps log n)
+        # rounding of either build, not bit equality.
+        from repro.formulas.factorization import wht_multi
+        from repro.serve.plans import compile_plan, fft_factors
+        from tests.conftest import PORTABLE_CFLAGS
+
+        if not PORTABLE_CFLAGS:
+            pytest.skip("the default build is the portable one here")
+        rng = np.random.default_rng(n)
+        if transform == "fft":
+            formula, datatype = ct_multi(fft_factors(n)), "complex"
+            X = rng.standard_normal((8, n)) + 1j * rng.standard_normal(
+                (8, n))
+        else:
+            formula, datatype = wht_multi([2, 2, 2]), "real"
+            X = rng.standard_normal((8, n))
+        routine = compile_plan({}, formula, transform, n,
+                               datatype=datatype, threshold=None,
+                               language="c")
+        native = build_executable(routine, prefer="c").apply_many(X)
+        portable = build_executable(
+            routine, prefer="c", cflags=PORTABLE_CFLAGS).apply_many(X)
+        error = np.linalg.norm(native - portable) / np.linalg.norm(portable)
+        assert error <= 2 * np.finfo(float).eps * math.log2(n)
 
 
 class TestRunner:

@@ -116,6 +116,22 @@ class TestBootWisdom:
         assert wisdom is None and source == "none"
         assert "[platform]" in capsys.readouterr().err
 
+    def test_pack_for_another_isa_is_refused(self, tmp_path, capsys,
+                                             monkeypatch):
+        # Same CPU model string, caches and OS, but the pack's ISA has
+        # a feature this host lacks: its artifacts could die on SIGILL.
+        host = ccompile.host_isa() or ()
+        foreign = tuple(sorted({*host, "spl_test_feature"}))
+        monkeypatch.setattr(ccompile, "host_isa", lambda: foreign)
+        _, pack_path = _seeded(tmp_path)
+        monkeypatch.undo()
+        wisdom, source = _boot_wisdom(
+            ServeConfig(pack_path=str(pack_path)))
+        assert wisdom is None and source == "none"
+        err = capsys.readouterr().err
+        assert "[platform]" in err
+        assert "this host lacks spl_test_feature" in err
+
     def test_missing_pack_never_crashes(self, tmp_path, capsys):
         wisdom, source = _boot_wisdom(ServeConfig(
             pack_path=str(tmp_path / "never-shipped.pack")))

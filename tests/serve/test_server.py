@@ -1086,6 +1086,9 @@ class TestCliBounds:
         # A zero window forgets each restart at once: no budget trips.
         ["--workers", "2", "--restart-window-s", "0"],
         ["--drain-grace-s", "-1"],
+        # bind() takes 0-65535 and raised OverflowError past either end.
+        ["--port", "70000"],
+        ["--port", "-5"],
     ])
     def test_an_unrunnable_value_is_a_usage_error(self, argv, capsys):
         from repro.serve.__main__ import build_parser
