@@ -30,7 +30,7 @@ from repro.core.backend_numpy import compile_numpy, emit_numpy
 from repro.core.backend_python import compile_python, emit_python
 from repro.core.codegen import CodeGenerator
 from repro.core.errors import SplError, SplSemanticError
-from repro.core.fusion import forward_copy_stages, fuse_conformable_stages
+from repro.core.fusion import fuse_conformable_stages
 from repro.core.icode import Program
 from repro.core.intrinsics import evaluate_intrinsics
 from repro.core.limits import CompileBudget, CompileLimits, DEFAULT_LIMITS
@@ -42,7 +42,7 @@ from repro.core.peephole import (
     prune_dead_temps,
     reuse_temp_arrays,
 )
-from repro.core.templates import TemplateTable
+from repro.core.templates import STARTUP, TemplateTable
 from repro.core.typetrans import complex_to_real
 from repro.core.unroll import scalarize_temps, unroll_loops
 from repro.wisdom import keys as wisdom_keys
@@ -233,6 +233,8 @@ class SplCompiler:
             .read_text()
         )
         parser.parse_program(source, templates=self.templates)
+        for template in self.templates:
+            template.source_name = STARTUP
 
     # -- public API ----------------------------------------------------------
 
@@ -406,11 +408,6 @@ class SplCompiler:
             pipeline.run("optimize", optimize)
             if opts.fusion:
                 pipeline.run(
-                    "fuse-copies",
-                    lambda p: forward_copy_stages(p, budget),
-                    detail=_fusion_detail,
-                )
-                pipeline.run(
                     "fuse-loops",
                     lambda p: fuse_conformable_stages(p, budget),
                     detail=_fusion_detail,
@@ -466,14 +463,7 @@ def _reuse_scratch(program: Program) -> int:
 
 
 def _fusion_detail(stats) -> str:
-    parts = []
-    if stats.reads_forwarded:
-        parts.append(f"{stats.reads_forwarded} reads forwarded")
-    if stats.stages_removed:
-        parts.append(f"{stats.stages_removed} stages removed")
-    if stats.loops_fused:
-        parts.append(f"{stats.loops_fused} nests fused")
-    return ", ".join(parts)
+    return f"{stats.loops_fused} nests fused" if stats.loops_fused else ""
 
 
 def compile_text(source: str,

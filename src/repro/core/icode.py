@@ -200,6 +200,23 @@ class IExpr:
                 return None
         return step, (IExpr(tuple(rest)) if step else self)
 
+    def split_multiples(self, m: int) -> "tuple[IExpr, IExpr]":
+        """``(high, low)`` with ``self == m * high + low``: ``high`` takes
+        every term whose coefficient ``m`` divides and the constant's
+        quotient, ``low`` the other terms and the constant's remainder.
+        When ``low`` stays inside ``[0, m)`` they are ``self // m`` and
+        ``self % m``."""
+        high: dict[Monomial, int] = {}
+        low: dict[Monomial, int] = {}
+        for mono, coeff in self.terms:
+            if not mono:
+                high[mono], low[mono] = divmod(coeff, m)
+            elif coeff % m == 0:
+                high[mono] = coeff // m
+            else:
+                low[mono] = coeff
+        return IExpr._from_dict(high), IExpr._from_dict(low)
+
     def at(self, point: Mapping[str, int]) -> "int | IExpr":
         """Partially evaluate at an integer point.
 

@@ -287,6 +287,9 @@ TStmt = TAssign | TRAssign | TLoop | TCall
 # The template itself and the ordered table of templates.
 # ---------------------------------------------------------------------------
 
+#: ``Template.source_name`` of the templates read from ``startup.spl``.
+STARTUP = "startup.spl"
+
 
 @dataclass
 class Template:

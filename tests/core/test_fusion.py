@@ -1,7 +1,6 @@
 """Tests for the fusion-grade optimizer and its validation oracle.
 
-Covers the two fusion passes (copy-stage forwarding, conformable nest
-fusion), liveness-based scratch reuse, the per-pass translation-
+Covers conformable nest fusion, liveness-based scratch reuse, the per-pass translation-
 validation oracle — including that it catches a deliberately broken
 pass — mid-pipeline resource-limit failures, and execution of fused
 plans on strided views, real-datatype fallbacks, and batches.
@@ -15,7 +14,7 @@ import pytest
 from repro.core import limits, validate
 from repro.core.compiler import CompilerOptions, SplCompiler
 from repro.core.errors import SplError, SplResourceError, SplValidationError
-from repro.core.fusion import forward_copy_stages, fuse_conformable_stages
+from repro.core.fusion import fuse_conformable_stages
 from repro.core.icode import (
     FConst,
     IExpr,
@@ -50,59 +49,6 @@ def make(body, n=4, temps=()):
 
 def budget():
     return CompileBudget(DEFAULT_LIMITS)
-
-
-class TestCopyForwarding:
-    def reversal_program(self):
-        i0, i1 = IExpr.var("i0"), IExpr.var("i1")
-        return make([
-            Loop("i0", 4, [
-                Op("=", VecRef("t0", i0), VecRef("x", -i0 + 3)),
-            ]),
-            Loop("i1", 4, [
-                Op("+", VecRef("y", i1), VecRef("t0", i1),
-                   VecRef("t0", i1)),
-            ]),
-        ], temps=(("t0", 4),))
-
-    def test_stage_removed_and_temp_deleted(self):
-        program = self.reversal_program()
-        stats = forward_copy_stages(program, budget())
-        assert stats.stages_removed == 1
-        assert stats.reads_forwarded == 2
-        assert "t0" not in program.vectors
-        assert len(program.body) == 1  # only the consumer loop remains
-        reads = {item.vec for op in iter_ops(program.body)
-                 for item in op.operands() if isinstance(item, VecRef)}
-        assert reads == {"x"}
-
-    def test_semantics_preserved(self):
-        x = [1.0, -2.0, 3.0, 0.5]
-        program = self.reversal_program()
-        before = run_program(self.reversal_program(), x)
-        forward_copy_stages(program, budget())
-        assert run_program(program, x) == before
-
-    def test_unstable_source_not_forwarded(self):
-        # The "copy stage" reads y, which is written again afterwards:
-        # forwarding would read the *new* y value.  Must be refused.
-        i0, i1 = IExpr.var("i0"), IExpr.var("i1")
-        program = make([
-            Loop("i0", 4, [
-                Op("=", VecRef("t0", i0), VecRef("y", i0)),
-            ]),
-            Loop("i1", 4, [
-                Op("=", VecRef("y", i1), VecRef("x", i1)),
-            ]),
-            Loop("i2", 4, [
-                Op("+", VecRef("y", IExpr.var("i2")),
-                   VecRef("y", IExpr.var("i2")),
-                   VecRef("t0", IExpr.var("i2"))),
-            ]),
-        ], temps=(("t0", 4),))
-        stats = forward_copy_stages(program, budget())
-        assert stats.stages_removed == 0
-        assert "t0" in program.vectors
 
 
 class TestConformableFusion:
@@ -174,8 +120,8 @@ class TestOracle:
     def test_accepts_sound_pass(self):
         program = self.doubler()
         pipeline = PassPipeline(program, validate=True)
-        pipeline.run("fuse-copies",
-                     lambda p: forward_copy_stages(p, budget()))
+        pipeline.run("fuse-loops",
+                     lambda p: fuse_conformable_stages(p, budget()))
         assert all(record.validated for record in pipeline.records)
 
     def test_check_pass_direct(self):
@@ -323,7 +269,7 @@ class TestLimitsMidPipeline:
             DEFAULT_LIMITS.with_overrides(max_icode_statements=8))
         tight.charge_statements(8, "codegen")  # pipeline already full
         with pytest.raises(SplResourceError) as excinfo:
-            forward_copy_stages(program, tight)
+            fuse_conformable_stages(program, tight)
         assert excinfo.value.code == "SPL-E203"
 
     def test_deadline_is_enforced_under_bulk_charges(self, clock):
@@ -341,13 +287,14 @@ class TestLimitsMidPipeline:
         assert excinfo.value.code == "SPL-E206"
         assert excinfo.value.limit_name == "compile_deadline"
 
-    def test_forwarding_pass_meets_the_deadline_mid_flight(self, clock):
-        """The same through the pass: the 8-point read domain is charged
-        at once and carries the count from 4093 over 4096."""
+    def test_fusion_pass_meets_the_deadline_mid_flight(self, clock):
+        """The same through the pass: its injectivity walk charges one
+        point at a time and carries the count from 4093 over 4096."""
         i0, i1 = IExpr.var("i0"), IExpr.var("i1")
         program = make([
             Loop("i0", 8, [
-                Op("=", VecRef("t0", i0), VecRef("x", -i0 + 7)),
+                Op("*", VecRef("t0", i0), VecRef("x", -i0 + 7),
+                   FConst(2.0)),
             ]),
             Loop("i1", 8, [
                 Op("=", VecRef("y", i1), VecRef("t0", i1)),
@@ -355,10 +302,10 @@ class TestLimitsMidPipeline:
         ], n=8, temps=(("t0", 8),))
         tiny = CompileBudget(
             DEFAULT_LIMITS.with_overrides(compile_deadline=0.001))
-        tiny.charge_statements(4085, "codegen")
+        tiny.charge_statements(4093, "codegen")
         clock[0] = 1.0
         with pytest.raises(SplResourceError) as excinfo:
-            forward_copy_stages(program, tiny)
+            fuse_conformable_stages(program, tiny)
         assert excinfo.value.code == "SPL-E206"
         assert "loop fusion" in str(excinfo.value)
 
