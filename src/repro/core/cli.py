@@ -76,7 +76,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     arg_parser.add_argument(
         "--no-fusion", action="store_true",
         help="disable cross-stage loop fusion and scratch liveness "
-             "reuse (reproduces the paper's stage-at-a-time code)",
+             "reuse (stage-at-a-time code, as in the paper)",
     )
     arg_parser.add_argument(
         "--validate-passes", action="store_true",
