@@ -27,8 +27,8 @@ from repro.perfeval import ccompile
 from repro.perfeval.sandbox import (
     Quarantine,
     SandboxPolicy,
-    sandbox_supported,
 )
+from repro.runtime.workers import supported as sandbox_supported
 from repro.search.dp import search_small_sizes
 from repro.search.queue import SEARCH_CHAOS_ENV, SearchChaos, TaskJournal
 from repro.serve.plans import PlanKey, PlanRegistry

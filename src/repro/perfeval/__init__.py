@@ -21,7 +21,6 @@ from repro.perfeval.sandbox import (
     Quarantine,
     SandboxPolicy,
     default_quarantine,
-    sandbox_supported,
 )
 from repro.perfeval.timing import pseudo_mflops, time_callable
 
@@ -33,6 +32,5 @@ __all__ = [
     "default_quarantine",
     "have_c_compiler",
     "pseudo_mflops",
-    "sandbox_supported",
     "time_callable",
 ]

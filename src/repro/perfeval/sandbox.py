@@ -5,8 +5,8 @@ miscompiled codelet can turn into a segfault, an endless loop, or a
 NaN-producing kernel.  Run in-process via ctypes, any of those takes
 down the whole search (and any serving process sharing it), so
 :func:`repro.search.measure.measure_formulas` runs candidates on the
-leased workers of :mod:`repro.search.queue` — the one place that
-creates measurement processes.  This module holds what that path is
+leased workers of :mod:`repro.search.queue`, which runs every
+measurement process.  This module holds what that path is
 configured and reported with:
 
 * :class:`SandboxPolicy` — the one policy governing isolation (lease
@@ -22,7 +22,6 @@ configured and reported with:
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import Any
 
@@ -30,18 +29,6 @@ from repro.runtime.backoff import backoff_delay
 
 #: Ceiling on the retry backoff, whatever the attempt count.
 _BACKOFF_MAX_S = 2.0
-
-
-def sandbox_supported() -> bool:
-    """True when forked-worker isolation is available on this host."""
-    if os.name != "posix" or not hasattr(os, "fork"):
-        return False
-    try:
-        import multiprocessing
-
-        return "fork" in multiprocessing.get_all_start_methods()
-    except ImportError:  # pragma: no cover
-        return False
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from repro.perfeval.sandbox import (
     CandidateFailure,
     Quarantine,
     SandboxPolicy,
-    sandbox_supported,
     source_key,
 )
 from repro.perfeval.timing import pseudo_mflops, time_callable
@@ -162,7 +161,10 @@ def _measure_routines(routines: Sequence[CompiledRoutine],
                       journal: TaskJournal | None) -> list[Measurement]:
     """Time compiled ``routines``: on the lease queue when isolation is
     asked for and available, else on a thread pool in this process."""
-    if (sandbox is None or not sandbox_supported()
+    # Imported here: ``spl serve`` loads this module, not the shell.
+    from repro.runtime.workers import supported
+
+    if (sandbox is None or not supported()
             or not ccompile.have_c_compiler()):
 
         def measure_one(index: int, routine: CompiledRoutine) -> Measurement:

@@ -4,8 +4,8 @@ The search is the expensive offline half of the system (§4: every
 candidate formula is compiled and *executed* to be timed), and the
 generated code it executes is untrusted: a miscompiled codelet can
 segfault, spin forever, allocate without bound or emit NaN.  This
-module is the one place that creates processes for measurement.  A
-coordinator fans tasks over long-lived forked workers (every worker
+module runs every measurement process.  A coordinator fans tasks over
+long-lived workers forked by :mod:`repro.runtime.workers` (every worker
 under the policy's ``RLIMIT_AS`` cap) and survives every failure mode
 a hostile candidate or an unlucky host can produce:
 
@@ -37,9 +37,9 @@ a hostile candidate or an unlucky host can produce:
 
 The worker body is deliberately dumb: receive a task, run
 ``prepare`` then ``task_fn``, send the result, heartbeat from a side
-thread while running.  Anything smart — retries, quarantine,
-persistence — lives in the coordinator, where a bug cannot be killed
-by a segfault.
+thread while running, and exit once the coordinator is gone.
+Anything smart — retries, quarantine, persistence — lives in the
+coordinator, where a bug cannot be killed by a segfault.
 
 Chaos: :class:`SearchChaos` (env ``SPL_SEARCH_CHAOS``, e.g.
 ``kill=0.3,seed=7``) makes workers SIGKILL themselves immediately
@@ -69,7 +69,6 @@ from repro.perfeval.sandbox import (
     Quarantine,
     SandboxPolicy,
     default_quarantine,
-    sandbox_supported,
 )
 from repro.wisdom.store import append_journal, read_journal
 
@@ -81,8 +80,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: Environment variable carrying the search chaos spec (mirrors the
 #: serving fleet's ``SPL_CHAOS`` convention).
 SEARCH_CHAOS_ENV = "SPL_SEARCH_CHAOS"
-
-_STOP = ("stop",)
 
 
 #: Failure kind by the exception a task raised (first match; else "error").
@@ -285,49 +282,39 @@ def _worker_main(conn, task_fn: Callable[[dict], Any],
                  chaos: SearchChaos | None) -> None:
     """Receive tasks, run them, heartbeat while running, report.
 
-    Runs in a forked child.  ``conn`` sends are serialized by a lock
-    (the heartbeat thread and the task loop share the pipe).  A task
-    whose ``prepare`` or ``task_fn`` raises reports a ``fail`` message
-    — the coordinator decides whether to retry; a task that crashes the
-    process reports nothing, which the coordinator observes as EOF plus
-    the exit signal.
+    The body of a forked worker (:mod:`repro.runtime.workers`); ``conn``
+    serializes the heartbeat thread's sends with the task loop's.  A
+    task whose ``prepare`` or ``task_fn`` raises reports a ``fail``
+    message — the coordinator decides whether to retry; a task that
+    crashes the process reports nothing, which the coordinator observes
+    as EOF plus the exit signal.  A worker whose coordinator is gone
+    exits at its next send or receive: nobody is left to take a result
+    or to enforce a lease.
     """
     # The parent's fault handler (pytest, ``-X faulthandler``) would
     # dump the *parent's* inherited stack when a candidate segfaults;
     # the crash is reported structurally by the coordinator instead.
     faulthandler.disable()
-    for signum in (signal.SIGTERM, signal.SIGINT, signal.SIGHUP):
-        try:
-            signal.signal(signum, signal.SIG_DFL)
-        except (OSError, ValueError):  # pragma: no cover
-            pass
     _limit_memory(policy.memory_mb)
-    send_lock = threading.Lock()
 
-    def send(message: tuple) -> bool:
-        with send_lock:
-            try:
-                conn.send(message)
-                return True
-            except (OSError, ValueError, BrokenPipeError):
-                return False
+    def send(message: tuple) -> None:
+        try:
+            conn.send(message)
+        except OSError:
+            os._exit(0)  # the coordinator is gone
 
     while True:
         try:
-            message = conn.recv()
+            _, key, payload, attempt = conn.recv()
         except (EOFError, OSError):
-            return  # coordinator is gone: die quietly
-        if message[0] == "stop":
-            return
-        _, key, payload, attempt = message
+            return  # the coordinator is gone
         if chaos is not None and chaos.should_kill(key, attempt):
             os.kill(os.getpid(), signal.SIGKILL)
         done = threading.Event()
 
         def beat(task_key: str = key) -> None:
             while not done.wait(policy.heartbeat_interval):
-                if not send(("beat", task_key)):
-                    return
+                send(("beat", task_key))
 
         beater = threading.Thread(target=beat, daemon=True)
         beater.start()
@@ -335,21 +322,16 @@ def _worker_main(conn, task_fn: Callable[[dict], Any],
             if prepare is not None:
                 payload = prepare(payload)
                 send(("ready", key))
-            result = task_fn(payload)
+            reply = ("done", key, task_fn(payload))
         except BaseException as exc:  # noqa: BLE001 - reported, not raised
-            done.set()
             kind = next((kind for cls, kind in _FAILURE_KINDS
                          if isinstance(exc, cls)), "error")
-            sent = send(("fail", key, kind,
-                         f"{type(exc).__name__}: {exc}"[:2000]))
-        else:
-            done.set()
-            sent = send(("done", key, result))
+            reply = ("fail", key, kind,
+                     f"{type(exc).__name__}: {exc}"[:2000])
         finally:
             done.set()
             beater.join(timeout=1.0)
-        if not sent:
-            return
+        send(reply)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +379,8 @@ class TaskQueueCoordinator:
     ======================================  ============================
 
     :meth:`run` is the **I/O loop**: it reads the clock once per
-    iteration, turns pipe traffic and dead processes into events and
-    performs the effects (``settle`` writes the outcome and, for a
+    iteration, turns the worker shell's messages and exits into events
+    and performs the effects (``settle`` writes the outcome and, for a
     failure, the quarantine).
     """
 
@@ -409,7 +391,10 @@ class TaskQueueCoordinator:
                  journal: TaskJournal | None = None,
                  quarantine: Quarantine | None = None,
                  chaos: SearchChaos | None = None):
-        if not sandbox_supported():
+        # Imported here: ``spl serve`` loads this module, not the shell.
+        from repro.runtime.workers import Workers, supported
+
+        if not supported():
             raise RuntimeError(
                 "isolated measurement needs POSIX fork "
                 "(measure in-process here)")
@@ -424,6 +409,7 @@ class TaskQueueCoordinator:
                            else default_quarantine())
         self.chaos = chaos if chaos is not None else SearchChaos.from_env()
         self.stats: dict[str, int] = collections.defaultdict(int)
+        self._shell = Workers()
 
     # -- the decision core ---------------------------------------------
 
@@ -589,44 +575,11 @@ class TaskQueueCoordinator:
 
     # -- the I/O loop: events in, effects out --------------------------
 
-    def _spawn_worker(self) -> tuple:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self.task_fn, self.prepare, self.policy,
-                  self.chaos),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        return proc, parent_conn
-
-    def _reap(self, proc, conn, *, grace: float) -> int | None:
-        """Collect a worker, SIGKILLing it if it outlives ``grace``.
-
-        Returns its exit code (negative: the signal that ended it).  A
-        worker that closed its pipe gets a moment to be reaped first,
-        so the signal reported is its own (SIGSEGV, the OOM killer's
-        SIGKILL) rather than ours.
-        """
-        proc.join(grace)
-        if proc.exitcode is None:
-            proc.kill()
-            proc.join(5.0)
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        return proc.exitcode
-
-    def _died(self, wid: int) -> tuple:
-        """Reap the dead worker in ``wid``; the event that reports it."""
-        code = self._reap(*self._procs.pop(wid), grace=1.0)
-        signum = -code if code is not None and code < 0 else None
-        return ("worker_died", wid, signum, code)
+    def _spawn(self, wid: int) -> None:
+        why = self._shell.spawn(wid, lambda conn: _worker_main(
+            conn, self.task_fn, self.prepare, self.policy, self.chaos))
+        if why is not None:
+            raise OSError(f"cannot fork a measurement worker: {why}")
 
     def _feed(self, event: tuple, now: float) -> None:
         """Decide on one event and perform what the core asks for."""
@@ -642,35 +595,15 @@ class TaskQueueCoordinator:
                 if self.journal is not None:
                     self.journal.append(*args)
             elif kind == "spawn":
-                self._procs[args[0]] = self._spawn_worker()
+                self._spawn(args[0])
             elif kind == "kill":
-                self._reap(*self._procs.pop(args[0]), grace=0.0)
+                self._shell.stop(0.0, args[0])
             else:
+                # A worker that died since its last task is reported by
+                # the next wait, not here.
                 wid, key, attempt = args
-                try:
-                    self._procs[wid][1].send(
-                        ("task", key, self._tasks[key], attempt))
-                except (OSError, ValueError, BrokenPipeError):
-                    # Worker died between assignments.
-                    self._feed(self._died(wid), now)
-
-    def _wait(self, timeout: float) -> list[tuple]:
-        """Block for pipe traffic or ``timeout``; what arrived, as events."""
-        import multiprocessing.connection as mpc
-
-        wids = {conn: wid for wid, (_, conn) in self._procs.items()}
-        try:
-            ready = mpc.wait(list(wids), timeout)
-        except OSError:  # pragma: no cover - torn-down conn
-            ready = []
-        events = []
-        for conn in ready:
-            try:
-                while conn.poll(0):
-                    events.append(("message", wids[conn], conn.recv()))
-            except (EOFError, OSError):
-                events.append(self._died(wids[conn]))
-        return events
+                self._shell.send(wid, ("task", key, self._tasks[key],
+                                       attempt))
 
     def run(self, tasks: dict[str, dict]) -> QueueOutcome:
         """Execute every task exactly once; blocks until all settle.
@@ -682,23 +615,23 @@ class TaskQueueCoordinator:
         key — in ``results`` or in ``failures`` — with zero losses and
         zero duplicates by construction.
         """
-        self._procs: dict[int, tuple] = {}
         try:
             for _, wid in self._begin(tasks):
-                self._procs[wid] = self._spawn_worker()
-            events: list[tuple] = []
+                self._spawn(wid)
+            arrived: list[tuple] = []
             while self._open:
                 now = time.monotonic()  # the loop's one clock read
+                # An exit code < 0 is the signal that ended the worker.
+                events = [
+                    ("message", wid, value) if kind == "message" else
+                    ("worker_died", wid, -value if value < 0 else None,
+                     value)
+                    for kind, wid, value in arrived]
                 for event in (*events, ("tick",)):
                     self._feed(event, now)
-                events = (self._wait(self._poll_timeout(now))
-                          if self._open else [])
+                arrived = (self._shell.wait(self._poll_timeout(now))
+                           if self._open else [])
         finally:
-            for proc, conn in self._procs.values():
-                try:
-                    conn.send(_STOP)
-                except (OSError, ValueError, BrokenPipeError):
-                    pass
-                self._reap(proc, conn, grace=1.0)
+            self._shell.stop(1.0)
         self._outcome.stats = dict(self.stats)
         return self._outcome

@@ -141,8 +141,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.workers == 1:
             return run_worker(config, port_file=args.port_file)
         if not fork_supported():
-            print("spl serve: --workers needs fork, SIGCHLD and "
-                  "SO_REUSEPORT; falling back to a single process",
+            print("spl serve: --workers needs fork and SO_REUSEPORT; "
+                  "falling back to a single process",
                   file=sys.stderr)
             return run_worker(config, port_file=args.port_file)
         supervisor = Supervisor(

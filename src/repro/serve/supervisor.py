@@ -9,19 +9,20 @@ takes the whole service down.  This module runs the service as a
 
     supervisor (parent)
       |  fork x N                 SIGTERM -> graceful drain
-      |  heartbeat pipes          SIGHUP  -> rolling restart
-      |  exit-status watch        crash   -> backoff + restart budget
+      |  one socket per worker    SIGHUP  -> rolling restart
+      |  heartbeats, EOF + reap   crash   -> backoff + restart budget
       v
     worker 0 .. worker N-1        each: SplServer on its own
                                   SO_REUSEPORT listener bound to the
                                   same (host, port); the kernel
                                   load-balances connections
 
-**Crash recovery.**  The parent watches workers two ways: exit status
-(a reaped child means a crash or a completed drain) and a heartbeat
-pipe (each worker's event loop writes a byte every
-``heartbeat_interval``; a silent-but-alive worker is *wedged* — its
-loop is stuck even though the process lives — and is SIGKILLed).
+**Crash recovery.**  The parent watches workers two ways, both over
+the worker's one socket (:mod:`repro.runtime.workers`): EOF plus the
+reaped exit status (a crash or a completed drain) and heartbeats (each
+worker's event loop sends one every ``heartbeat_interval``; a
+silent-but-alive worker is *wedged* — its loop is stuck even though the
+process lives — and is SIGKILLed).
 Dead workers restart under exponential backoff with jitter, and
 a fleet-wide **restart budget** (a sliding window) breaks the
 crash-restart-crash flap: once the window fills, further restarts are
@@ -35,7 +36,7 @@ SIGHUP is a **rolling restart**: workers are drained and replaced one
 at a time, so fleet capacity never drops by more than one worker.
 
 The supervisor itself does no request work and holds no plan state —
-it is a few hundred lines of fork/waitpid/select that can only fail
+it is a decision core over the shared worker shell, which can only fail
 simple ways, which is the point: the blast radius of any serving bug
 is one worker process.
 """
@@ -44,10 +45,9 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import errno
+import functools
 import os
 import random
-import selectors
 import signal
 import socket
 import sys
@@ -59,15 +59,18 @@ from repro.serve.chaos import injector_from_env
 from repro.serve.plans import PlanKey, PlanRegistry
 from repro.wisdom.store import WisdomStore, atomic_write
 
-_HEARTBEAT = b"\x01"
+_HEARTBEAT = ("beat",)
 #: Seconds between a worker's beats; a heartbeat timeout must exceed it.
 HEARTBEAT_INTERVAL_S = 0.5
 
 
 def fork_supported() -> bool:
-    """Can this host run the supervisor at all?"""
-    return (hasattr(os, "fork") and hasattr(signal, "SIGCHLD")
-            and hasattr(socket, "SO_REUSEPORT"))
+    """Can this host run the supervisor at all: fork workers, and let
+    them share one port?"""
+    # Imported here: single-process ``spl serve`` never loads the shell.
+    from repro.runtime.workers import supported
+
+    return supported() and hasattr(socket, "SO_REUSEPORT")
 
 
 # ---------------------------------------------------------------------------
@@ -142,40 +145,36 @@ def build_server(config: ServeConfig, *, reuse_port: bool = False):
 
 
 def run_worker(config: ServeConfig, *, reuse_port: bool = False,
-               heartbeat_fd: int | None = None,
+               heartbeat=None,
                heartbeat_interval: float = HEARTBEAT_INTERVAL_S,
-               install_signals: bool = True,
                port_file: str | None = None,
                label: str = "spl serve") -> int:
     """One serving process, drained gracefully on SIGTERM/SIGINT/SIGHUP.
 
-    This is both the supervised worker body (``heartbeat_fd`` set,
-    ``reuse_port=True``) and the whole of single-process ``spl serve``
-    — so Ctrl-C and orchestrator stop get the same
-    stop-accepting / answer-everything-admitted / exit-0 sequence in
-    both modes.
+    This is both the supervised worker body (``heartbeat`` is its
+    :class:`~repro.runtime.workers.Conn`, ``reuse_port=True``) and the
+    whole of single-process ``spl serve`` — so Ctrl-C and orchestrator
+    stop get the same stop-accepting / answer-everything-admitted /
+    exit-0 sequence in both modes.
     """
     return asyncio.run(_worker_amain(
-        config, reuse_port=reuse_port, heartbeat_fd=heartbeat_fd,
-        heartbeat_interval=heartbeat_interval,
-        install_signals=install_signals, port_file=port_file,
+        config, reuse_port=reuse_port, heartbeat=heartbeat,
+        heartbeat_interval=heartbeat_interval, port_file=port_file,
         label=label))
 
 
 async def _worker_amain(config: ServeConfig, *, reuse_port: bool,
-                        heartbeat_fd: int | None,
+                        heartbeat,
                         heartbeat_interval: float,
-                        install_signals: bool,
                         port_file: str | None,
                         label: str) -> int:
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
-    if install_signals:
-        for signum in (signal.SIGTERM, signal.SIGINT, signal.SIGHUP):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass  # platform/thread without signal support
+    for signum in (signal.SIGTERM, signal.SIGINT, signal.SIGHUP):
+        try:
+            loop.add_signal_handler(signum, stop.set)
+        except (NotImplementedError, RuntimeError, ValueError):
+            pass  # platform/thread without signal support
 
     server = build_server(config, reuse_port=reuse_port)
     host, port = await server.start()
@@ -186,11 +185,17 @@ async def _worker_amain(config: ServeConfig, *, reuse_port: bool,
           file=sys.stderr, flush=True)
 
     beat_task = None
-    if heartbeat_fd is not None:
+    if heartbeat is not None:
+        heartbeat.sock.setblocking(False)
+        beat_frame = heartbeat.frame(_HEARTBEAT)
+
         async def beat() -> None:
             while True:
                 try:
-                    os.write(heartbeat_fd, _HEARTBEAT)
+                    # Awaited, not blocking: a supervisor that stops
+                    # reading (a socket holds ~280 beats) delays beats,
+                    # never requests.
+                    await loop.sock_sendall(heartbeat.sock, beat_frame)
                 except OSError:
                     # Supervisor is gone: orphaned workers drain and
                     # exit instead of serving forever unsupervised.
@@ -318,13 +323,12 @@ _LIVE = (STARTING, READY, DRAINING)  # a process holds the slot
 class WorkerSlot:
     """Parent-side bookkeeping for one worker position.
 
-    ``pid`` and ``heartbeat_fd`` belong to the I/O loop (the core only
-    quotes the pid in log lines); everything else is core state.
+    ``pid`` belongs to the I/O loop (the core only quotes it in log
+    lines); everything else is core state.
     """
 
     index: int
     pid: int | None = None
-    heartbeat_fd: int | None = None
     state: str = DOWN
     started_at: float = 0.0
     last_beat: float = 0.0
@@ -360,10 +364,11 @@ class Supervisor:
     the moment ``--port-file`` appears is never refused.
 
     :meth:`run` is the **I/O loop**: it reads the clock once per
-    iteration, turns pipes, ``waitpid`` and signal flags into events
-    and performs the effects.  It must run on the main thread of a
-    process it owns (it installs signal handlers and forks); the fleet
-    tests drive it through the real CLI in a subprocess.
+    iteration, turns the worker shell's events (every message is a
+    beat) and signal flags into events and performs the effects.  It
+    must run on the main thread of a process it owns (it installs
+    signal handlers and forks); the fleet tests drive it through the
+    real CLI in a subprocess.
     """
 
     def __init__(self, config: ServeConfig, *, workers: int,
@@ -379,8 +384,10 @@ class Supervisor:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if not fork_supported():
             raise RuntimeError(
-                "supervised serving needs fork, SIGCHLD and "
-                "SO_REUSEPORT (run with --workers 1 here)")
+                "supervised serving needs fork and SO_REUSEPORT "
+                "(run with --workers 1 here)")
+        from repro.runtime.workers import Workers
+
         self.config = config
         self.workers = workers
         self.heartbeat_interval = heartbeat_interval
@@ -393,9 +400,8 @@ class Supervisor:
         self._last_status_json: str | None = None
         self._rng = rng or random.Random()
         self.slots = [WorkerSlot(index=i) for i in range(workers)]
-        self._selector = selectors.DefaultSelector()
+        self._shell = Workers()
         self._reserve_sock: socket.socket | None = None
-        self._wake_r, self._wake_w = -1, -1
         self._stop_requested = False
         self._hup_requested = False
         self._now = 0.0  # the last clock reading the core was given
@@ -633,12 +639,7 @@ class Supervisor:
                     _publish_port(self.port_file, self.config.host,
                                   self.config.port)
             else:
-                pid = self.slots[args[0]].pid
-                if pid is not None:
-                    try:
-                        os.kill(pid, args[1])
-                    except ProcessLookupError:
-                        pass
+                self._shell.signal(*args)
 
     def _reserve_address(self) -> tuple[str, int]:
         """Bind a non-listening SO_REUSEPORT socket to pin the port.
@@ -659,99 +660,32 @@ class Supervisor:
 
     def _spawn(self, slot: WorkerSlot, now: float) -> None:
         """Fork a worker into ``slot``; a failed fork is an event."""
-        rfd = wfd = -1
-        try:
-            rfd, wfd = os.pipe()
-            os.set_blocking(rfd, False)
-            pid = os.fork()
-        except OSError as exc:
+        why = self._shell.spawn(
+            slot.index, functools.partial(self._worker_body, slot.index))
+        if why is not None:
             # EAGAIN under a process limit, EMFILE: the host is under
             # pressure, which is no time to orphan the live workers.
-            for fd in (rfd, wfd):
-                if fd >= 0:
-                    os.close(fd)
-            self._feed(("spawn_failed", slot.index,
-                        exc.strerror or str(exc)), now)
+            self._feed(("spawn_failed", slot.index, why), now)
             return
-        if pid == 0:
-            # Child: drop every parent-side resource, restore default
-            # signal dispositions (the parent's flag-setting handlers
-            # reference parent state), then become a worker.
-            code = 70
-            try:
-                for signum in (signal.SIGTERM, signal.SIGINT,
-                               signal.SIGHUP, signal.SIGCHLD):
-                    signal.signal(signum, signal.SIG_DFL)
-                os.close(rfd)
-                if self._reserve_sock is not None:
-                    self._reserve_sock.close()
-                for fd in (self._wake_r, self._wake_w):
-                    if fd >= 0:
-                        os.close(fd)
-                for other in self.slots:
-                    if (other.heartbeat_fd is not None
-                            and other is not slot):
-                        os.close(other.heartbeat_fd)
-                code = run_worker(
-                    self.config, reuse_port=True, heartbeat_fd=wfd,
-                    heartbeat_interval=self.heartbeat_interval,
-                    install_signals=True,
-                    label=f"spl serve[worker {slot.index}]")
-            except BaseException:  # noqa: BLE001 - report, then die
-                import traceback
+        slot.pid = self._shell.pid(slot.index)
+        self._log(f"worker {slot.index} started (pid {slot.pid})")
 
-                traceback.print_exc()
-            finally:
-                os._exit(code)
-        # Parent.
-        os.close(wfd)
-        slot.pid = pid
-        slot.heartbeat_fd = rfd
-        self._selector.register(rfd, selectors.EVENT_READ, slot)
-        self._log(f"worker {slot.index} started (pid {pid})")
-
-    def _release_fd(self, slot: WorkerSlot) -> None:
-        fd = slot.heartbeat_fd
-        if fd is None:
-            return
-        try:
-            self._selector.unregister(fd)
-        except KeyError:
-            pass
-        try:
-            os.close(fd)
-        except OSError:
-            pass
-        slot.heartbeat_fd = None
-
-    def _reap(self) -> list[tuple]:
-        """Collect dead children as ``exited`` events."""
-        events = []
-        while True:
-            try:
-                pid, status = os.waitpid(-1, os.WNOHANG)
-            except ChildProcessError:
-                return events
-            if pid == 0:
-                return events
-            slot = next((s for s in self.slots if s.pid == pid), None)
-            if slot is None:
-                continue
-            self._release_fd(slot)
-            slot.pid = None
-            events.append(("exited", slot.index,
-                           os.waitstatus_to_exitcode(status)))
+    def _worker_body(self, index: int, conn) -> int:
+        """A forked worker: the reserved port is the parent's."""
+        if self._reserve_sock is not None:
+            self._reserve_sock.close()
+        return run_worker(
+            self.config, reuse_port=True, heartbeat=conn,
+            heartbeat_interval=self.heartbeat_interval,
+            label=f"spl serve[worker {index}]")
 
     def _signalled(self, signum, frame) -> None:  # noqa: ARG002
-        """Signal handler: note the request, wake the loop's select."""
+        """Signal handler: note the request, wake the loop's wait."""
         if signum == signal.SIGHUP:
             self._hup_requested = True
-        elif signum != signal.SIGCHLD:
+        else:
             self._stop_requested = True
-        try:
-            os.write(self._wake_w, b"w")
-        except OSError:
-            pass
+        self._shell.wake()
 
     def _maybe_publish_status(self) -> None:
         """Atomically write :meth:`status` as JSON on every change.
@@ -783,14 +717,9 @@ class Supervisor:
         # Pin the resolved address so every forked worker binds it.
         self.config = ServeConfig(**{
             **self.config.__dict__, "host": host, "port": port})
-        self._wake_r, self._wake_w = os.pipe()
-        os.set_blocking(self._wake_r, False)
-        os.set_blocking(self._wake_w, False)
-        self._selector.register(self._wake_r, selectors.EVENT_READ)
         previous = {
             signum: signal.signal(signum, self._signalled)
-            for signum in (signal.SIGTERM, signal.SIGINT, signal.SIGHUP,
-                           signal.SIGCHLD)}
+            for signum in (signal.SIGTERM, signal.SIGINT, signal.SIGHUP)}
         try:
             # Initial boot is not a restart: it never spends budget.
             now = time.monotonic()
@@ -799,19 +728,16 @@ class Supervisor:
                 self._spawn(slot, now)
             self._maybe_publish_status()
             while not self._stopping or (
-                    any(s.pid is not None for s in self.slots)
-                    and now < self._stop_deadline + 1.0):
-                ready = self._selector.select(self._poll_timeout(now))
+                    len(self._shell) and now < self._stop_deadline + 1.0):
+                arrived = self._shell.wait(self._poll_timeout(now))
                 now = time.monotonic()  # the loop's one clock read
                 events: list[tuple] = []
-                for key, _ in ready:
-                    # One read per readable pipe: the selector is level-
-                    # triggered, so leftovers wake the next select; b""
-                    # is EOF (the reap below handles that exit); the
-                    # wake pipe carries no slot.
-                    if os.read(key.fd, 4096) and key.data is not None:
-                        events.append(("beat", key.data.index))
-                events += self._reap()
+                for kind, index, value in arrived:
+                    if kind == "exited":
+                        self.slots[index].pid = None
+                        events.append(("exited", index, value))
+                    else:  # every message a worker sends is a beat
+                        events.append(("beat", index))
                 if self._stop_requested:
                     if not self._stopping:
                         events.append(("stop",))
@@ -826,12 +752,6 @@ class Supervisor:
         finally:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
-            self._selector.close()
-            for fd in (self._wake_r, self._wake_w):
-                if fd >= 0:
-                    try:
-                        os.close(fd)
-                    except OSError:
-                        pass
+            self._shell.stop(self.config.drain_grace_s)
             if self._reserve_sock is not None:
                 self._reserve_sock.close()

@@ -53,6 +53,17 @@ def inherited_mb() -> int:
     return pages * os.sysconf("SC_PAGE_SIZE") >> 20
 
 
+def process_alive(pid: int) -> bool:
+    """Is ``pid`` a running process?  A zombie has exited: whoever
+    inherited it reaps it, not the test."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"
+
+
 @pytest.fixture
 def compiler() -> SplCompiler:
     """A default compiler session (complex data, real code, Fortran)."""

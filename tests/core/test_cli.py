@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.cli import main
-from repro.perfeval.sandbox import sandbox_supported
+from repro.runtime.workers import supported as sandbox_supported
 from tests.conftest import HAS_CC
 
 

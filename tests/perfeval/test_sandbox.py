@@ -18,9 +18,9 @@ from repro.perfeval.sandbox import (
     SandboxPolicy,
     default_quarantine,
     plan_key,
-    sandbox_supported,
     source_key,
 )
+from repro.runtime.workers import supported as sandbox_supported
 from repro.search.measure import measure_formulas
 from tests.conftest import HAS_CC
 

@@ -26,8 +26,8 @@ from repro.core.errors import SplError
 from repro.core.nodes import fourier
 from repro.formulas import to_matrix
 from repro.generator.fft_rules import enumerate_ct_formulas
-from repro.perfeval.sandbox import Quarantine, SandboxPolicy, \
-    sandbox_supported
+from repro.perfeval.sandbox import Quarantine, SandboxPolicy
+from repro.runtime.workers import supported as sandbox_supported
 from repro.search.dp import search_small_sizes
 from repro.search.large import LargeSearch
 from repro.search.measure import measure_formulas

@@ -15,6 +15,8 @@ import ctypes
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -23,15 +25,16 @@ import pytest
 from repro.perfeval.sandbox import (
     Quarantine,
     SandboxPolicy,
-    sandbox_supported,
 )
+from repro.runtime.workers import supported as sandbox_supported
 from repro.search.queue import (
+    SEARCH_CHAOS_ENV,
     JournalReplay,
     SearchChaos,
     TaskJournal,
     TaskQueueCoordinator,
 )
-from tests.conftest import inherited_mb
+from tests.conftest import inherited_mb, process_alive
 
 needs_fork = pytest.mark.skipif(
     not sandbox_supported(),
@@ -420,3 +423,79 @@ class TestCoordinator:
         assert outcome.stats["journal_replayed"] == 3
         assert outcome.stats["journal_corrupt_lines"] == 1
         assert outcome.stats["completed"] == 1  # only the lost key ran
+
+
+# ---------------------------------------------------------------------------
+# A coordinator that dies leaves no worker behind.
+# ---------------------------------------------------------------------------
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(
+    sys.modules["repro"].__file__)))
+
+#: A coordinator in a process of its own; argv: out_dir, workers, sleep_s.
+#: Each task drops a file named for its worker's pid, then reports how
+#: many sockets the worker holds; the outcome goes to out_dir/results.
+_COORDINATOR = """
+import json, os, sys, time
+from repro.perfeval.sandbox import Quarantine, SandboxPolicy
+from repro.search.queue import TaskQueueCoordinator
+
+out, workers, sleep_s = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
+
+def task(payload):
+    open(os.path.join(out, str(os.getpid())), "w").close()
+    time.sleep(sleep_s)
+    links = [os.readlink(f"/proc/self/fd/{fd}")
+             for fd in os.listdir("/proc/self/fd")
+             if os.path.exists(f"/proc/self/fd/{fd}")]
+    return {"sockets": sum(link.startswith("socket:") for link in links)}
+
+outcome = TaskQueueCoordinator(
+    task, workers=workers, policy=SandboxPolicy(memory_mb=0),
+    quarantine=Quarantine()).run({f"k{i}": {} for i in range(4)})
+with open(os.path.join(out, "results"), "w") as handle:
+    json.dump(outcome.results, handle)
+"""
+
+
+def _coordinator(out_dir, workers: int, sleep_s: float) -> subprocess.Popen:
+    env = {k: v for k, v in os.environ.items() if k != SEARCH_CHAOS_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.Popen(
+        [sys.executable, "-c", _COORDINATOR, str(out_dir), str(workers),
+         str(sleep_s)], env=env, stdin=subprocess.DEVNULL)
+
+
+def _worker_pids(out_dir) -> set[int]:
+    return {int(p.name) for p in out_dir.iterdir() if p.name.isdigit()}
+
+
+@needs_fork
+class TestCoordinatorDeath:
+    def test_sigkilled_coordinator_leaves_no_worker_alive(self, tmp_path):
+        """Workers read EOF on their one socket once the coordinator is
+        gone, and exit mid-task instead of waiting on a lost reader."""
+        coordinator = _coordinator(tmp_path, workers=2, sleep_s=2.0)
+        try:
+            deadline = time.monotonic() + 30.0
+            while (len(_worker_pids(tmp_path)) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            pids = _worker_pids(tmp_path)
+            assert len(pids) == 2
+        finally:
+            coordinator.kill()
+            coordinator.wait(10.0)
+        deadline = time.monotonic() + 5.0
+        while (any(map(process_alive, pids))
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert not [pid for pid in pids if process_alive(pid)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_worker_holds_exactly_one_socket(self, tmp_path, workers):
+        coordinator = _coordinator(tmp_path, workers=workers, sleep_s=0.0)
+        assert coordinator.wait(60.0) == 0
+        results = json.loads((tmp_path / "results").read_text())
+        assert results == {f"k{i}": {"sockets": 1} for i in range(4)}

@@ -25,8 +25,8 @@ from repro.perfeval.sandbox import (
     CandidateFailure,
     Quarantine,
     SandboxPolicy,
-    sandbox_supported,
 )
+from repro.runtime.workers import supported as sandbox_supported
 from repro.search.queue import TaskQueueCoordinator
 
 pytestmark = pytest.mark.skipif(

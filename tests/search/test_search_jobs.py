@@ -21,8 +21,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.perfeval.sandbox import Quarantine, SandboxPolicy, \
-    sandbox_supported
+from repro.perfeval.sandbox import Quarantine, SandboxPolicy
+from repro.runtime.workers import supported as sandbox_supported
 from repro.search import measure
 from repro.search.dp import default_small_compiler, search_small_sizes
 from repro.search.queue import SEARCH_CHAOS_ENV, SearchChaos, TaskJournal

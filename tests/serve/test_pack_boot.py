@@ -37,7 +37,7 @@ from tests.serve.fleet import FleetProcess
 
 needs_fork = pytest.mark.skipif(
     not fork_supported(),
-    reason="the supervisor needs fork, SIGCHLD and SO_REUSEPORT")
+    reason="the supervisor needs fork and SO_REUSEPORT")
 
 
 def _c_pack(tmp_path, monkeypatch, n: int):

@@ -15,6 +15,8 @@ from __future__ import annotations
 import asyncio
 import random
 import signal
+import socket
+import threading
 import time
 
 import numpy as np
@@ -26,14 +28,16 @@ from repro.serve.supervisor import (
     RestartBudget,
     ServeConfig,
     fork_supported,
+    run_worker,
 )
 
+from tests.conftest import process_alive
 from tests.serve.fleet import FleetProcess
 from tests.serve.test_server import _complex_vec
 
 needs_fleet = pytest.mark.skipif(
     not fork_supported(),
-    reason="supervised fleets need fork, SIGCHLD and SO_REUSEPORT")
+    reason="supervised fleets need fork and SO_REUSEPORT")
 
 
 class TestBackoffPolicy:
@@ -218,6 +222,61 @@ class TestFleet:
             assert len(after) == 2
             assert not (after & before), (before, after)
             _oracle_roundtrips(fleet.host, fleet.port)
+
+
+@needs_fleet
+class TestSupervisorDeath:
+    def test_sigkilled_supervisor_leaves_workers_that_drain_and_exit(self):
+        """A worker's heartbeat fails once its socket's other end is
+        gone, so an orphaned worker drains and exits 0 instead of
+        serving forever unsupervised."""
+        grace = 2.0
+        with FleetProcess(workers=2, warm=("fft:16",), extra_args=(
+                "--drain-grace-s", str(grace))) as fleet:
+            pids = fleet.worker_pids()
+            assert len(pids) == 2
+            fleet.proc.kill()
+            fleet.proc.wait(10.0)
+            deadline = time.monotonic() + grace + 5.0
+            while (any(map(process_alive, pids))
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert not [pid for pid in pids if process_alive(pid)]
+            text = fleet.stderr_text()
+            for pid in pids:  # printed right before the worker's exit 0
+                assert f"pid {pid} drained and stopped" in text, text
+
+
+class TestWorkerHeartbeat:
+    def test_a_supervisor_that_stops_reading_never_stalls_serving(
+            self, tmp_path):
+        """A worker's socket holds ~280 beats; past that, beats wait on
+        the event loop and requests are still answered."""
+        from repro.runtime.workers import Conn
+
+        supervisor_end, worker_end = socket.socketpair()
+        port_file = tmp_path / "port"
+        codes: list[int] = []
+        worker = threading.Thread(target=lambda: codes.append(run_worker(
+            ServeConfig(prefer="numpy"), heartbeat=Conn(worker_end),
+            heartbeat_interval=0.001, port_file=str(port_file))))
+        worker.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while not port_file.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            host, port = port_file.read_text().strip().rsplit(":", 1)
+            time.sleep(1.0)  # ~1 000 beats, none read
+            x = _complex_vec(16, seed=5)
+            with SplClient(host, int(port), timeout=5.0,
+                           request_timeout=5.0) as client:
+                np.testing.assert_allclose(
+                    client.transform("fft", x), np.fft.fft(x), atol=1e-9)
+        finally:
+            supervisor_end.close()  # the worker is orphaned: it drains
+            worker.join(30.0)
+        assert codes == [0]
+        worker_end.close()
 
 
 @needs_fleet

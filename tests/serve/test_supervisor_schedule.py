@@ -471,7 +471,7 @@ class TestFailedFork:
         sup._spawn(slot, 50.0)
         assert sorted(os.listdir("/proc/self/fd")) == before
         assert slot.state == DOWN and slot.pid is None
-        assert slot.heartbeat_fd is None
+        assert sup._shell.pid(slot.index) is None
         assert slot.consecutive_failures == 1
         assert 50.5 <= slot.restart_at <= 50.625
         assert sup.budget.spent == 0
